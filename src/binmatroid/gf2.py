@@ -202,8 +202,25 @@ def closure_mask(mask: int, n: int) -> Flat:
 
 
 def is_flat(mask: int, n: int) -> bool:
-    """Whether a point bitset (bit 0 clear) is a flat; the empty set is one."""
-    return closure_mask(mask, n).members == mask
+    """Whether a point bitset (bit 0 clear) is a flat; the empty set is one.
+
+    A flat has 2^d - 1 points, so other sizes fail at once; otherwise the
+    span of the points is grown and abandoned as soon as it leaves mask.
+    """
+    n = check_dim(n)
+    if mask >> (1 << n):
+        raise ValueError(f"bitset out of range for dimension {n}")
+    size = mask.bit_count()
+    if mask & 1 or (size + 1) & size:
+        return False
+    span = 1
+    outside = ~(mask | 1)
+    for p in iter_bits(mask):
+        if not (span >> p) & 1:
+            span |= xor_translate(span, p, n)
+            if span & outside:
+                return False
+    return True
 
 
 def cosets(flat: Flat) -> list[int]:

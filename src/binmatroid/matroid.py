@@ -15,6 +15,7 @@ from .gf2 import (
     Flat,
     bits_list,
     check_dim,
+    closure,
     flats_of_dim,
     ground_mask,
     iter_bits,
@@ -144,25 +145,14 @@ def find_claw(M: BinaryMatroid) -> Optional[tuple[int, int, int]]:
 
 
 def find_anticlaw(M: BinaryMatroid) -> Optional[Flat]:
-    """First plane whose restriction is the complement of a claw, or None.
+    """A plane whose restriction is the complement of a claw, or None.
 
     Such a plane P has |E ∩ P| = 4 with the three missing points
-    independent (not a triangle).
+    independent, i.e. those points are a claw of the complement; the
+    plane returned is the closure of `find_claw(complement(M))`.
     """
-    if M.n < 3:
-        return None
-    E = M.mask
-    for P in flats_of_dim(M.n, 3):
-        inside = E & P.members
-        if inside.bit_count() != 4:
-            continue
-        out = P.members & ~E
-        acc = 0
-        for v in iter_bits(out):
-            acc ^= v
-        if acc != 0:
-            return P
-    return None
+    claw = find_claw(complement(M))
+    return None if claw is None else closure(claw, M.n)
 
 
 def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:

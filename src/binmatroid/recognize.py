@@ -1,8 +1,11 @@
 """Basic-class predicates and the bounding-formula evaluator.
 
-The PG-sum recognizer runs two independent routes: a direct witness
-search (authoritative, returns the two flats) and a forbidden-restriction
-scan over planes.  The test suite cross-checks them exhaustively.
+Each predicate is decided by an identity rather than a plane search:
+even-plane is algebraic degree at most 2 (`tables.even_plane_mask`),
+anticlaw-free is claw-free complement, and the PG-sum witness grows one
+maximal flat from the lowest point and tests the rest for flatness.  The
+forbidden-restriction scan over planes is kept as an independent PG-sum
+route, and the verification suites cross-check the two.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .gf2 import (
     iter_bits,
     xor_translate,
 )
-from .matroid import BinaryMatroid, rank_mask
+from .matroid import BinaryMatroid, find_claw, rank_mask
 from . import tables
 
 
@@ -55,27 +58,11 @@ def is_complement_triangle_free(M: BinaryMatroid) -> bool:
 
 
 def claw_free_any(mask: int, n: int) -> bool:
-    """Claw-freeness at any dimension: plane tables for n <= 6, a pair
-    mask-scan beyond (pairs whose sum stays in E cost one test)."""
+    """Claw-freeness at any dimension: plane tables for n <= 6, the pair
+    scan of `find_claw` beyond."""
     if n <= tables.PLANE_TABLE_MAX:
         return tables.claw_free_mask(mask, n)
-    pts = list(iter_bits(mask))
-    for i, x in enumerate(pts):
-        ex = xor_translate(mask, x, n)
-        for j in range(i + 1, len(pts)):
-            y = pts[j]
-            s = x ^ y
-            if (mask >> s) & 1:
-                continue
-            if (
-                mask
-                & ~ex
-                & ~xor_translate(mask, y, n)
-                & ~xor_translate(mask, s, n)
-                & ~((1 << (y + 1)) - 1)
-            ):
-                return False
-    return True
+    return find_claw(BinaryMatroid(n, mask)) is None
 
 
 def is_claw_free(M: BinaryMatroid) -> bool:
@@ -84,56 +71,42 @@ def is_claw_free(M: BinaryMatroid) -> bool:
 
 
 def is_anticlaw_free(M: BinaryMatroid) -> bool:
-    if M.n <= tables.PLANE_TABLE_MAX:
-        return tables.anticlaw_free_mask(M.mask, M.n)
-    from .matroid import find_anticlaw
-
-    return find_anticlaw(M) is None
+    """No plane restriction is the complement of a claw: the complement
+    is claw-free."""
+    return claw_free_any(ground_mask(M.n) & ~M.mask, M.n)
 
 
 def is_even_plane(M: BinaryMatroid) -> bool:
     """Every plane meets the ground set evenly; vacuously true for n < 3.
 
-    Plane masks are cached for n <= 6; beyond that the flats are streamed
-    from the generator so memory stays flat.
+    Decided at every n by the degree test of `tables.even_plane_mask`.
     """
-    n = M.n
-    if n < 3:
-        return True
-    if n <= tables.PLANE_TABLE_MAX:
-        return tables.even_plane_mask(M.mask, n)
-    E = M.mask
-    for P in flats_of_dim(n, 3):
-        if (E & P.members).bit_count() & 1:
-            return False
-    return True
+    return tables.even_plane_mask(M.mask, M.n)
 
 
 def pg_sum_witness_mask(mask: int, n: int) -> Optional[tuple[int, int]]:
     """Masks of two disjoint flats whose union is the ground set, or None.
 
-    For each anchor point, the maximal flat inside E through the anchor
-    is grown greedily (validity of a point is monotone, so one ascending
-    pass suffices), and the rest of E is tested for flatness.  If E is a
-    union of two disjoint flats, every flat inside E through an anchor
-    lies wholly in one part, so the first anchor already decides.
+    The maximal flat inside E through the lowest point of E is grown
+    greedily (validity of a point is monotone, so one ascending pass
+    suffices), and the rest of E is tested for flatness.  If E is a union
+    of two disjoint flats, every flat inside E lies wholly in one part (a
+    vector space is never a union of two proper subspaces), so the grown
+    flat is a whole part and no other anchor needs to be tried.
     """
     if mask == 0:
         return (0, 0)
     not_allowed = ~(mask | 1)
-    for e in iter_bits(mask):
-        span = 1 | (1 << e)
-        for p in iter_bits(mask & ~span):
-            if (span >> p) & 1:
-                continue
-            coset = xor_translate(span, p, n)
-            if coset & not_allowed:
-                continue
-            span |= coset
-        rest = mask & ~span
-        if is_flat(rest, n):
-            return (span & ~1, rest)
-    return None
+    span = 1 | (mask & -mask)
+    for p in iter_bits(mask & ~span):
+        if (span >> p) & 1:
+            continue
+        coset = xor_translate(span, p, n)
+        if coset & not_allowed:
+            continue
+        span |= coset
+    rest = mask & ~span
+    return (span & ~1, rest) if is_flat(rest, n) else None
 
 
 def is_pg_sum_direct(M: BinaryMatroid) -> Optional[tuple[Flat, Flat]]:
@@ -175,14 +148,16 @@ def is_pg_sum_forbidden(M: BinaryMatroid) -> bool:
 
 def is_pg_sum(M: BinaryMatroid) -> bool:
     """Authoritative PG-sum predicate (direct route)."""
-    return is_pg_sum_direct(M) is not None
+    return pg_sum_witness_mask(M.mask, M.n) is not None
+
+
+def _is_strict(witness: Optional[tuple[int, int]], mask: int, n: int) -> bool:
+    """Both flats of a PG-sum witness nonempty and the ground set full-rank."""
+    return witness is not None and all(witness) and rank_mask(mask, n) == n
 
 
 def strict_pg_sum_mask(mask: int, n: int) -> bool:
-    witness = pg_sum_witness_mask(mask, n)
-    if witness is None or not (witness[0] and witness[1]):
-        return False
-    return rank_mask(mask, n) == n
+    return _is_strict(pg_sum_witness_mask(mask, n), mask, n)
 
 
 def is_strict_pg_sum(M: BinaryMatroid) -> bool:
@@ -261,14 +236,15 @@ def chi_bound(k: int, dim_n: int) -> int:
 
 def classify(M: BinaryMatroid) -> ClassFlags:
     """All class flags in one record."""
+    witness = pg_sum_witness_mask(M.mask, M.n)
     return ClassFlags(
         claw_free=is_claw_free(M),
         anticlaw_free=is_anticlaw_free(M),
         triangle_free=is_triangle_free(M),
         complement_triangle_free=is_complement_triangle_free(M),
         even_plane=is_even_plane(M),
-        pg_sum=is_pg_sum(M),
-        strict_pg_sum=is_strict_pg_sum(M),
+        pg_sum=witness is not None,
+        strict_pg_sum=_is_strict(witness, M.mask, M.n),
         bose_burton_order=is_bose_burton(M),
         target=is_target(M) is not None,
     )

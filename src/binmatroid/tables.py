@@ -3,7 +3,8 @@
 The verification sweeps and samplers hammer the same questions (is this
 plane pattern a claw? is the intersection even?) across thousands of
 ground sets, so the plane lists are materialised once per dimension and
-the per-plane patterns are classified through small lookup tables.
+the per-plane patterns are classified through small lookup tables.  The
+single-set even-plane test needs no planes: it is a degree test.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import Flat, flats_of_dim, ground_mask
+from .gf2 import Flat, _half_masks, flats_of_dim, ground_mask
 
 #: plane lists are materialised only up to this dimension
 PLANE_TABLE_MAX = 6
@@ -85,24 +86,35 @@ def claw_free_mask(mask: int, n: int) -> bool:
 
 
 def anticlaw_free_mask(mask: int, n: int) -> bool:
-    """No plane meets E in four points whose three absentees are independent."""
-    if n < 3:
-        return True
-    planes = plane_array(n)
-    inter = planes & np.uint64(mask)
-    hits = np.flatnonzero(np.bitwise_count(inter) == 4)
-    for i in hits:
-        if _xor_of_bits(int(planes[i]) & ~mask) != 0:
-            return False
-    return True
+    """No plane meets E in four points whose three absentees are independent.
+
+    Those three absentees are exactly a claw of the complement, so this is
+    claw-freeness of G \\ E.
+    """
+    return claw_free_mask(ground_mask(n) & ~mask, n)
+
+
+@lru_cache(maxsize=None)
+def _low_degree_monomials(n: int) -> int:
+    """Bitset of the vectors of weight at most 2: the monomials of degree <= 2."""
+    m = 1
+    for i in range(n):
+        for j in range(i + 1):
+            m |= 1 << ((1 << i) | (1 << j))
+    return m
 
 
 def even_plane_mask(mask: int, n: int) -> bool:
-    """Every plane meets E in an even number of points (vacuous for n < 3)."""
-    if n < 3:
-        return True
-    inter = plane_array(n) & np.uint64(mask)
-    return not np.any(np.bitwise_count(inter) & np.uint64(1))
+    """Every plane meets E in an even number of points (vacuous for n < 3).
+
+    Equivalently the truth table of E (with f(0) = 0) has algebraic degree
+    at most 2: a Möbius transform gives its monomials, and none of weight
+    3 or more may survive.  See the README for why this is exact.
+    """
+    anf = mask & ~1
+    for i, half in enumerate(_half_masks(n)):
+        anf ^= (anf & half) << (1 << i)
+    return not anf & ~_low_degree_monomials(n)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +140,6 @@ for _b in range(128):
 _PAT_CLAW = (_POP == 3) & (_XORV != 0)
 #: pattern is odd-sized
 _PAT_ODD = (_POP & 1).astype(bool)
-#: pattern is an anticlaw: four points whose complement is independent
-_PAT_ANTICLAW = np.zeros(128, dtype=bool)
-for _b in range(128):
-    _PAT_ANTICLAW[_b] = _POP[_b] == 4 and _XORV[127 ^ _b] != 0
 #: pattern shows the restriction is one of the four non-PG-sum witnesses
 _PAT_PG_BAD = (
     ((_POP == 3) & (_XORV != 0))
@@ -171,18 +179,17 @@ def sweep_tables(n: int) -> dict[str, np.ndarray]:
     codes = np.arange(ncodes, dtype=np.uint32)
     claw_free = np.ones(ncodes, dtype=bool)
     even = np.ones(ncodes, dtype=bool)
-    anticlaw_free = np.ones(ncodes, dtype=bool)
     pg_ok = np.ones(ncodes, dtype=bool)
     if n >= 3:
         for lm in _local_patterns(n, codes):
             claw_free &= ~_PAT_CLAW[lm]
             even &= ~_PAT_ODD[lm]
-            anticlaw_free &= ~_PAT_ANTICLAW[lm]
             pg_ok &= ~_PAT_PG_BAD[lm]
     return {
         "claw_free": claw_free,
         "even_plane": even,
-        "anticlaw_free": anticlaw_free,
+        # anticlaw-free E is claw-free G \ E, whose code is (ncodes - 1) ^ k
+        "anticlaw_free": claw_free[::-1].copy(),
         "pg_sum_forbidden_route": pg_ok,
     }
 

@@ -58,7 +58,7 @@ from .structure import (
 
 def _structure_outcome(mask: int, n: int) -> Optional[str]:
     """First satisfied outcome for a claw-free ground set, or None."""
-    if n < 3 or tables.even_plane_mask(mask, n):
+    if tables.even_plane_mask(mask, n):
         return "even_plane"
     if triangle_free_mask(ground_mask(n) & ~mask, n):
         return "complement_triangle_free"
@@ -857,7 +857,7 @@ def run_suite(name: str, n_max: Optional[int] = None, seed: int = 0, samples: Op
     if name == "structure":
         if n_max is not None and n_max >= 5:
             reports = [verify_structure(4)] + [
-                verify_structure_sampled(n, samples or 100_000, seed)
+                verify_structure_sampled(n, 100_000 if samples is None else samples, seed)
                 for n in range(5, min(n_max, 6) + 1)
             ]
             merged = {
@@ -873,15 +873,15 @@ def run_suite(name: str, n_max: Optional[int] = None, seed: int = 0, samples: Op
     if name == "density":
         return verify_density(4 if n_max is None else n_max)
     if name == "ljparams":
-        return verify_ljparams(samples or 10_000, seed)
+        return verify_ljparams(10_000 if samples is None else samples, seed)
     if name == "pgsum":
         return verify_pgsum(4 if n_max is None else n_max, samples if samples is not None else 100_000, seed)
     if name == "target":
         return verify_target(4 if n_max is None else n_max, samples if samples is not None else 100_000, seed)
     if name == "rlj":
-        return verify_rlj(seed=seed, recon_samples=samples or 10_000)
+        return verify_rlj(seed=seed, recon_samples=10_000 if samples is None else samples)
     if name == "coset":
-        return verify_coset(samples or 10_000, 5 if n_max is None else n_max, seed)
+        return verify_coset(10_000 if samples is None else samples, 5 if n_max is None else n_max, seed)
     if name == "tiny":
         return verify_tiny()
     if name == "semidouble":

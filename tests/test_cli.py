@@ -172,3 +172,12 @@ def test_enumerate_sample_deterministic():
 def test_verify_unknown_suite_is_usage_error():
     code, _, _ = run_cli(["verify", "bogus"])
     assert code == 1
+
+
+def test_run_suite_honours_zero_samples():
+    from binmatroid.verify import run_suite
+
+    assert run_suite("ljparams", samples=0)["samples"] == 0
+    assert run_suite("coset", samples=0)["samples"] == 0
+    parts = run_suite("structure", n_max=5, samples=0)["parts"]
+    assert parts[-1]["samples"] == 0 and parts[-1]["checked"] == 0

@@ -42,8 +42,8 @@ def test_even_plane_examples():
 
 
 def test_even_plane_generator_path():
-    # dimension 7 goes through the streaming flat generator: any plane
-    # containing exactly one of the two points has odd intersection
+    # beyond the plane tables: any plane containing exactly one of the
+    # two points has odd intersection
     M = BinaryMatroid.from_points([1, 2], 7)
     assert not is_even_plane(M)
     assert is_even_plane(empty_matroid(7))
