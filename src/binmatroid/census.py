@@ -74,19 +74,9 @@ def orbit_split(masks: Iterable[int], n: int) -> dict[int, int]:
     sequence, i.e. the canonical form.
     """
     todo = set(masks)
-    gens = gl_generators(n)
     out: dict[int, int] = {}
     while todo:
-        start = todo.pop()
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            m = frontier.pop()
-            for t in gens:
-                im = transform_mask(m, t)
-                if im not in orbit:
-                    orbit.add(im)
-                    frontier.append(im)
+        orbit = orbit_of(todo.pop(), n)
         rep = min(orbit, key=lambda m: seq_key(m, n))
         for m in orbit:
             out[m] = rep

@@ -7,8 +7,8 @@ need not span G.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .gf2 import (
@@ -270,9 +270,10 @@ def invariants(M: BinaryMatroid) -> InvariantRecord:
 # The search walks preimages w_1, ..., w_n of the standard basis.  After
 # choosing w_1..w_k the image's membership is determined on local values
 # 1 .. 2^k - 1, so the sequence is decided in contiguous segments and the
-# usual prefix pruning applies.  Ties (automorphisms) are explored, which
-# is fine at the supported dimensions for all but the most symmetric
-# ground sets; `budget` offers a cooperative cap for those.
+# usual prefix pruning applies.  Ties at the leaves are automorphisms;
+# each search frame carries those that fix its prefix pointwise and skips
+# siblings in their orbits.  The most symmetric ground sets still take
+# many nodes; `budget` offers a cooperative cap for those.
 
 
 def seq_key(mask: int, n: int) -> tuple[int, ...]:
@@ -301,8 +302,30 @@ def apply_linear_map(M: BinaryMatroid, images: list[int]) -> BinaryMatroid:
     return BinaryMatroid(M.n, out)
 
 
-@lru_cache(maxsize=None)
-def _canonical_mask(n: int, E: int, budget: Optional[int]) -> int:
+#: canonical masks kept by `_canonical_mask`, least recently used evicted first
+CANONICAL_CACHE_SIZE = 8192
+_canonical_cache: OrderedDict[tuple[int, int], int] = OrderedDict()
+
+
+def _canonical_mask(n: int, E: int, budget: Optional[int] = None) -> int:
+    """Canonical mask of (n, E), cached on (n, E) alone.
+
+    A cache hit is returned whatever the budget; a search that raises
+    `BudgetExceeded` caches nothing.
+    """
+    key = (n, E)
+    img = _canonical_cache.get(key)
+    if img is not None:
+        _canonical_cache.move_to_end(key)
+        return img
+    img = _canonical_search(n, E, budget)
+    _canonical_cache[key] = img
+    if len(_canonical_cache) > CANONICAL_CACHE_SIZE:
+        _canonical_cache.popitem(last=False)
+    return img
+
+
+def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
     import numpy as np
 
     if n == 0 or E == 0 or E == ground_mask(n):
@@ -320,10 +343,12 @@ def _canonical_mask(n: int, E: int, budget: Optional[int]) -> int:
     auts: list[list[int]] = []  # point tables of discovered automorphisms
     nodes = 0
 
-    def usable_auts(prefix: list[int]) -> list[list[int]]:
-        return [t for t in auts if all(t[w] == w for w in prefix)]
-
-    def rec(k: int, span: int, pre: list[int], prefix: list[int]) -> None:
+    def rec(
+        k: int, span: int, pre: list[int], prefix: list[int], stab: list[list[int]]
+    ) -> None:
+        # stab: the automorphisms found so far that fix every point of
+        # prefix; a child inherits those that also fix its own point, and
+        # after each child only the automorphisms found since are tested
         nonlocal nodes
         L = 1 << (k - 1)  # segment length at this level
         ws = np.array(
@@ -332,7 +357,7 @@ def _canonical_mask(n: int, E: int, budget: Optional[int]) -> int:
         bits = e_bits[np.bitwise_xor.outer(ws, np.array(pre, dtype=np.int64))]
         keys = bits @ weights[L]
         order = np.argsort(keys, kind="stable")
-        stab = usable_auts(prefix)
+        seen = len(auts)
         skip = 0  # points equivalent to an already-explored sibling
         for idx in order:
             key = int(keys[idx])
@@ -362,7 +387,13 @@ def _canonical_mask(n: int, E: int, budget: Optional[int]) -> int:
                         inv[v] = j
                     auts.append([full_pre[inv[v]] for v in range(npoints)])
             else:
-                rec(k + 1, span | xor_translate(span, w, n), full_pre, prefix + [w])
+                rec(
+                    k + 1,
+                    span | xor_translate(span, w, n),
+                    full_pre,
+                    prefix + [w],
+                    [t for t in stab if t[w] == w],
+                )
             if stab:
                 orbit = {w}
                 frontier = [w]
@@ -375,9 +406,11 @@ def _canonical_mask(n: int, E: int, budget: Optional[int]) -> int:
                             frontier.append(v)
                 for u in orbit:
                     skip |= 1 << u
-            stab = usable_auts(prefix)  # ties may have grown the group
+            if len(auts) > seen:  # ties may have grown the group
+                stab.extend(t for t in auts[seen:] if all(t[u] == u for u in prefix))
+                seen = len(auts)
 
-    rec(1, 1, [0], [])
+    rec(1, 1, [0], [], [])
 
     img = 0
     for k in range(1, n + 1):

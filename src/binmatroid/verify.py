@@ -69,10 +69,20 @@ def _structure_outcome(mask: int, n: int) -> Optional[str]:
     return None
 
 
+def _n_max_fields(requested: int, cap: int) -> dict:
+    """Report fields of an exhaustive range clamped at `cap`: `n_max` is the
+    range actually checked, and `n_max_requested` is added when it differs."""
+    effective = min(requested, cap)
+    if effective == requested:
+        return {"n_max": effective}
+    return {"n_max": effective, "n_max_requested": requested}
+
+
 def verify_structure(n_max: int = 4) -> dict:
     """Every claw-free ground set at n <= n_max satisfies one of the four
     structure outcomes; exhaustive sweep."""
-    n_max = min(n_max, 4)
+    fields = _n_max_fields(n_max, 4)
+    n_max = fields["n_max"]
     checked = 0
     outcomes = {"even_plane": 0, "complement_triangle_free": 0, "strict_pg_sum": 0, "decomposer": 0}
     violations = []
@@ -98,7 +108,7 @@ def verify_structure(n_max: int = 4) -> dict:
     return {
         "suite": "structure",
         "mode": "exhaustive",
-        "n_max": n_max,
+        **fields,
         "checked": checked,
         "outcomes": outcomes,
         "violations": violations,
@@ -144,7 +154,8 @@ def density_floor(r: int) -> int:
 def verify_density(n_max: int = 4) -> dict:
     """Exhaustive minima of |E| over full-rank claw-free ground sets, and
     the equality classes at r = 3, 4."""
-    n_max = min(n_max, 4)
+    fields = _n_max_fields(n_max, 4)
+    n_max = fields["n_max"]
     results = {}
     violations = []
     for r in range(1, n_max + 1):
@@ -185,7 +196,7 @@ def verify_density(n_max: int = 4) -> dict:
             violations.append({"r": 4, "witness_mismatch": results[4]["witness_classes"]})
     return {
         "suite": "density",
-        "n_max": n_max,
+        **fields,
         "results": results,
         "violations": violations,
         "checked": sum(len(tables.claw_free_masks_list(r)) for r in range(1, n_max + 1)),
@@ -328,10 +339,11 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     """Direct and forbidden-restriction recognizers agree (exhaustive at
     n <= n_max, sampled at n = 5); PG-sums have equal clique and critical
     numbers."""
+    fields = _n_max_fields(n_max, 4)
     rng = random.Random(seed)
     violations = []
     checked = 0
-    for n in range(min(n_max, 4) + 1):
+    for n in range(fields["n_max"] + 1):
         if n < 3:
             for code in range(tables.ground_codes(n)):
                 checked += 1
@@ -372,7 +384,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
 
     # perfection: chi equals omega on PG-sums
     chi_checked = 0
-    for n in range(min(n_max, 4) + 1):
+    for n in range(fields["n_max"] + 1):
         all_flats = [F.members for d in range(n + 1) for F in flats_of_dim(n, d)]
         for fm1 in all_flats:
             for fm2 in all_flats:
@@ -391,7 +403,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
 
     return {
         "suite": "pgsum",
-        "n_max": n_max,
+        **fields,
         "samples": samples,
         "seed": seed,
         "checked": checked,
@@ -425,10 +437,11 @@ def _random_target_mask(n: int, rng: random.Random) -> int:
 def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     """Target recognizer agrees with claw-free + anticlaw-free, exhaustive
     at n <= n_max and sampled at n = 5."""
+    fields = _n_max_fields(n_max, 4)
     rng = random.Random(seed)
     violations = []
     checked = 0
-    for n in range(min(n_max, 4) + 1):
+    for n in range(fields["n_max"] + 1):
         if n < 3:
             for code in range(tables.ground_codes(n)):
                 checked += 1
@@ -471,7 +484,7 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
 
     return {
         "suite": "target",
-        "n_max": n_max,
+        **fields,
         "samples": samples,
         "seed": seed,
         "checked": checked,
@@ -695,7 +708,8 @@ def verify_semidouble(n_max: int = 4) -> dict:
     """Doubling and semidoubling preserve the even-plane property, as does
     symmetric difference with a hyperplane complement; all even-plane
     ground sets at n <= n_max."""
-    n_max = min(n_max, 4)
+    fields = _n_max_fields(n_max, 4)
+    n_max = fields["n_max"]
     checked = 0
     violations = []
     for n in range(n_max + 1):
@@ -720,7 +734,7 @@ def verify_semidouble(n_max: int = 4) -> dict:
                 break
     return {
         "suite": "semidouble",
-        "n_max": n_max,
+        **fields,
         "checked": checked,
         "violations": violations,
         "passed": not violations,
@@ -732,7 +746,8 @@ def verify_bbt(n_max: int = 4) -> dict:
     number, equality only for Bose-Burton geometries; plus w <= chi."""
     from .recognize import is_bose_burton
 
-    n_max = min(n_max, 4)
+    fields = _n_max_fields(n_max, 4)
+    n_max = fields["n_max"]
     checked = 0
     violations = []
     for n in range(n_max + 1):
@@ -753,7 +768,7 @@ def verify_bbt(n_max: int = 4) -> dict:
                 violations.append({"n": n, "points": M.points(), "reason": "bbt equality"})
     return {
         "suite": "bbt",
-        "n_max": n_max,
+        **fields,
         "checked": checked,
         "violations": violations,
         "passed": not violations,
@@ -765,7 +780,8 @@ def verify_cftf(n_max: int = 4) -> dict:
     order-1 Bose-Burton geometries."""
     from .recognize import is_bose_burton
 
-    n_max = min(n_max, 4)
+    fields = _n_max_fields(n_max, 4)
+    n_max = fields["n_max"]
     checked = 0
     violations = []
     # dimension 0 is degenerate: the empty matroid is full-rank, claw-free
@@ -786,7 +802,7 @@ def verify_cftf(n_max: int = 4) -> dict:
                 violations.append({"n": n, "points": list(iter_bits(mask))})
     return {
         "suite": "cftf",
-        "n_max": n_max,
+        **fields,
         "checked": checked,
         "violations": violations,
         "passed": not violations,
@@ -796,7 +812,8 @@ def verify_cftf(n_max: int = 4) -> dict:
 def verify_chibound(n_max: int = 5) -> dict:
     """Within the even-plane family: a matroid with no copy of N has
     critical number at most dim(N) + 4; all class pairs at n <= n_max."""
-    n_max = min(n_max, 5)
+    fields = _n_max_fields(n_max, 5)
+    n_max = fields["n_max"]
     reps: list[BinaryMatroid] = []
     for n in range(n_max + 1):
         reps += [BinaryMatroid(n, m) for m in census.even_plane_classes(n)]
@@ -814,7 +831,7 @@ def verify_chibound(n_max: int = 5) -> dict:
                 )
     return {
         "suite": "chibound",
-        "n_max": n_max,
+        **fields,
         "pairs": checked,
         "violations": violations,
         "passed": not violations,
@@ -862,7 +879,7 @@ def run_suite(name: str, n_max: Optional[int] = None, seed: int = 0, samples: Op
             ]
             merged = {
                 "suite": "structure",
-                "n_max": n_max,
+                **_n_max_fields(n_max, 6),
                 "checked": sum(r["checked"] for r in reports),
                 "violations": sum((r["violations"] for r in reports), []),
                 "parts": reports,

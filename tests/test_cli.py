@@ -181,3 +181,20 @@ def test_run_suite_honours_zero_samples():
     assert run_suite("coset", samples=0)["samples"] == 0
     parts = run_suite("structure", n_max=5, samples=0)["parts"]
     assert parts[-1]["samples"] == 0 and parts[-1]["checked"] == 0
+
+
+def test_reports_state_the_range_checked():
+    from binmatroid import verify
+    from binmatroid.verify import run_suite
+
+    rep = run_suite("structure", n_max=9, samples=0)
+    assert (rep["n_max"], rep["n_max_requested"]) == (6, 9)
+    assert [p.get("n", p.get("n_max")) for p in rep["parts"]] == [4, 5, 6]
+    assert "n_max_requested" not in run_suite("structure", n_max=6, samples=0)
+    for suite in (verify.verify_pgsum, verify.verify_target):
+        rep = suite(n_max=9, samples=0)
+        assert (rep["n_max"], rep["n_max_requested"]) == (4, 9)
+        assert rep["checked"] == suite(n_max=4, samples=0)["checked"]
+        assert "n_max_requested" not in suite(n_max=3, samples=0)
+    rep = verify.verify_density(n_max=6)
+    assert (rep["n_max"], rep["n_max_requested"]) == (4, 6)

@@ -32,6 +32,7 @@ from binmatroid import (
     p5,
     restrict,
 )
+from binmatroid import census, matroid, tables
 from binmatroid.matroid import apply_linear_map, linear_map_table, seq_key
 
 
@@ -181,6 +182,133 @@ def test_canonical_form_matches_orbit_oracle():
             forms.add(got)
         # frozen class counts from the orbit oracle
         assert len(forms) == {1: 2, 2: 4, 3: 10}[n]
+
+
+def test_canonical_form_matches_orbit_table_n4():
+    # canon_table walks whole GL(4,2) orbits and keeps the least sequence,
+    # so it is an oracle for the search on every ground set at n = 4
+    table = census.canon_table(4)
+    for mask in tables.claw_free_masks_list(4):
+        assert canonical_form(BinaryMatroid(4, mask)).mask == table[mask]
+    rng = random.Random(4)
+    for _ in range(500):
+        mask = rng.getrandbits(15) << 1
+        assert canonical_form(BinaryMatroid(4, mask)).mask == table[mask]
+
+
+def _quadric_mask(n):
+    """Points where x1x2 + x3x4 + ... is 1."""
+    out = 0
+    for v in range(1, 1 << n):
+        q = 0
+        for i in range(0, n - 1, 2):
+            q ^= (v >> i) & (v >> (i + 1)) & 1
+        out |= q << v
+    return out
+
+
+#: (n, ground set, canonical mask), recorded before the search carried its
+#: automorphism stabiliser down the tree; seeded claw-free and
+#: random-density inputs, then symmetric ones: bases, hyperplanes, affine
+#: hyperplanes and quadrics
+FROZEN_FORMS = [
+    (5, 0x20010010, 0xe0000000),
+    (5, 0x2848, 0x81808000),
+    (5, 0xeb5d7ffe, 0xffffdee0),
+    (5, 0xfb77fb76, 0xfffff668),
+    (5, 0x40104020, 0xe8000000),
+    (5, 0x3cdb3cc2, 0xf9969668),
+    (5, 0x35050c1e, 0x7bc8e000),
+    (5, 0xfcf6cf3a, 0xbffed668),
+    (5, 0x2bfc7fce, 0xfffeeac0),
+    (5, 0x3639c636, 0x566afcc0),
+    (5, 0x8400000, 0xc0000000),
+    (5, 0x6faebfdc, 0xdffef668),
+    (5, 0x9f7e33fe, 0xffdeeee0),
+    (5, 0x6dee, 0x99989880),
+    (5, 0xa03a5d78, 0x4ff8e880),
+    (5, 0xf0ffff0, 0xfffff000),
+    (5, 0x37ebef56, 0xfbfebec0),
+    (5, 0xd5cff776, 0xdffef668),
+    (5, 0xb2912842, 0x6bc8e000),
+    (5, 0xfffff000, 0xfffff000),
+    (5, 0xb0c1c862, 0xbacce000),
+    (5, 0x220, 0xc0000000),
+    (5, 0x18808, 0xe8000000),
+    (5, 0x4200000, 0xc0000000),
+    (6, 0x5154872ebe49be48, 0x7d6d3b78abc8e000),
+    (6, 0x40004000000, 0xc000000000000000),
+    (6, 0x6d79301e40792518, 0xeb8eecf0fe800000),
+    (6, 0xffffffff35ca, 0xffffffffc3c0c000),
+    (6, 0xe45d070329125240, 0x8e3759e0e9808000),
+    (6, 0xff000000ff0000, 0xffff000000000000),
+    (6, 0x562400a402445086, 0x60ebd880e8000000),
+    (6, 0xc33c3c3c0000ff02, 0x3c3c33cc0ff08000),
+    (6, 0x41a84398411020c, 0x1ee1a8c0e8000000),
+    (6, 0x40000008000000, 0xc000000000000000),
+    (6, 0x5805be601ba88e16, 0x9c7c2fc8eea0c000),
+    (6, 0x774b1edddd1eb488, 0x9556566a3ffcfcc0),
+    (6, 0x6918105022802214, 0x46a2c8c0f8000000),
+    (6, 0x100000404000800, 0x8001800080000000),
+    (6, 0x214800000400200, 0xe001800080000000),
+    (6, 0xd81be42728141428, 0xff0f0f0ff000000),
+    (5, 0x10116, 0xe8800000),
+    (6, 0x100010116, 0xe880800000000000),
+    (5, 0xfffe, 0x69969668),
+    (6, 0xfffffffe, 0x9669699669969668),
+    (5, 0xffff0000, 0xffff0000),
+    (6, 0xffffffff00000000, 0xffffffff00000000),
+    (5, _quadric_mask(5), 0x3cccf000),
+    (6, _quadric_mask(6), 0x96665aaa3cccf000),
+]
+
+
+@pytest.mark.parametrize("n,mask,form", FROZEN_FORMS)
+def test_canonical_form_frozen(n, mask, form):
+    matroid._canonical_cache.pop((n, mask), None)
+    assert canonical_form(BinaryMatroid(n, mask)).mask == form
+
+
+#: (n, ground set, search nodes), recorded with the frozen forms; the
+#: node count pins the visiting order and the automorphism pruning
+FROZEN_NODES = [
+    (5, 0x10116, 1812),
+    (5, 0x17a0cd4a, 462),
+    (5, 0x2000082, 633),
+    (6, 0xbfdbfee7bddf1f9e, 219),
+    (6, 0x5e79c701ddf9e87c, 481),
+    (6, _quadric_mask(6), 104),
+    (6, 0xfffffffe, 182),
+]
+
+
+@pytest.mark.parametrize("n,mask,nodes", FROZEN_NODES)
+def test_canonical_search_nodes_frozen(n, mask, nodes):
+    M = BinaryMatroid(n, mask)
+    matroid._canonical_cache.pop((n, mask), None)
+    with pytest.raises(BudgetExceeded):
+        canonical_form(M, budget=nodes - 1)
+    canonical_form(M, budget=nodes)
+
+
+def test_canonical_budget_does_not_poison_cache():
+    basis = BinaryMatroid.from_points([1, 2, 4, 8, 16], 5)
+    matroid._canonical_cache.pop((5, basis.mask), None)
+    with pytest.raises(BudgetExceeded):
+        canonical_form(basis, budget=3)
+    assert (5, basis.mask) not in matroid._canonical_cache
+    assert canonical_form(basis).mask == 0xe8800000
+    # a hit returns the known form whatever the budget
+    assert canonical_form(basis, budget=1).mask == 0xe8800000
+
+
+def test_canonical_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(matroid, "CANONICAL_CACHE_SIZE", 3)
+    matroid._canonical_cache.clear()
+    masks = [0b10, 0b110, 0b1110, 0b10110, 0b11110]
+    for mask in masks:
+        canonical_form(BinaryMatroid(3, mask))
+    assert list(matroid._canonical_cache) == [(3, m) for m in masks[-3:]]
 
 
 def test_canonical_form_invariant_under_random_maps():
