@@ -325,19 +325,49 @@ def _canonical_mask(n: int, E: int, budget: Optional[int] = None) -> int:
     return img
 
 
-def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
-    import numpy as np
+def _translates(E: int, n: int) -> list[int]:
+    """xor_translate(E, u, n) for every u, each from an earlier one by one
+    half-swap."""
+    trans = [E]
+    for i, lo in enumerate(_half_masks(n)):
+        w = 1 << i
+        trans += [((t & lo) << w) | ((t >> w) & lo) for t in trans]
+    return trans
 
-    if n == 0 or E == 0 or E == ground_mask(n):
+
+def _least_segment(
+    cands: int, pre: list[int], trans: list[int], bound: Optional[int]
+) -> tuple[int, int]:
+    """Least segment key over a candidate bitset, and the candidates with it.
+
+    The key of a candidate w has bit j, most significant first, equal to
+    the membership of w ^ pre[j]; bit w of trans[u] is the membership of
+    w ^ u.  Key bits are read one at a time: a bit is 0 when some remaining
+    candidate has it 0, and only those candidates stay.  Once the key is
+    known to exceed `bound` (None for no bound), reading stops and no
+    candidate is returned, with a key above `bound`.
+    """
+    key = 0
+    shift = len(pre)
+    for u in pre:
+        shift -= 1
+        zero = cands & ~trans[u]
+        if zero:
+            cands = zero
+            key <<= 1
+        else:
+            key = (key << 1) | 1
+            if bound is not None and key > bound >> shift:
+                return key << shift, 0
+    return key, cands
+
+
+def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
+    ground = ground_mask(n)
+    if n == 0 or E == 0 or E == ground:
         return E
     npoints = 1 << n
-    e_bits = np.zeros(npoints, dtype=np.int64)
-    for v in iter_bits(E):
-        e_bits[v] = 1
-    weights = {
-        1 << k: np.array([1 << ((1 << k) - 1 - j) for j in range(1 << k)], dtype=np.int64)
-        for k in range(n)
-    }
+    trans = _translates(E, n)
     best: list[Optional[int]] = [None] * n
     best_pre: list[Optional[list[int]]] = [None]
     auts: list[list[int]] = []  # point tables of discovered automorphisms
@@ -350,26 +380,17 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
         # prefix; a child inherits those that also fix its own point, and
         # after each child only the automorphisms found since are tested
         nonlocal nodes
-        L = 1 << (k - 1)  # segment length at this level
-        ws = np.array(
-            [w for w in range(1, npoints) if not (span >> w) & 1], dtype=np.int64
-        )
-        bits = e_bits[np.bitwise_xor.outer(ws, np.array(pre, dtype=np.int64))]
-        keys = bits @ weights[L]
-        order = np.argsort(keys, kind="stable")
+        # rest: least-key candidates not yet visited nor in the orbit of one
+        key, rest = _least_segment(ground & ~span, pre, trans, best[k - 1])
         seen = len(auts)
-        skip = 0  # points equivalent to an already-explored sibling
-        for idx in order:
-            key = int(keys[idx])
-            w = int(ws[idx])
-            slot = best[k - 1]
-            if slot is not None and key > slot:
-                break
-            if (skip >> w) & 1:
-                continue
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(f"canonical_form budget {budget} exceeded")
+            slot = best[k - 1]
             improved = slot is None or key < slot
             if improved:
                 best[k - 1] = key
@@ -394,18 +415,19 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
                     prefix + [w],
                     [t for t in stab if t[w] == w],
                 )
+            if not rest:
+                break  # orbits and new automorphisms only prune later siblings
             if stab:
-                orbit = {w}
+                orbit = low
                 frontier = [w]
-                while frontier:
+                while frontier and rest & ~orbit:  # stop once it covers rest
                     u = frontier.pop()
                     for t in stab:
                         v = t[u]
-                        if v not in orbit:
-                            orbit.add(v)
+                        if not (orbit >> v) & 1:
+                            orbit |= 1 << v
                             frontier.append(v)
-                for u in orbit:
-                    skip |= 1 << u
+                rest &= ~orbit
             if len(auts) > seen:  # ties may have grown the group
                 stab.extend(t for t in auts[seen:] if all(t[u] == u for u in prefix))
                 seen = len(auts)

@@ -32,9 +32,9 @@ from .gf2 import (
 )
 from .matroid import (
     BinaryMatroid,
-    canonical_form,
     clique_number,
     complement,
+    has_induced_restriction,
     induced_independence_number,
     rank_mask,
     restrict,
@@ -76,6 +76,19 @@ def _n_max_fields(requested: int, cap: int) -> dict:
     if effective == requested:
         return {"n_max": effective}
     return {"n_max": effective, "n_max_requested": requested}
+
+
+#: a suite stops checking once its violation list grows past this many
+MAX_VIOLATIONS = 20
+
+
+def _truncation_fields(stopped_at: Optional[int]) -> dict:
+    """Report fields of the violation cap: `truncated` says whether the
+    suite stopped at it, and `stopped_at` is the number of cases checked
+    when it first did."""
+    if stopped_at is None:
+        return {"truncated": False}
+    return {"truncated": True, "stopped_at": stopped_at}
 
 
 def verify_structure(n_max: int = 4) -> dict:
@@ -249,6 +262,7 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
     rng = random.Random(seed)
     violations = []
     checked = 0
+    stopped_at = None
 
     for i in range(samples):
         checked += 1
@@ -296,7 +310,8 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
             violations.append({"check": "partial_sigma", "i": i})
         if clique_number(PM) > clique_number(P1) + clique_number(P2):
             violations.append({"check": "partial_omega", "i": i})
-        if len(violations) > 20:
+        if len(violations) > MAX_VIOLATIONS:
+            stopped_at = checked
             break
 
     for i in range(samples // 10):
@@ -306,7 +321,9 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
         fj = lift_join(f1, f2)
         if induced_independence_number(fj) > 3:
             violations.append({"check": "i4_free_closure", "i": i})
-            if len(violations) > 20:
+            if len(violations) > MAX_VIOLATIONS:
+                if stopped_at is None:
+                    stopped_at = checked
                 break
 
     return {
@@ -314,6 +331,7 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
         "samples": samples,
         "seed": seed,
         "checked": checked,
+        **_truncation_fields(stopped_at),
         "violations": violations,
         "passed": not violations,
     }
@@ -343,6 +361,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     rng = random.Random(seed)
     violations = []
     checked = 0
+    stopped_at = None
     for n in range(fields["n_max"] + 1):
         if n < 3:
             for code in range(tables.ground_codes(n)):
@@ -358,7 +377,8 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
             direct = pg_sum_witness_mask(mask, n) is not None
             if direct != bool(forbidden_col[code]):
                 violations.append({"n": n, "points": list(iter_bits(mask))})
-        if len(violations) > 20:
+        if len(violations) > MAX_VIOLATIONS:
+            stopped_at = checked
             break
 
     sampled = 0
@@ -379,7 +399,9 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
             sampled += 1
             if (pg_sum_witness_mask(mask, n) is not None) != pg_sum_forbidden_mask(mask, n):
                 violations.append({"n": n, "points": list(iter_bits(mask))})
-                if len(violations) > 20:
+                if len(violations) > MAX_VIOLATIONS:
+                    if stopped_at is None:
+                        stopped_at = checked + sampled
                     break
 
     # perfection: chi equals omega on PG-sums
@@ -409,6 +431,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
         "checked": checked,
         "sampled": sampled,
         "chi_checked": chi_checked,
+        **_truncation_fields(stopped_at),
         "violations": violations,
         "passed": not violations,
     }
@@ -441,6 +464,7 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
     rng = random.Random(seed)
     violations = []
     checked = 0
+    stopped_at = None
     for n in range(fields["n_max"] + 1):
         if n < 3:
             for code in range(tables.ground_codes(n)):
@@ -456,7 +480,8 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
             M = BinaryMatroid(n, int(code) << 1)
             if (is_target(M) is not None) != bool(both[code]):
                 violations.append({"n": n, "points": M.points()})
-        if len(violations) > 20:
+        if len(violations) > MAX_VIOLATIONS:
+            stopped_at = checked
             break
 
     sampled = 0
@@ -479,7 +504,9 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
             rhs = tables.claw_free_mask(mask, n) and tables.anticlaw_free_mask(mask, n)
             if lhs != rhs:
                 violations.append({"n": n, "points": list(iter_bits(mask))})
-                if len(violations) > 20:
+                if len(violations) > MAX_VIOLATIONS:
+                    if stopped_at is None:
+                        stopped_at = checked + sampled
                     break
 
     return {
@@ -489,6 +516,7 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
         "seed": seed,
         "checked": checked,
         "sampled": sampled,
+        **_truncation_fields(stopped_at),
         "violations": violations,
         "passed": not violations,
     }
@@ -562,6 +590,7 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
 
     recon_checked = 0
     recon_exact = 0
+    stopped_at = None
     for _ in range(recon_samples):
         n = rng.randint(1, 6)
         M = _random_matroid(n, rng)
@@ -574,7 +603,8 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
             image |= 1 << table[v]
         if image != rebuilt.mask or rebuilt.n != M.n:
             violations.append({"check": "reconstruct", "n": n, "points": M.points()})
-            if len(violations) > 20:
+            if len(violations) > MAX_VIOLATIONS:
+                stopped_at = checked + recon_checked
                 break
         else:
             recon_exact += 1
@@ -587,6 +617,7 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
         "checked": checked,
         "recon_checked": recon_checked,
         "recon_exact": recon_exact,
+        **_truncation_fields(stopped_at),
         "violations": violations,
         "passed": not violations,
     }
@@ -657,6 +688,7 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
     generated = 0
     refinement_met = 0
     violations = []
+    stopped_at = None
     while met < samples:
         generated += 1
         n = rng.randint(2, n_max)
@@ -670,7 +702,8 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
             violations.append(
                 {"n": n, "P": list(iter_bits(inst.p_mask)), "R": list(iter_bits(inst.r_mask))}
             )
-            if len(violations) > 20:
+            if len(violations) > MAX_VIOLATIONS:
+                stopped_at = generated
                 break
         if report.hypothesis_met:
             met += 1
@@ -684,6 +717,7 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
         "generated": generated,
         "hypothesis_met": met,
         "refinement_met": refinement_met,
+        **_truncation_fields(stopped_at),
         "violations": violations,
         "passed": not violations,
     }
@@ -712,6 +746,7 @@ def verify_semidouble(n_max: int = 4) -> dict:
     n_max = fields["n_max"]
     checked = 0
     violations = []
+    stopped_at = None
     for n in range(n_max + 1):
         hyperplanes = list(flats_of_dim(n, n - 1)) if n >= 1 else []
         for mask in census.even_plane_masks(n):
@@ -730,12 +765,16 @@ def verify_semidouble(n_max: int = 4) -> dict:
                     violations.append(
                         {"op": "sym_diff", "n": n, "points": M.points(), "h": H.points()}
                     )
-            if len(violations) > 20:
+            if len(violations) > MAX_VIOLATIONS:
+                stopped_at = checked
                 break
+        if stopped_at is not None:
+            break
     return {
         "suite": "semidouble",
         **fields,
         "checked": checked,
+        **_truncation_fields(stopped_at),
         "violations": violations,
         "passed": not violations,
     }
@@ -823,7 +862,7 @@ def verify_chibound(n_max: int = 5) -> dict:
     for M in reps:
         for N in reps:
             checked += 1
-            if _has_copy(M, N):
+            if N.n <= M.n and has_induced_restriction(M, N):
                 continue
             if chi[M] > N.n + 4:
                 violations.append(
@@ -836,32 +875,6 @@ def verify_chibound(n_max: int = 5) -> dict:
         "violations": violations,
         "passed": not violations,
     }
-
-
-def _has_copy(M: BinaryMatroid, N: BinaryMatroid) -> bool:
-    """has_induced_restriction through the small canonical tables."""
-    if N.n > M.n:
-        return False
-    if N.n == M.n:
-        return canonical_form(M).mask == canonical_form(N).mask
-    want_size = N.size
-    key = (
-        census.canon_table(N.n)[N.mask]
-        if N.n <= 4
-        else canonical_form(N).mask
-    )
-    table = census.canon_table(N.n) if N.n <= 4 else None
-    for F in tables.flats(M.n, N.n):
-        sub = M.mask & F.members
-        if sub.bit_count() != want_size:
-            continue
-        local = 0
-        for v in iter_bits(sub):
-            local |= 1 << F.to_local(v)
-        canon = table[local] if table is not None else canonical_form(BinaryMatroid(N.n, local)).mask
-        if canon == key:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

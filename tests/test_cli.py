@@ -198,3 +198,33 @@ def test_reports_state_the_range_checked():
         assert "n_max_requested" not in suite(n_max=3, samples=0)
     rep = verify.verify_density(n_max=6)
     assert (rep["n_max"], rep["n_max_requested"]) == (4, 6)
+
+
+def test_capped_violation_lists_are_marked(monkeypatch):
+    from types import SimpleNamespace
+
+    from binmatroid import verify
+
+    assert verify.verify_target(n_max=3, samples=0)["truncated"] is False
+    # every set is a violation: the cap is reached after n=3, before n=4
+    monkeypatch.setattr(verify, "is_target", lambda M: None)
+    rep = verify.verify_target(n_max=4, samples=0)
+    assert rep["truncated"] and not rep["passed"]
+    assert rep["stopped_at"] == rep["checked"] == 1 + 2 + 8 + 128
+    assert len(rep["violations"]) > verify.MAX_VIOLATIONS
+
+    monkeypatch.setattr(
+        verify,
+        "check_coset_confinement",
+        lambda inst: SimpleNamespace(ok=False, hypothesis_met=True, refinement_hypothesis_met=False),
+    )
+    rep = verify.verify_coset(samples=100)
+    assert rep["truncated"]
+    assert rep["stopped_at"] == rep["generated"] == verify.MAX_VIOLATIONS + 1
+
+    # a cap hit at one dimension stops the later dimensions too
+    monkeypatch.setattr(verify, "doubling", lambda M: BinaryMatroid(M.n + 1, 0b10))
+    rep = verify.verify_semidouble(n_max=4)
+    assert rep["truncated"]
+    assert rep["stopped_at"] == rep["checked"]
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1

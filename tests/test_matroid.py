@@ -30,7 +30,9 @@ from binmatroid import (
     is_independent,
     is_isomorphic,
     p5,
+    pg_sum,
     restrict,
+    xor_translate,
 )
 from binmatroid import census, matroid, tables
 from binmatroid.matroid import apply_linear_map, linear_map_table, seq_key
@@ -196,16 +198,22 @@ def test_canonical_form_matches_orbit_table_n4():
         assert canonical_form(BinaryMatroid(4, mask)).mask == table[mask]
 
 
-def _quadric_mask(n):
-    """Points where x1x2 + x3x4 + ... is 1."""
+def _quadric_mask(n, elliptic=False):
+    """Points where x1x2 + x3x4 + ... is 1; the elliptic form adds the last
+    two coordinates."""
     out = 0
     for v in range(1, 1 << n):
         q = 0
         for i in range(0, n - 1, 2):
             q ^= (v >> i) & (v >> (i + 1)) & 1
+        if elliptic:
+            q ^= ((v >> (n - 2)) ^ (v >> (n - 1))) & 1
         out |= q << v
     return out
 
+
+#: a 6-point basis plus the sum of its points
+_BASIS6_AND_SUM = BinaryMatroid.from_points([1, 2, 4, 8, 16, 32, 63], 6).mask
 
 #: (n, ground set, canonical mask), recorded before the search carried its
 #: automorphism stabiliser down the tree; seeded claw-free and
@@ -260,6 +268,10 @@ FROZEN_FORMS = [
     (6, 0xffffffff00000000, 0xffffffff00000000),
     (5, _quadric_mask(5), 0x3cccf000),
     (6, _quadric_mask(6), 0x96665aaa3cccf000),
+    # recorded before the search read segment keys from translates of E
+    (6, pg_sum(3, 3).mask, 0x4241128806a0c000),
+    (6, _quadric_mask(6, elliptic=True), 0x9556566a3ffcfcc0),
+    (6, _BASIS6_AND_SUM, 0xe880800080000000),
 ]
 
 
@@ -279,6 +291,11 @@ FROZEN_NODES = [
     (6, 0x5e79c701ddf9e87c, 481),
     (6, _quadric_mask(6), 104),
     (6, 0xfffffffe, 182),
+    # recorded before the search read segment keys from translates of E
+    (6, 0x100010116, 141645),
+    (6, pg_sum(3, 3).mask, 1428),
+    (6, _quadric_mask(6, elliptic=True), 103),
+    (6, _BASIS6_AND_SUM, 10553),
 ]
 
 
@@ -289,6 +306,54 @@ def test_canonical_search_nodes_frozen(n, mask, nodes):
     with pytest.raises(BudgetExceeded):
         canonical_form(M, budget=nodes - 1)
     canonical_form(M, budget=nodes)
+
+
+def _random_prefix(n, k, rng):
+    """Local-order point list of a random (k-1)-dimensional subspace and
+    its bitset, as the canonical search builds them."""
+    pre, span = [0], 1
+    while len(pre) < 1 << (k - 1):
+        w = rng.randrange(1, 1 << n)
+        if (span >> w) & 1:
+            continue
+        pre += [w ^ u for u in pre]
+        for u in pre:
+            span |= 1 << u
+    return pre, span
+
+
+def test_translates_match_xor_translate():
+    rng = random.Random(11)
+    for n in range(1, 7):
+        E = rng.getrandbits((1 << n) - 1) << 1
+        assert matroid._translates(E, n) == [
+            xor_translate(E, u, n) for u in range(1 << n)
+        ]
+
+
+def test_least_segment_matches_per_candidate_keys():
+    rng = random.Random(5)
+    for n in range(3, 7):
+        for _ in range(40):
+            E = rng.getrandbits((1 << n) - 1) << 1
+            trans = matroid._translates(E, n)
+            k = rng.randint(1, n)
+            pre, span = _random_prefix(n, k, rng)
+            L = len(pre)
+            cands = ground_mask(n) & ~span
+            keys = {
+                w: sum(((E >> (w ^ pre[j])) & 1) << (L - 1 - j) for j in range(L))
+                for w in range(1, 1 << n)
+                if (cands >> w) & 1
+            }
+            least = min(keys.values())
+            argmins = sum(1 << w for w, key in keys.items() if key == least)
+            assert matroid._least_segment(cands, pre, trans, None) == (least, argmins)
+            assert matroid._least_segment(cands, pre, trans, least) == (least, argmins)
+            # a bound below the least key leaves no candidate
+            if least:
+                key, rest = matroid._least_segment(cands, pre, trans, least - 1)
+                assert rest == 0 and key > least - 1
 
 
 def test_canonical_budget_does_not_poison_cache():
