@@ -25,6 +25,7 @@ from .gf2 import closure, empty_flat
 from .matroid import BinaryMatroid, invariants
 from .recognize import classify
 from .structure import (
+    Join,
     Leaf,
     StructureTheoremViolation,
     decompose,
@@ -113,8 +114,19 @@ def tree_to_json(node) -> dict:
     return {"join": [tree_to_json(node.left), tree_to_json(node.right)]}
 
 
-def report_json(M: BinaryMatroid, tree=None) -> dict:
-    dec = find_decomposer(M)
+def report_json(M: BinaryMatroid, tree=None, stop_at_basic: bool = False) -> dict:
+    """The analyze report, plus the tree when one is given.
+
+    The decomposer is the root flat of the tree when it has one.  A leaf
+    root of a maximal decomposition has none; a leaf cut off at a basic
+    class, or no tree, leaves it to `find_decomposer`.
+    """
+    if isinstance(tree, Join):
+        dec = tree.flat
+    elif tree is not None and not stop_at_basic:
+        dec = None
+    else:
+        dec = find_decomposer(M)
     return {
         "dim": M.n,
         "points": M.points(),
@@ -149,7 +161,7 @@ def cmd_decompose(args) -> int:
         log.error("structure violation: %s", exc)
         _emit({"error": "structure-theorem-violation", "detail": str(exc)})
         return 3
-    _emit(report_json(M, tree=tree))
+    _emit(report_json(M, tree=tree, stop_at_basic=args.stop_at_basic))
     return 0
 
 

@@ -6,7 +6,8 @@ XOR.  Sets of vectors are int bitsets: bit v is set iff the vector v
 belongs to the set.  Ground sets and point sets keep bit 0 clear; span
 masks (subspaces) include bit 0.
 
-All values are immutable after construction; every function here is pure.
+All values are immutable after construction and every function here is
+pure; a `TranslateTable` only fills its entries as they are first read.
 """
 
 from __future__ import annotations
@@ -69,17 +70,56 @@ def _half_masks(n: int) -> tuple[int, ...]:
 
 
 def xor_translate(mask: int, a: int, n: int) -> int:
-    """Image of a bitset under the translation v -> v XOR a."""
+    """Image of a bitset under the translation v -> v XOR a: one half-swap
+    per set bit of a."""
     halves = _half_masks(n)
-    i = 0
     while a:
-        if a & 1:
-            lo = halves[i]
-            w = 1 << i
-            mask = ((mask & lo) << w) | ((mask >> w) & lo)
-        a >>= 1
-        i += 1
+        low = a & -a
+        lo = halves[low.bit_length() - 1]
+        mask = ((mask & lo) << low) | ((mask >> low) & lo)
+        a ^= low
     return mask
+
+
+class TranslateTable:
+    """The translates mask + u of one bitset, for every vector u.
+
+    `entries[u]` is `xor_translate(mask, u, n)` once read and 0 before:
+    only the empty set has an empty translate, and its entries cost
+    nothing to fill.  A hot loop reads the plain list and fills a miss
+    with ``entries[u] or table.get(u)``.  Only entries that are read are
+    stored, 2^n / 8 bytes each, so a search over a sparse set at n = 16
+    stays small; the list itself holds 2^n references.
+    """
+
+    __slots__ = ("n", "entries")
+
+    def __init__(self, mask: int, n: int):
+        self.n = n
+        self.entries = [mask] + [0] * ((1 << n) - 1)
+
+    def get(self, u: int) -> int:
+        """Entry u, filled on first read from the nearest filled entry
+        among u with its lowest bits cleared, one half-swap per bit."""
+        entries = self.entries
+        t = entries[u]
+        if t:
+            return t
+        v = u
+        while not t and v:
+            v &= v - 1
+            t = entries[v]
+        t = entries[u] = xor_translate(t, u ^ v, self.n)
+        return t
+
+    def filled(self) -> list[int]:
+        """The whole table as a plain list; in ascending order each entry is
+        one half-swap of an entry already filled."""
+        entries, get = self.entries, self.get
+        for u in range(1, len(entries)):
+            if not entries[u]:
+                get(u)
+        return entries
 
 
 def echelon_basis(vectors: Iterable[int]) -> tuple[int, ...]:

@@ -13,6 +13,7 @@ from typing import Iterable, Optional
 
 from .gf2 import (
     Flat,
+    TranslateTable,
     bits_list,
     check_dim,
     closure,
@@ -121,12 +122,15 @@ def find_claw(M: BinaryMatroid) -> Optional[tuple[int, int, int]]:
     all avoid E, in lexicographic order; None if the matroid is claw-free.
 
     For each pair x < y with x+y outside E, the valid third points are a
-    single mask expression, so pairs whose sum lands in E cost one test.
+    single mask expression over the translates E+x, E+y and E+(x+y), so
+    pairs whose sum lands in E cost one test.
     """
     E, n = M.mask, M.n
+    table = TranslateTable(E, n)
+    trans, get = table.entries, table.get
     pts = bits_list(E)
     for i, x in enumerate(pts):
-        ex = xor_translate(E, x, n)
+        ex = trans[x] or get(x)
         for j in range(i + 1, len(pts)):
             y = pts[j]
             s = x ^ y
@@ -135,8 +139,8 @@ def find_claw(M: BinaryMatroid) -> Optional[tuple[int, int, int]]:
             zs = (
                 E
                 & ~ex
-                & ~xor_translate(E, y, n)
-                & ~xor_translate(E, s, n)
+                & ~(trans[y] or get(y))
+                & ~(trans[s] or get(s))
                 & ~((1 << (y + 1)) - 1)
             )
             if zs:
@@ -160,9 +164,10 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
 
     Depth-first search over greedy-minimal generator sequences.  Each
     node keeps a validity bitset V (points whose whole coset over the
-    current span lies in E) so that child candidate sets are a few mask
-    operations; a capacity bound prunes branches that cannot beat the
-    best dimension found.
+    current span S lies in E, the meet of E+s over s in S) so that child
+    candidate sets are a few mask operations; V+p is the meet of the
+    translates E+(s+p), read from one table.  A capacity bound prunes
+    branches that cannot beat the best dimension found.
     """
     E, n = M.mask, M.n
     if E == 0:
@@ -170,17 +175,23 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     if E == ground_mask(n):
         return n
     halves = _half_masks(n)
+    table = TranslateTable(E, n)
+    trans, get = table.entries, table.get
     best = 1
     nodes = 0
 
-    def dfs(V: int, C: int, dim: int, pivots: dict[int, int]) -> None:
+    def dfs(V: int, C: int, dim: int, pivots: dict[int, int], S: list[int]) -> None:
         nonlocal best, nodes
         if dim > best:
             best = dim
         pop = V.bit_count()
         if dim + ((pop >> dim) + 1).bit_length() - 1 <= best:
             return
-        for p in iter_bits(C):
+        rest = C
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(f"clique_number budget {budget} exceeded")
@@ -191,14 +202,17 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
                 if row is None:
                     break
                 r ^= row
-            shifted = xor_translate(V, p, n)
+            shifted = -1
+            for s in S:
+                s ^= p
+                shifted &= trans[s] or get(s)
             Vc = V & shifted
-            Cc = C & shifted & halves[h] & ~((1 << (p + 1)) - 1)
+            Cc = rest & shifted & halves[h]
             child_piv = dict(pivots)
             child_piv[h] = r
-            dfs(Vc, Cc, dim + 1, child_piv)
+            dfs(Vc, Cc, dim + 1, child_piv, S + [s ^ p for s in S])
 
-    dfs(E, E, 0, {})
+    dfs(E, E, 0, {}, [0])
     return best
 
 
@@ -216,31 +230,49 @@ def induced_independence_number(M: BinaryMatroid, budget: Optional[int] = None) 
     """Largest size of an independent J ⊆ E whose closure meets E only in J.
 
     Branch and bound over ascending point insertions; two bitsets are
-    propagated per node: Z (points whose whole coset avoids E) and the
-    candidate set.
+    propagated per node: Z (points whose whole coset over the span S of
+    the chosen points avoids E) and the candidate set.  Z+p is the
+    complement of the union of the translates E+(s+p), read from one
+    table.
     """
     E, n = M.mask, M.n
     if E == 0:
         return 0
+    full = (1 << (1 << n)) - 1
+    table = TranslateTable(E, n)
+    trans, get = table.entries, table.get
     best = 0
     nodes = 0
 
-    def dfs(Z: int, C: int, size: int) -> None:
+    def dfs(Z: int, C: int, size: int, S: list[int]) -> None:
         nonlocal best, nodes
         if size > best:
             best = size
         if size + C.bit_count() <= best:
             return
-        for p in iter_bits(C):
+        rest = C
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceeded(
                     f"induced_independence_number budget {budget} exceeded"
                 )
-            shifted = xor_translate(Z, p, n)
-            dfs(Z & shifted, C & shifted & ~((1 << (p + 1)) - 1), size + 1)
+            hit = 0
+            for s in S:
+                s ^= p
+                hit |= trans[s] or get(s)
+            shifted = full & ~hit
+            dfs(
+                Z & shifted,
+                rest & shifted,
+                size + 1,
+                S + [s ^ p for s in S],
+            )
 
-    dfs(~E & ((1 << (1 << n)) - 1), E, 0)
+    dfs(full & ~E, E, 0, [0])
     return best
 
 
@@ -325,16 +357,6 @@ def _canonical_mask(n: int, E: int, budget: Optional[int] = None) -> int:
     return img
 
 
-def _translates(E: int, n: int) -> list[int]:
-    """xor_translate(E, u, n) for every u, each from an earlier one by one
-    half-swap."""
-    trans = [E]
-    for i, lo in enumerate(_half_masks(n)):
-        w = 1 << i
-        trans += [((t & lo) << w) | ((t >> w) & lo) for t in trans]
-    return trans
-
-
 def _least_segment(
     cands: int, pre: list[int], trans: list[int], bound: Optional[int]
 ) -> tuple[int, int]:
@@ -367,7 +389,7 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
     if n == 0 or E == 0 or E == ground:
         return E
     npoints = 1 << n
-    trans = _translates(E, n)
+    trans = TranslateTable(E, n).filled()
     best: list[Optional[int]] = [None] * n
     best_pre: list[Optional[list[int]]] = [None]
     auts: list[list[int]] = []  # point tables of discovered automorphisms

@@ -20,6 +20,7 @@ from typing import Optional, Union
 from .construct import lift_join
 from .gf2 import (
     Flat,
+    TranslateTable,
     closure_mask,
     complementary_flat,
     cosets,
@@ -47,16 +48,21 @@ def defect_set(M: BinaryMatroid, a: int) -> int:
     return (E ^ xor_translate(E, a, M.n)) & ~1 & ~(1 << a)
 
 
-def minimal_decomposer_containing(M: BinaryMatroid, a: int) -> Optional[Flat]:
+def minimal_decomposer_containing(
+    M: BinaryMatroid, a: int, translates: Optional[TranslateTable] = None
+) -> Optional[Flat]:
     """Fixpoint flat through a, or None if the closure blows up to G.
 
     Start from cl({a}) and repeatedly absorb the defect sets of all
     members; a stable proper flat has no mixed cosets, and any decomposer
-    containing a contains the fixpoint.
+    containing a contains the fixpoint.  `translates`, the table of M's
+    ground set, lets callers trying many anchors share one table.
     """
     if not 1 <= a < (1 << M.n):
         raise ValueError(f"anchor {a} out of range")
-    span = _fixpoint_span(M.mask, M.n, a)
+    if translates is None:
+        translates = TranslateTable(M.mask, M.n)
+    span = _fixpoint_span(translates, a)
     if span is None:
         return None
     return closure_mask(span & ~1, M.n)
@@ -69,8 +75,9 @@ def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     not a lift-join of smaller matroids).
     """
     best: Optional[Flat] = None
+    table = TranslateTable(M.mask, M.n)
     for a in range(1, 1 << M.n):
-        F = minimal_decomposer_containing(M, a)
+        F = minimal_decomposer_containing(M, a, table)
         if F is None:
             continue
         if best is None or (F.dim, F.basis) < (best.dim, best.basis):
@@ -80,8 +87,15 @@ def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     return best
 
 
-def _fixpoint_span(E: int, n: int, a: int) -> Optional[int]:
-    """Span mask of the anchor fixpoint, or None when it blows up to G."""
+def _fixpoint_span(table: TranslateTable, a: int) -> Optional[int]:
+    """Span mask of the anchor fixpoint, or None when it blows up to G.
+
+    The defect set of a member b is E ^ (E+b), read from the translate
+    table of the ground set E.
+    """
+    n = table.n
+    trans, get = table.entries, table.get
+    E = trans[0]
     full_span = ground_mask(n) | 1
     span = 1 | (1 << a)
     processed = 1
@@ -92,7 +106,7 @@ def _fixpoint_span(E: int, n: int, a: int) -> Optional[int]:
         processed = span
         need = 0
         for b in iter_bits(fresh):
-            need |= (E ^ xor_translate(E, b, n)) & ~1 & ~(1 << b)
+            need |= (E ^ (trans[b] or get(b))) & ~1 & ~(1 << b)
         for p in iter_bits(need & ~span):
             if not (span >> p) & 1:
                 span |= xor_translate(span, p, n)
@@ -107,8 +121,9 @@ def has_decomposer_mask(mask: int, n: int) -> bool:
         return False
     if rank_mask(mask, n) < n:
         return True  # any hyperplane over the closure of E decomposes
+    table = TranslateTable(mask, n)
     for a in range(1, 1 << n):
-        if _fixpoint_span(mask, n, a) is not None:
+        if _fixpoint_span(table, a) is not None:
             return True
     return False
 
@@ -154,8 +169,9 @@ class Join:
 DecompositionNode = Union[Leaf, Join]
 
 
-def _leaf(M: BinaryMatroid) -> Leaf:
-    tags = classify(M)
+def _leaf(M: BinaryMatroid, tags: Optional[ClassFlags] = None) -> Leaf:
+    if tags is None:
+        tags = classify(M)
     if (
         M.n > 1
         and tags.claw_free
@@ -176,13 +192,14 @@ def decompose(M: BinaryMatroid, stop_at_basic: bool = False) -> DecompositionNod
     factor lands in a basic class (even-plane, complement triangle-free,
     or strict PG-sum).
     """
+    tags = None
     if stop_at_basic:
         tags = classify(M)
         if tags.even_plane or tags.complement_triangle_free or tags.strict_pg_sum:
             return Leaf(M, tags)
     F = find_decomposer(M)
     if F is None:
-        return _leaf(M)
+        return _leaf(M, tags)
     J = complementary_flat(F)
     return Join(
         left=decompose(restrict(M, F), stop_at_basic),

@@ -8,7 +8,7 @@ import pytest
 
 from binmatroid.cli import MatroidParseError, format_matroid, main, parse_matroid
 from binmatroid import BinaryMatroid, c4, pg_sum
-from binmatroid.structure import Join
+from binmatroid.structure import Join, find_decomposer as find
 from binmatroid.construct import lift_join
 
 
@@ -137,6 +137,30 @@ def test_decompose_stop_at_basic_flag():
     rep = json.loads(out)
     assert "leaf" in rep["tree"]  # the zero-sum quadruple is itself even-plane
     assert rep["tree"]["leaf"]["tags"]["even_plane"] is True
+
+
+def test_decompose_report_reuses_the_root_decomposer(monkeypatch):
+    # the report's decomposer comes from the tree; only a leaf cut off at
+    # a basic class needs its own search
+    from binmatroid import cli, independent_matroid
+
+    claw = independent_matroid(3)
+    inputs = [c4(), pg_sum(2, 3), claw, lift_join(claw, c4()), BinaryMatroid(4, 0)]
+    for M in inputs:
+        text = format_matroid(M)
+        _, out, _ = run_cli(["analyze"], stdin=text)
+        analyzed = json.loads(out)
+        for flags in ([], ["--stop-at-basic"]):
+            searches = []
+            monkeypatch.setattr(
+                cli, "find_decomposer", lambda M: searches.append(M) or find(M)
+            )
+            _, out, _ = run_cli(["decompose", *flags], stdin=text)
+            monkeypatch.undo()
+            rep = json.loads(out)
+            tree = rep.pop("tree")
+            assert rep == {k: v for k, v in analyzed.items() if k != "tree"}
+            assert len(searches) == (1 if flags and "leaf" in tree else 0)
 
 
 def test_exit_codes():

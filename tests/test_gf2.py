@@ -1,10 +1,13 @@
 """Vector-space layer: spans, flats, cosets, coordinate maps."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binmatroid.gf2 import (
+    TranslateTable,
     bits_list,
     check_dim,
     closure,
@@ -159,6 +162,32 @@ def test_xor_translate_is_involution_and_correct():
     shifted = xor_translate(mask, 3, 3)
     assert bits_list(shifted) == sorted(v ^ 3 for v in [1, 4, 6])
     assert xor_translate(shifted, 3, 3) == mask
+
+
+def test_xor_translate_matches_pointwise_definition():
+    rng = random.Random(8)
+    for n in range(0, 9):
+        for _ in range(20):
+            mask = rng.getrandbits(1 << n)  # bit 0 too: spans are translated
+            a = rng.randrange(1 << n)
+            assert xor_translate(mask, a, n) == mask_of(v ^ a for v in bits_list(mask))
+
+
+def test_translate_table_matches_xor_translate():
+    rng = random.Random(11)
+    for n in range(0, 9):
+        for mask in (0, ground_mask(n), rng.getrandbits((1 << n) - 1) << 1):
+            want = [xor_translate(mask, u, n) for u in range(1 << n)]
+            assert TranslateTable(mask, n).filled() == want
+            table = TranslateTable(mask, n)
+            order = list(range(1 << n))
+            rng.shuffle(order)
+            for i, u in enumerate(order):
+                assert table.get(u) == want[u]
+                if mask and i < 5:  # only the entries read are filled
+                    filled = {v for v, t in enumerate(table.entries) if t}
+                    assert filled == {0, *order[: i + 1]}
+            assert table.entries == want
 
 
 subsets3 = st.integers(min_value=0, max_value=(1 << 7) - 1)

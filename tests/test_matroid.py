@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,12 +30,14 @@ from binmatroid import (
     is_full_rank,
     is_independent,
     is_isomorphic,
+    lift_join,
     p5,
     pg_sum,
     restrict,
     xor_translate,
 )
 from binmatroid import census, matroid, tables
+from binmatroid.gf2 import TranslateTable, mask_of
 from binmatroid.matroid import apply_linear_map, linear_map_table, seq_key
 
 
@@ -77,24 +80,76 @@ def test_find_claw_examples():
     assert find_claw(p5()) is None
 
 
+def _claw_oracle(M):
+    """First claw in lexicographic order, by brute force over all
+    independent triples inside E."""
+    E = M.mask
+    for x, y, z in itertools.combinations(M.points(), 3):
+        if z == x ^ y:
+            continue
+        if any((E >> (a ^ b)) & 1 for a, b in ((x, y), (y, z), (x, z))):
+            continue
+        if (E >> (x ^ y ^ z)) & 1:
+            continue
+        return (x, y, z)
+    return None
+
+
 def test_find_claw_matches_triple_oracle():
-    # brute force over all independent triples inside E
     rng = random.Random(5)
     for _ in range(200):
         M = BinaryMatroid(4, rng.getrandbits(15) << 1)
-        E = M.mask
-        pts = M.points()
-        oracle = None
-        for x, y, z in itertools.combinations(pts, 3):
-            if z == x ^ y:
-                continue
-            if any((E >> (a ^ b)) & 1 for a, b in ((x, y), (y, z), (x, z))):
-                continue
-            if (E >> (x ^ y ^ z)) & 1:
-                continue
-            oracle = (x, y, z)
-            break
-        assert find_claw(M) == oracle
+        assert find_claw(M) == _claw_oracle(M)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_find_claw_matches_triple_oracle_high_dim(n):
+    # sparse and uniform sets, claw-free lift-joins, and those with one
+    # point flipped, so that claws turn up early, late and not at all
+    rng = random.Random(f"claw:{n}")
+    cases = []
+    for density in (0.05, 0.1, 0.5):
+        cases.append(_seeded_mask(n, density, rng.getrandbits(32)))
+    for _ in range(3):
+        n1 = rng.randint(2, n - 2)
+        left = BinaryMatroid(n1, census.sample_claw_free_mask(n1, rng))
+        right = BinaryMatroid(n - n1, census.sample_claw_free_mask(n - n1, rng))
+        joined = lift_join(left, right).mask
+        cases += [joined, joined ^ (1 << rng.randrange(1, 1 << n))]
+    for mask in cases:
+        M = BinaryMatroid(n, mask)
+        assert find_claw(M) == _claw_oracle(M), (n, hex(mask))
+    assert any(_claw_oracle(BinaryMatroid(n, m)) is None for m in cases)
+
+
+def test_find_claw_sparse_high_dim_reads_few_translates(monkeypatch):
+    # a 2^16-entry table of 8 KiB translates would take 512 MiB; find_claw
+    # reads only E+x, E+y and E+(x+y) for pairs of points of E
+    made = []
+
+    class Recording(TranslateTable):
+        __slots__ = ()
+
+        def __init__(self, mask, n):
+            super().__init__(mask, n)
+            made.append(self)
+
+    monkeypatch.setattr(matroid, "TranslateTable", Recording)
+    rng = random.Random(16)
+    sparse = BinaryMatroid.from_points(rng.sample(range(1, 1 << 16), 40), 16)
+    # two disjoint 15-point flats: claw-free, so every pair is scanned
+    two_flats = BinaryMatroid.from_points(
+        list(range(1, 16)) + [v << 4 for v in range(1, 16)], 16
+    )
+    for M, claw in ((sparse, (384, 664, 1336)), (two_flats, None)):
+        made.clear()
+        assert find_claw(M) == claw  # recorded before the table existed
+        (table,) = made
+        filled = sum(1 for t in table.entries if t)
+        assert filled <= 1 + M.size + M.size * (M.size - 1)
+        for u, t in enumerate(table.entries):
+            if t:
+                assert t == xor_translate(M.mask, u, 16)
 
 
 def test_find_anticlaw_examples():
@@ -138,7 +193,7 @@ def _omega_oracle(M):
 def _sigma_oracle(M):
     pts = M.points()
     best = 0
-    for r in range(1, len(pts) + 1):
+    for r in range(1, min(len(pts), M.n) + 1):  # independent sets have <= n points
         for sub in itertools.combinations(pts, r):
             if not is_independent(list(sub)):
                 continue
@@ -154,6 +209,91 @@ def test_invariants_exhaustive_small():
             M = BinaryMatroid(n, code << 1)
             assert clique_number(M) == _omega_oracle(M)
             assert induced_independence_number(M) == _sigma_oracle(M)
+
+
+def _definition_tables(n):
+    """omega and sigma of every ground set at dimension n, indexed by
+    mask >> 1, from the definitions `_omega_oracle` and `_sigma_oracle`
+    check one set at a time: the largest flat inside E, and the largest
+    independent J inside E whose closure meets E in J alone."""
+    masks = np.arange(1 << ((1 << n) - 1), dtype=np.int64) << 1
+    omega = np.zeros(len(masks), dtype=np.int64)
+    sigma = np.zeros(len(masks), dtype=np.int64)
+    for d in range(1, n + 1):
+        for F in flats_of_dim(n, d):
+            np.maximum(omega, np.where(masks & F.members == F.members, d, 0), out=omega)
+    for r in range(1, n + 1):
+        for J in itertools.combinations(range(1, 1 << n), r):
+            if not is_independent(list(J)):
+                continue
+            inside = mask_of(J)
+            outside = closure(list(J), n).members & ~inside
+            ok = (masks & inside == inside) & (masks & outside == 0)
+            np.maximum(sigma, np.where(ok, r, 0), out=sigma)
+    return omega, sigma
+
+
+def test_definition_tables_match_oracles():
+    omega, sigma = _definition_tables(3)
+    for code in range(1 << 7):
+        M = BinaryMatroid(3, code << 1)
+        assert (omega[code], sigma[code]) == (_omega_oracle(M), _sigma_oracle(M))
+
+
+def test_invariants_exhaustive_n4():
+    omega, sigma = _definition_tables(4)
+    for code in range(1 << 15):
+        M = BinaryMatroid(4, code << 1)
+        assert clique_number(M) == omega[code], code
+        assert induced_independence_number(M) == sigma[code], code
+
+
+def _seeded_mask(n, density, seed):
+    rng = random.Random(seed)
+    return sum(1 << v for v in range(1, 1 << n) if rng.random() < density)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_invariants_match_oracles_sampled(n):
+    # the sigma oracle enumerates subsets of E, so its sets stay small
+    rng = random.Random(f"invariants:{n}")
+    for density in (0.1, 0.2, 0.3) if n == 5 else (0.1, 0.15, 0.2):
+        for _ in range(4):
+            M = BinaryMatroid(n, _seeded_mask(n, density, rng.getrandbits(32)))
+            assert clique_number(M) == _omega_oracle(M), hex(M.mask)
+            assert induced_independence_number(M) == _sigma_oracle(M), hex(M.mask)
+    for density in (0.5, 0.7, 0.9):
+        for _ in range(4):
+            M = BinaryMatroid(n, _seeded_mask(n, density, rng.getrandbits(32)))
+            assert clique_number(M) == _omega_oracle(M), hex(M.mask)
+
+
+#: (n, density, seed, omega, clique nodes, sigma, induced-independence
+#: nodes) for ground sets from `_seeded_mask`; node counts were found by
+#: bisecting `budget` before the searches read translates from a table
+FROZEN_SEARCH_NODES = [
+    (7, 0.5, 1, 3, 379, 4, 3308),
+    (7, 0.8, 2, 4, 3316, 3, 1265),
+    (7, 0.25, 3, 2, 52, 5, 2168),
+    (8, 0.5, 4, 4, 1719, 4, 24784),
+    (8, 0.85, 5, 5, 46758, 3, 4114),
+    (8, 0.2, 6, 2, 151, 6, 29700),
+    (8, 0.65, 7, 4, 9093, 4, 12009),
+]
+
+
+@pytest.mark.parametrize(
+    "n,density,seed,omega,omega_nodes,sigma,sigma_nodes", FROZEN_SEARCH_NODES
+)
+def test_search_nodes_frozen(n, density, seed, omega, omega_nodes, sigma, sigma_nodes):
+    M = BinaryMatroid(n, _seeded_mask(n, density, seed))
+    for search, value, nodes in (
+        (clique_number, omega, omega_nodes),
+        (induced_independence_number, sigma, sigma_nodes),
+    ):
+        with pytest.raises(BudgetExceeded):
+            search(M, budget=nodes - 1)
+        assert search(M, budget=nodes) == value
 
 
 def test_claw_free_iff_sigma_at_most_two():
@@ -322,21 +462,12 @@ def _random_prefix(n, k, rng):
     return pre, span
 
 
-def test_translates_match_xor_translate():
-    rng = random.Random(11)
-    for n in range(1, 7):
-        E = rng.getrandbits((1 << n) - 1) << 1
-        assert matroid._translates(E, n) == [
-            xor_translate(E, u, n) for u in range(1 << n)
-        ]
-
-
 def test_least_segment_matches_per_candidate_keys():
     rng = random.Random(5)
     for n in range(3, 7):
         for _ in range(40):
             E = rng.getrandbits((1 << n) - 1) << 1
-            trans = matroid._translates(E, n)
+            trans = TranslateTable(E, n).filled()
             k = rng.randint(1, n)
             pre, span = _random_prefix(n, k, rng)
             L = len(pre)

@@ -107,6 +107,38 @@ def test_find_and_has_decomposer_agree():
         assert (find_decomposer(M) is not None) == has_decomposer(M)
 
 
+def _decomposer_candidates(n, rng, count):
+    """Uniform sets and lift-joins of uniform factors at dimension n."""
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            out.append(BinaryMatroid(n, rng.getrandbits((1 << n) - 1) << 1))
+        else:
+            d = rng.randint(1, n - 1)
+            left = BinaryMatroid(d, rng.getrandbits((1 << d) - 1) << 1)
+            right = BinaryMatroid(n - d, rng.getrandbits((1 << (n - d)) - 1) << 1)
+            out.append(lift_join(left, right))
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_find_decomposer_matches_flat_scan(n):
+    # every minimum-dimension decomposer is the fixpoint of each of its
+    # points, so the search returns the least (dim, basis) over all flats
+    flats = [F for d in range(1, n) for F in flats_of_dim(n, d)]
+    rng = random.Random(f"decomposer:{n}")
+    found = 0
+    for M in _decomposer_candidates(n, rng, 60):
+        want = min(
+            ((F.dim, F.basis) for F in flats if is_decomposer(M, F)), default=None
+        )
+        F = find_decomposer(M)
+        assert (None if F is None else (F.dim, F.basis)) == want, hex(M.mask)
+        assert has_decomposer(M) == (want is not None)
+        found += want is not None
+    assert 10 <= found < 60
+
+
 def test_singleton_decomposer_matches_translate_conditions():
     for code in range(1 << 7):
         M = BinaryMatroid(3, code << 1)
@@ -169,6 +201,31 @@ def test_decompose_stop_at_basic():
     tree = decompose(c4(), stop_at_basic=True)
     assert isinstance(tree, Leaf)  # C4 is itself even-plane
     assert tree.tags.even_plane
+
+
+@pytest.mark.parametrize("stop_at_basic", [False, True])
+def test_decompose_classifies_each_node_once(monkeypatch, stop_at_basic):
+    from binmatroid import structure
+    from binmatroid.recognize import classify
+
+    calls = []
+
+    def counting(M):
+        calls.append(M)
+        return classify(M)
+
+    monkeypatch.setattr(structure, "classify", counting)
+    claw = independent_matroid(3)
+    M = lift_join(lift_join(claw, c4()), BinaryMatroid(1, 0b10))
+    tree = decompose(M, stop_at_basic)
+
+    def count(node):
+        if isinstance(node, Leaf):
+            return 1
+        return count(node.left) + count(node.right) + (1 if stop_at_basic else 0)
+
+    assert len(calls) == count(tree)
+    assert isinstance(tree, Join)
 
 
 def test_reconstruct_is_exact_through_recorded_map():
