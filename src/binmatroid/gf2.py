@@ -7,7 +7,7 @@ belongs to the set.  Ground sets and point sets keep bit 0 clear; span
 masks (subspaces) include bit 0.
 
 All values are immutable after construction and every function here is
-pure; a `TranslateTable` only fills its entries as they are first read.
+pure; a `TranslateTable` only stores translates as they are first read.
 """
 
 from __future__ import annotations
@@ -81,45 +81,58 @@ def xor_translate(mask: int, a: int, n: int) -> int:
     return mask
 
 
-class TranslateTable:
-    """The translates mask + u of one bitset, for every vector u.
+#: Bytes of translates one `TranslateTable` stores, 2^n / 8 per entry; a
+#: table that is full computes further entries on each read.  Up to n = 13
+#: every entry fits.
+TRANSLATE_TABLE_BYTES = 1 << 23
 
-    `entries[u]` is `xor_translate(mask, u, n)` once read and 0 before:
-    only the empty set has an empty translate, and its entries cost
-    nothing to fill.  A hot loop reads the plain list and fills a miss
-    with ``entries[u] or table.get(u)``.  Only entries that are read are
-    stored, 2^n / 8 bytes each, so a search over a sparse set at n = 16
-    stays small; the list itself holds 2^n references.
+
+def translates(mask: int, n: int) -> list[int]:
+    """xor_translate(mask, u, n) for every u, each one half-swap of an
+    earlier entry; 2^n entries of 2^n / 8 bytes, for small n."""
+    out = [mask]
+    for i, lo in enumerate(_half_masks(n)):
+        w = 1 << i
+        out += [((t & lo) << w) | ((t >> w) & lo) for t in out]
+    return out
+
+
+class TranslateTable:
+    """The translates mask + u of one bitset, stored as they are read.
+
+    `entries[u]` is `xor_translate(mask, u, n)` once stored and 0 before
+    (only the empty set has an empty translate, and every 0 is then
+    right).  Hot loops read the plain list and fall back on `get`:
+    ``entries[u] or table.get(u)``.  `get` stores what it computes until
+    the table holds TRANSLATE_TABLE_BYTES of translates, so a search that
+    reads every translate at n = 16 keeps at most that much; the list
+    itself holds 2^n references.
     """
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("n", "entries", "room")
 
     def __init__(self, mask: int, n: int):
         self.n = n
         self.entries = [mask] + [0] * ((1 << n) - 1)
+        #: entries that may still be stored
+        self.room = (TRANSLATE_TABLE_BYTES << 3) >> n
 
     def get(self, u: int) -> int:
-        """Entry u, filled on first read from the nearest filled entry
-        among u with its lowest bits cleared, one half-swap per bit."""
+        """Entry u, computed from the nearest stored entry among u with its
+        lowest bits cleared, one half-swap per cleared bit."""
         entries = self.entries
         t = entries[u]
-        if t:
-            return t
         v = u
         while not t and v:
             v &= v - 1
             t = entries[v]
-        t = entries[u] = xor_translate(t, u ^ v, self.n)
+        if v == u:
+            return t
+        t = xor_translate(t, u ^ v, self.n)
+        if self.room:
+            self.room -= 1
+            entries[u] = t
         return t
-
-    def filled(self) -> list[int]:
-        """The whole table as a plain list; in ascending order each entry is
-        one half-swap of an entry already filled."""
-        entries, get = self.entries, self.get
-        for u in range(1, len(entries)):
-            if not entries[u]:
-                get(u)
-        return entries
 
 
 def echelon_basis(vectors: Iterable[int]) -> tuple[int, ...]:

@@ -20,6 +20,7 @@ from .gf2 import (
     flats_of_dim,
     ground_mask,
     iter_bits,
+    translates,
     xor_translate,
     _half_masks,
 )
@@ -159,15 +160,23 @@ def find_anticlaw(M: BinaryMatroid) -> Optional[Flat]:
     return None if claw is None else closure(claw, M.n)
 
 
+#: Largest span S, in vectors, over which a node of the clique and induced
+#: independence searches reads its children's bitsets from the translate
+#: table, |S| reads each; deeper nodes (S is None) translate their own
+#: bitset by p, popcount(p) half-swaps, which is cheaper there.
+_TABLE_SPAN = 4
+
+
 def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     """Dimension of the largest flat contained in the ground set.
 
     Depth-first search over greedy-minimal generator sequences.  Each
     node keeps a validity bitset V (points whose whole coset over the
     current span S lies in E, the meet of E+s over s in S) so that child
-    candidate sets are a few mask operations; V+p is the meet of the
-    translates E+(s+p), read from one table.  A capacity bound prunes
-    branches that cannot beat the best dimension found.
+    candidate sets are a few mask operations.  While S is small, V+p is
+    the meet of the translates E+(s+p), read from one table; deeper, V
+    is translated by p.  A capacity bound prunes branches that cannot
+    beat the best dimension found.
     """
     E, n = M.mask, M.n
     if E == 0:
@@ -180,13 +189,16 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     best = 1
     nodes = 0
 
-    def dfs(V: int, C: int, dim: int, pivots: dict[int, int], S: list[int]) -> None:
+    def dfs(
+        V: int, C: int, dim: int, pivots: dict[int, int], S: Optional[list[int]]
+    ) -> None:
         nonlocal best, nodes
         if dim > best:
             best = dim
         pop = V.bit_count()
         if dim + ((pop >> dim) + 1).bit_length() - 1 <= best:
             return
+        grow = S is not None and len(S) < _TABLE_SPAN
         rest = C
         while rest:
             low = rest & -rest
@@ -202,15 +214,19 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
                 if row is None:
                     break
                 r ^= row
-            shifted = -1
-            for s in S:
-                s ^= p
-                shifted &= trans[s] or get(s)
+            if S is None:
+                shifted = xor_translate(V, p, n)
+            else:
+                shifted = -1
+                for s in S:
+                    s ^= p
+                    shifted &= trans[s] or get(s)
             Vc = V & shifted
             Cc = rest & shifted & halves[h]
             child_piv = dict(pivots)
             child_piv[h] = r
-            dfs(Vc, Cc, dim + 1, child_piv, S + [s ^ p for s in S])
+            child_S = S + [s ^ p for s in S] if grow else None
+            dfs(Vc, Cc, dim + 1, child_piv, child_S)
 
     dfs(E, E, 0, {}, [0])
     return best
@@ -231,9 +247,9 @@ def induced_independence_number(M: BinaryMatroid, budget: Optional[int] = None) 
 
     Branch and bound over ascending point insertions; two bitsets are
     propagated per node: Z (points whose whole coset over the span S of
-    the chosen points avoids E) and the candidate set.  Z+p is the
-    complement of the union of the translates E+(s+p), read from one
-    table.
+    the chosen points avoids E) and the candidate set.  While S is small,
+    Z+p is the complement of the union of the translates E+(s+p), read
+    from one table; deeper, Z is translated by p.
     """
     E, n = M.mask, M.n
     if E == 0:
@@ -244,12 +260,13 @@ def induced_independence_number(M: BinaryMatroid, budget: Optional[int] = None) 
     best = 0
     nodes = 0
 
-    def dfs(Z: int, C: int, size: int, S: list[int]) -> None:
+    def dfs(Z: int, C: int, size: int, S: Optional[list[int]]) -> None:
         nonlocal best, nodes
         if size > best:
             best = size
         if size + C.bit_count() <= best:
             return
+        grow = S is not None and len(S) < _TABLE_SPAN
         rest = C
         while rest:
             low = rest & -rest
@@ -260,17 +277,16 @@ def induced_independence_number(M: BinaryMatroid, budget: Optional[int] = None) 
                 raise BudgetExceeded(
                     f"induced_independence_number budget {budget} exceeded"
                 )
-            hit = 0
-            for s in S:
-                s ^= p
-                hit |= trans[s] or get(s)
-            shifted = full & ~hit
-            dfs(
-                Z & shifted,
-                rest & shifted,
-                size + 1,
-                S + [s ^ p for s in S],
-            )
+            if S is None:
+                shifted = xor_translate(Z, p, n)
+            else:
+                hit = 0
+                for s in S:
+                    s ^= p
+                    hit |= trans[s] or get(s)
+                shifted = full & ~hit
+            child_S = S + [s ^ p for s in S] if grow else None
+            dfs(Z & shifted, rest & shifted, size + 1, child_S)
 
     dfs(full & ~E, E, 0, [0])
     return best
@@ -389,7 +405,7 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
     if n == 0 or E == 0 or E == ground:
         return E
     npoints = 1 << n
-    trans = TranslateTable(E, n).filled()
+    trans = translates(E, n)
     best: list[Optional[int]] = [None] * n
     best_pre: list[Optional[list[int]]] = [None]
     auts: list[list[int]] = []  # point tables of discovered automorphisms

@@ -55,13 +55,15 @@ def minimal_decomposer_containing(
 
     Start from cl({a}) and repeatedly absorb the defect sets of all
     members; a stable proper flat has no mixed cosets, and any decomposer
-    containing a contains the fixpoint.  `translates`, the table of M's
+    containing a contains the fixpoint.  `translates`, a table of M's
     ground set, lets callers trying many anchors share one table.
     """
     if not 1 <= a < (1 << M.n):
         raise ValueError(f"anchor {a} out of range")
     if translates is None:
         translates = TranslateTable(M.mask, M.n)
+    elif translates.n != M.n or translates.entries[0] != M.mask:
+        raise ValueError("translate table of another ground set")
     span = _fixpoint_span(translates, a)
     if span is None:
         return None

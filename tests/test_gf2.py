@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from binmatroid import gf2
 from binmatroid.gf2 import (
     TranslateTable,
     bits_list,
@@ -23,6 +24,7 @@ from binmatroid.gf2 import (
     is_flat,
     is_independent,
     mask_of,
+    translates,
     xor_translate,
 )
 
@@ -178,16 +180,34 @@ def test_translate_table_matches_xor_translate():
     for n in range(0, 9):
         for mask in (0, ground_mask(n), rng.getrandbits((1 << n) - 1) << 1):
             want = [xor_translate(mask, u, n) for u in range(1 << n)]
-            assert TranslateTable(mask, n).filled() == want
+            assert translates(mask, n) == want
             table = TranslateTable(mask, n)
             order = list(range(1 << n))
             rng.shuffle(order)
             for i, u in enumerate(order):
                 assert table.get(u) == want[u]
-                if mask and i < 5:  # only the entries read are filled
-                    filled = {v for v, t in enumerate(table.entries) if t}
-                    assert filled == {0, *order[: i + 1]}
+                if mask and i < 5:  # only the entries read are stored
+                    stored = {v for v, t in enumerate(table.entries) if t}
+                    assert stored == {0, *order[: i + 1]}
             assert table.entries == want
+
+
+def test_full_translate_table_stops_storing(monkeypatch):
+    # room for 8 translates of 2^8 / 8 bytes; later reads are computed,
+    # from the nearest stored entry with low bits cleared, and not kept
+    monkeypatch.setattr(gf2, "TRANSLATE_TABLE_BYTES", 8 * 32)
+    rng = random.Random(12)
+    n = 8
+    mask = rng.getrandbits((1 << n) - 1) << 1
+    table = TranslateTable(mask, n)
+    order = list(range(1 << n)) * 2
+    rng.shuffle(order)
+    for u in order:
+        assert table.get(u) == xor_translate(mask, u, n)
+    stored = [u for u, t in enumerate(table.entries) if t]
+    assert len(stored) == 1 + 8 and table.room == 0
+    for u in stored:
+        assert table.entries[u] == xor_translate(mask, u, n)
 
 
 subsets3 = st.integers(min_value=0, max_value=(1 << 7) - 1)

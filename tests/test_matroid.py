@@ -36,8 +36,8 @@ from binmatroid import (
     restrict,
     xor_translate,
 )
-from binmatroid import census, matroid, tables
-from binmatroid.gf2 import TranslateTable, mask_of
+from binmatroid import census, gf2, matroid, tables
+from binmatroid.gf2 import TranslateTable, mask_of, translates
 from binmatroid.matroid import apply_linear_map, linear_map_table, seq_key
 
 
@@ -124,7 +124,8 @@ def test_find_claw_matches_triple_oracle_high_dim(n):
 
 def test_find_claw_sparse_high_dim_reads_few_translates(monkeypatch):
     # a 2^16-entry table of 8 KiB translates would take 512 MiB; find_claw
-    # reads only E+x, E+y and E+(x+y) for pairs of points of E
+    # reads only E+x, E+y and E+(x+y) for pairs of points of E, and the
+    # table stores at most TRANSLATE_TABLE_BYTES of them
     made = []
 
     class Recording(TranslateTable):
@@ -137,19 +138,25 @@ def test_find_claw_sparse_high_dim_reads_few_translates(monkeypatch):
     monkeypatch.setattr(matroid, "TranslateTable", Recording)
     rng = random.Random(16)
     sparse = BinaryMatroid.from_points(rng.sample(range(1, 1 << 16), 40), 16)
-    # two disjoint 15-point flats: claw-free, so every pair is scanned
+    # two disjoint flats: claw-free, so every pair is scanned; the 255*255
+    # sums of the 8-dimensional pair are distinct and outside E
     two_flats = BinaryMatroid.from_points(
         list(range(1, 16)) + [v << 4 for v in range(1, 16)], 16
     )
-    for M, claw in ((sparse, (384, 664, 1336)), (two_flats, None)):
+    two_big_flats = BinaryMatroid.from_points(
+        list(range(1, 256)) + [v << 8 for v in range(1, 256)], 16
+    )
+    room = (gf2.TRANSLATE_TABLE_BYTES << 3) >> 16
+    cases = ((sparse, (384, 664, 1336)), (two_flats, None), (two_big_flats, None))
+    for M, claw in cases:
         made.clear()
         assert find_claw(M) == claw  # recorded before the table existed
         (table,) = made
-        filled = sum(1 for t in table.entries if t)
-        assert filled <= 1 + M.size + M.size * (M.size - 1)
-        for u, t in enumerate(table.entries):
-            if t:
-                assert t == xor_translate(M.mask, u, 16)
+        stored = [u for u, t in enumerate(table.entries) if t]
+        assert len(stored) - 1 <= min(room, M.size + M.size * (M.size - 1) // 2)
+        for u in stored:
+            assert table.entries[u] == xor_translate(M.mask, u, 16)
+    assert table.room == 0  # the big flats fill the table
 
 
 def test_find_anticlaw_examples():
@@ -467,7 +474,7 @@ def test_least_segment_matches_per_candidate_keys():
     for n in range(3, 7):
         for _ in range(40):
             E = rng.getrandbits((1 << n) - 1) << 1
-            trans = TranslateTable(E, n).filled()
+            trans = translates(E, n)
             k = rng.randint(1, n)
             pre, span = _random_prefix(n, k, rng)
             L = len(pre)

@@ -33,7 +33,8 @@ from binmatroid import (
     tree_point_map,
     verify_structure_theorem,
 )
-from binmatroid.gf2 import bits_list, full_flat, iter_bits
+from binmatroid import gf2, structure
+from binmatroid.gf2 import TranslateTable, bits_list, full_flat, iter_bits
 
 
 def test_defect_set_examples():
@@ -137,6 +138,40 @@ def test_find_decomposer_matches_flat_scan(n):
         assert has_decomposer(M) == (want is not None)
         found += want is not None
     assert 10 <= found < 60
+
+
+def test_find_decomposer_table_stays_under_its_bound(monkeypatch):
+    # every anchor a reads E+a, so at n = 14 a table that kept every entry
+    # would hold 2^14 translates of 2 KiB (32 MiB)
+    made = []
+
+    class Recording(TranslateTable):
+        __slots__ = ()
+
+        def __init__(self, mask, n):
+            super().__init__(mask, n)
+            made.append(self)
+
+    monkeypatch.setattr(structure, "TranslateTable", Recording)
+    n = 14
+    rng = random.Random(14)
+    M = BinaryMatroid.from_points(rng.sample(range(1, 1 << n), 40), n)
+    assert find_decomposer(M) is None
+    (table,) = made
+    stored = [u for u, t in enumerate(table.entries) if t]
+    assert (len(stored) - 1) * (1 << n) // 8 <= gf2.TRANSLATE_TABLE_BYTES
+    assert table.room == 0  # the bound was reached, so it was exercised
+    for u in stored[:: len(stored) // 50]:
+        assert table.entries[u] == gf2.xor_translate(M.mask, u, n)
+
+
+def test_minimal_decomposer_rejects_another_sets_table():
+    M, other = c4(), independent_matroid(3)
+    shared = minimal_decomposer_containing(M, 3, TranslateTable(M.mask, M.n))
+    assert shared == minimal_decomposer_containing(M, 3)
+    for table in (TranslateTable(other.mask, 3), TranslateTable(M.mask, 4)):
+        with pytest.raises(ValueError):
+            minimal_decomposer_containing(M, 3, table)
 
 
 def test_singleton_decomposer_matches_translate_conditions():
