@@ -14,6 +14,7 @@ JSON reports go to stdout, logs to stderr.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -22,14 +23,16 @@ from typing import Optional
 
 from . import census, construct, verify
 from .gf2 import closure, empty_flat
-from .matroid import BinaryMatroid, invariants
-from .recognize import classify
+from .matroid import BinaryMatroid
+from .recognize import ClassFlags
 from .structure import (
     Join,
     Leaf,
     StructureTheoremViolation,
     decompose,
     find_decomposer,
+    fold_invariants,
+    tree_flags,
 )
 
 log = logging.getLogger("binmatroid")
@@ -114,24 +117,38 @@ def tree_to_json(node) -> dict:
     return {"join": [tree_to_json(node.left), tree_to_json(node.right)]}
 
 
+def classify(M: BinaryMatroid) -> ClassFlags:
+    """The class flags a report gives: both claw flags are read off the
+    leaves of M's maximal decomposition tree (`structure.tree_flags`), so
+    the claw searches run on the leaves only."""
+    return tree_flags(M, decompose(M))
+
+
 def report_json(M: BinaryMatroid, tree=None, stop_at_basic: bool = False) -> dict:
     """The analyze report, plus the tree when one is given.
 
-    The decomposer is the root flat of the tree when it has one.  A leaf
+    The invariants are folded up `tree` when given, else up the maximal
+    decomposition of M, which is then not printed.  The flags come from
+    `classify(M)`, which builds its own tree, so that one call is where
+    every report's flags come from (the benchmark's fault-injection test
+    in perfbench/tests patches it).  The decomposer is the root flat of a
+    join root.  A leaf
     root of a maximal decomposition has none; a leaf cut off at a basic
-    class, or no tree, leaves it to `find_decomposer`.
+    class leaves it to `find_decomposer`.  Raises
+    StructureTheoremViolation as `decompose` does.
     """
-    if isinstance(tree, Join):
-        dec = tree.flat
-    elif tree is not None and not stop_at_basic:
-        dec = None
-    else:
+    root = decompose(M) if tree is None else tree
+    if isinstance(root, Join):
+        dec = root.flat
+    elif stop_at_basic:
         dec = find_decomposer(M)
+    else:
+        dec = None
     return {
         "dim": M.n,
         "points": M.points(),
         "flags": asdict(classify(M)),
-        "invariants": asdict(invariants(M)),
+        "invariants": asdict(fold_invariants(root)),
         "decomposer": list(dec.basis) if dec is not None else None,
         "tree": tree_to_json(tree) if tree is not None else None,
     }
@@ -147,22 +164,29 @@ def _emit(obj) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
-    M = parse_matroid(_read_input(args.file))
-    _emit(report_json(M))
-    return 0
-
-
-def cmd_decompose(args) -> int:
-    M = parse_matroid(_read_input(args.file))
+def _emit_report(build) -> int:
+    """Emit the report `build()` returns; a structure violation is exit 3."""
     try:
-        tree = decompose(M, stop_at_basic=args.stop_at_basic)
+        report = build()
     except StructureTheoremViolation as exc:
         log.error("structure violation: %s", exc)
         _emit({"error": "structure-theorem-violation", "detail": str(exc)})
         return 3
-    _emit(report_json(M, tree=tree, stop_at_basic=args.stop_at_basic))
+    _emit(report)
     return 0
+
+
+def cmd_analyze(args) -> int:
+    M = parse_matroid(_read_input(args.file))
+    return _emit_report(lambda: report_json(M))
+
+
+def cmd_decompose(args) -> int:
+    M = parse_matroid(_read_input(args.file))
+    stop = args.stop_at_basic
+    return _emit_report(
+        lambda: report_json(M, tree=decompose(M, stop_at_basic=stop), stop_at_basic=stop)
+    )
 
 
 def cmd_enumerate(args) -> int:
@@ -191,47 +215,64 @@ def _load(path: str) -> BinaryMatroid:
     return parse_matroid(_read_input(path))
 
 
+def _semidouble(file: str, hyperplane: list[int]) -> BinaryMatroid:
+    base = _load(file)
+    flat = closure(hyperplane, base.n) if hyperplane else empty_flat(base.n)
+    return construct.semidoubling(base, flat)
+
+
+def _partial(file_a: str, file_b: str, f1, f2) -> BinaryMatroid:
+    a, b = _load(file_a), _load(file_b)
+    return construct.partial_lift_join(a, closure(f1 or [], a.n), b, closure(f2 or [], b.n))
+
+
+_INT = {"type": int}
+_INTS = {"type": int, "nargs": "*"}
+
+#: `gen` builders: name, builder, and its arguments as (flag, add_argument
+#: options); the builder receives the parsed arguments in that order.
+GEN_BUILDERS = (
+    ("i", construct.independent_matroid, (("t", _INT),)),
+    ("c4", construct.c4, ()),
+    ("p5", construct.p5, ()),
+    ("k4", construct.k4, ()),
+    ("triangle", construct.triangle_matroid, ()),
+    ("empty", construct.empty_matroid, (("n", _INT),)),
+    ("full", construct.full_matroid, (("n", _INT),)),
+    ("pg-sum", construct.pg_sum, (("d1", _INT), ("d2", _INT))),
+    ("bose-burton", construct.bose_burton, (("n", _INT), ("t", _INT))),
+    ("target", construct.target, (("n", _INT), ("dims", _INTS))),
+    ("doubling", lambda file: construct.doubling(_load(file)), (("file", {}),)),
+    (
+        "semidouble",
+        _semidouble,
+        (("file", {}), ("hyperplane", {**_INTS, "help": "basis points of the hyperplane"})),
+    ),
+    (
+        "liftjoin",
+        lambda a, b: construct.lift_join(_load(a), _load(b)),
+        (("file_a", {}), ("file_b", {})),
+    ),
+    (
+        "directsum",
+        lambda a, b: construct.direct_sum(_load(a), _load(b)),
+        (("file_a", {}), ("file_b", {})),
+    ),
+    (
+        "partial",
+        _partial,
+        (
+            ("file_a", {}),
+            ("file_b", {}),
+            ("--f1", {**_INTS, "help": "basis points of F1"}),
+            ("--f2", {**_INTS, "help": "basis points of F2"}),
+        ),
+    ),
+)
+
+
 def cmd_gen(args) -> int:
-    kind = args.builder
-    if kind == "i":
-        M = construct.independent_matroid(args.t)
-    elif kind == "c4":
-        M = construct.c4()
-    elif kind == "p5":
-        M = construct.p5()
-    elif kind == "k4":
-        M = construct.k4()
-    elif kind == "triangle":
-        M = construct.triangle_matroid()
-    elif kind == "empty":
-        M = construct.empty_matroid(args.n)
-    elif kind == "full":
-        M = construct.full_matroid(args.n)
-    elif kind == "pg-sum":
-        M = construct.pg_sum(args.d1, args.d2)
-    elif kind == "bose-burton":
-        M = construct.bose_burton(args.n, args.t)
-    elif kind == "target":
-        M = construct.target(args.n, args.dims)
-    elif kind == "doubling":
-        M = construct.doubling(_load(args.file))
-    elif kind == "semidouble":
-        base = _load(args.file)
-        flat = (
-            closure(args.hyperplane, base.n) if args.hyperplane else empty_flat(base.n)
-        )
-        M = construct.semidoubling(base, flat)
-    elif kind == "liftjoin":
-        M = construct.lift_join(_load(args.file_a), _load(args.file_b))
-    elif kind == "directsum":
-        M = construct.direct_sum(_load(args.file_a), _load(args.file_b))
-    elif kind == "partial":
-        a, b = _load(args.file_a), _load(args.file_b)
-        f1 = closure(args.f1 or [], a.n)
-        f2 = closure(args.f2 or [], b.n)
-        M = construct.partial_lift_join(a, f1, b, f2)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown builder {kind!r}")
+    M = args.build(*(getattr(args, dest) for dest in args.build_args))
     sys.stdout.write(format_matroid(M))
     return 0
 
@@ -280,54 +321,24 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="emit a built matroid as a matroid file")
     gen_sub = p.add_subparsers(dest="builder", required=True)
-    for name in ("c4", "p5", "k4", "triangle"):
-        gen_sub.add_parser(name).set_defaults(fn=cmd_gen)
-    g = gen_sub.add_parser("i")
-    g.add_argument("t", type=int)
-    g.set_defaults(fn=cmd_gen)
-    for name in ("empty", "full"):
+    for name, build, arguments in GEN_BUILDERS:
         g = gen_sub.add_parser(name)
-        g.add_argument("n", type=int)
-        g.set_defaults(fn=cmd_gen)
-    g = gen_sub.add_parser("pg-sum")
-    g.add_argument("d1", type=int)
-    g.add_argument("d2", type=int)
-    g.set_defaults(fn=cmd_gen)
-    g = gen_sub.add_parser("bose-burton")
-    g.add_argument("n", type=int)
-    g.add_argument("t", type=int)
-    g.set_defaults(fn=cmd_gen)
-    g = gen_sub.add_parser("target")
-    g.add_argument("n", type=int)
-    g.add_argument("dims", type=int, nargs="*")
-    g.set_defaults(fn=cmd_gen)
-    g = gen_sub.add_parser("doubling")
-    g.add_argument("file")
-    g.set_defaults(fn=cmd_gen)
-    g = gen_sub.add_parser("semidouble")
-    g.add_argument("file")
-    g.add_argument("hyperplane", type=int, nargs="*", help="basis points of the hyperplane")
-    g.set_defaults(fn=cmd_gen)
-    for name in ("liftjoin", "directsum"):
-        g = gen_sub.add_parser(name)
-        g.add_argument("file_a")
-        g.add_argument("file_b")
-        g.set_defaults(fn=cmd_gen)
-    g = gen_sub.add_parser("partial")
-    g.add_argument("file_a")
-    g.add_argument("file_b")
-    g.add_argument("--f1", type=int, nargs="*", default=None, help="basis points of F1")
-    g.add_argument("--f2", type=int, nargs="*", default=None, help="basis points of F2")
-    g.set_defaults(fn=cmd_gen)
+        for flag, options in arguments:
+            g.add_argument(flag, **options)
+        dests = [flag.lstrip("-") for flag, _ in arguments]
+        g.set_defaults(fn=cmd_gen, build=build, build_args=dests)
 
     return parser
 
 
+#: The parser, built once per process: building it costs milliseconds.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -236,10 +236,16 @@ def chi_bound(k: int, dim_n: int) -> int:
 
 def classify(M: BinaryMatroid) -> ClassFlags:
     """All class flags in one record."""
+    return _classify(M, is_claw_free(M), is_anticlaw_free(M))
+
+
+def _classify(M: BinaryMatroid, claw_free: bool, anticlaw_free: bool) -> ClassFlags:
+    """The class flags of M, with the two claw flags supplied by the caller
+    (`structure.tree_flags` reads them off a decomposition tree)."""
     witness = pg_sum_witness_mask(M.mask, M.n)
     return ClassFlags(
-        claw_free=is_claw_free(M),
-        anticlaw_free=is_anticlaw_free(M),
+        claw_free=claw_free,
+        anticlaw_free=anticlaw_free,
         triangle_free=is_triangle_free(M),
         complement_triangle_free=is_complement_triangle_free(M),
         even_plane=is_even_plane(M),

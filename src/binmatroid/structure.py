@@ -9,7 +9,12 @@ Decomposers are found per anchor point by a fixpoint closure, not by
 flat enumeration: the minimal decomposer through a is the closure of a
 under "collect every point whose pair under some member of the flat is
 mixed".  The fixpoint is monotone, so it underlies every decomposer
-containing the anchor.
+containing the anchor; an anchor whose span reaches a point in no
+decomposer is in none either, which lets the anchor loops drop it early.
+
+`tree_flags` and `fold_invariants` read class flags and invariants off a
+decomposition tree through the lift-join identities, so only the leaves
+are searched.
 """
 
 from __future__ import annotations
@@ -28,8 +33,15 @@ from .gf2 import (
     iter_bits,
     xor_translate,
 )
-from .matroid import BinaryMatroid, linear_map_table, rank_mask, restrict
-from .recognize import ClassFlags, classify
+from .matroid import (
+    BinaryMatroid,
+    InvariantRecord,
+    invariants,
+    linear_map_table,
+    rank_mask,
+    restrict,
+)
+from .recognize import ClassFlags, _classify, classify
 
 
 class StructureTheoremViolation(RuntimeError):
@@ -74,14 +86,19 @@ def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     """Minimum-dimension decomposer, ties broken by lexicographic basis.
 
     None iff no proper nonempty flat decomposes M (equivalently, M is
-    not a lift-join of smaller matroids).
+    not a lift-join of smaller matroids).  Anchors are tried in order;
+    one whose growing span reaches an earlier anchor that lies in no
+    decomposer is dropped there (see `_fixpoint_span`).
     """
     best: Optional[Flat] = None
     table = TranslateTable(M.mask, M.n)
+    bad = 0
     for a in range(1, 1 << M.n):
-        F = minimal_decomposer_containing(M, a, table)
-        if F is None:
+        span = _fixpoint_span(table, a, bad)
+        if span is None:
+            bad |= 1 << a
             continue
+        F = closure_mask(span & ~1, M.n)
         if best is None or (F.dim, F.basis) < (best.dim, best.basis):
             best = F
             if best.dim == 1:
@@ -89,11 +106,15 @@ def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     return best
 
 
-def _fixpoint_span(table: TranslateTable, a: int) -> Optional[int]:
+def _fixpoint_span(table: TranslateTable, a: int, bad: int = 0) -> Optional[int]:
     """Span mask of the anchor fixpoint, or None when it blows up to G.
 
     The defect set of a member b is E ^ (E+b), read from the translate
-    table of the ground set E.
+    table of the ground set E.  `bad` holds points known to lie in no
+    proper decomposer: every decomposer through a contains the growing
+    span, so the search gives up as soon as the span meets `bad`.  The
+    span absorbs the lowest point still outside it and is re-masked, so
+    one anchor costs at most n growth steps.
     """
     n = table.n
     trans, get = table.entries, table.get
@@ -108,12 +129,14 @@ def _fixpoint_span(table: TranslateTable, a: int) -> Optional[int]:
         processed = span
         need = 0
         for b in iter_bits(fresh):
-            need |= (E ^ (trans[b] or get(b))) & ~1 & ~(1 << b)
-        for p in iter_bits(need & ~span):
-            if not (span >> p) & 1:
-                span |= xor_translate(span, p, n)
-                if span == full_span:
-                    return None
+            need |= E ^ (trans[b] or get(b))
+        rest = need & ~span
+        while rest:
+            low = rest & -rest
+            span |= xor_translate(span, low.bit_length() - 1, n)
+            if span & bad:
+                return None
+            rest &= ~span
     return None
 
 
@@ -124,9 +147,11 @@ def has_decomposer_mask(mask: int, n: int) -> bool:
     if rank_mask(mask, n) < n:
         return True  # any hyperplane over the closure of E decomposes
     table = TranslateTable(mask, n)
+    bad = 0
     for a in range(1, 1 << n):
-        if _fixpoint_span(table, a) is not None:
+        if _fixpoint_span(table, a, bad) is not None:
             return True
+        bad |= 1 << a
     return False
 
 
@@ -250,6 +275,51 @@ def leaves(node: DecompositionNode) -> list[Leaf]:
     if isinstance(node, Leaf):
         return [node]
     return leaves(node.left) + leaves(node.right)
+
+
+def fold_invariants(node: DecompositionNode) -> InvariantRecord:
+    """Invariants of the matroid a decomposition tree folds back to.
+
+    Leaves run the direct searches of `invariants`.  Over a join of
+    M1 = M|F and M2 = M|J, omega and alpha add; sigma is max(σ1, σ2),
+    raised to at least 2 when E1 misses a point of F and E2 is nonempty;
+    and M is full-rank iff M2 is.  Since omega is 0 exactly on the empty
+    set and n exactly on the full one, the factors' records decide the
+    sigma condition.  README, "Invariants through the decomposition
+    tree", has the proofs.
+    """
+    if isinstance(node, Leaf):
+        return invariants(node.matroid)
+    r1 = fold_invariants(node.left)
+    r2 = fold_invariants(node.right)
+    alpha = r1.alpha + r2.alpha
+    sigma = max(r1.sigma, r2.sigma)
+    if r1.omega < node.flat.dim and r2.omega > 0:
+        sigma = max(sigma, 2)
+    return InvariantRecord(
+        omega=r1.omega + r2.omega,
+        chi=node.flat.n - alpha,
+        alpha=alpha,
+        sigma=sigma,
+        full_rank=r2.full_rank,
+    )
+
+
+def tree_flags(M: BinaryMatroid, node: DecompositionNode) -> ClassFlags:
+    """Class flags of M, given a decomposition tree of M.
+
+    A leaf root carries M's flags.  Under a join root, M is claw-free
+    (anticlaw-free) iff every leaf is, since both properties pass through
+    a lift-join in both directions; the other flags are computed on M.
+    """
+    if isinstance(node, Leaf):
+        return node.tags
+    tags = [leaf.tags for leaf in leaves(node)]
+    return _classify(
+        M,
+        claw_free=all(t.claw_free for t in tags),
+        anticlaw_free=all(t.anticlaw_free for t in tags),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,9 @@ def _random_i4_free(n: int, rng: random.Random) -> BinaryMatroid:
 
 def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
     """Lift-join algebra: bitwise associativity, complement homomorphism,
-    clique/critical-number additivity, restriction compatibility,
-    claw-free closure; plus partial lift-join bounds on sigma and omega."""
+    clique/critical-number additivity, sigma and full rank of a join from
+    its factors, restriction compatibility, claw-free closure; plus
+    partial lift-join bounds on sigma and omega."""
     rng = random.Random(seed)
     violations = []
     checked = 0
@@ -288,6 +289,16 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
         chi = M.n - clique_number(complement(M))
         if chi != (M1.n - a1) + (M2.n - a2):
             violations.append({"check": "chi_additive", "i": i})
+        # sigma and full rank through the join, as `structure.fold_invariants`
+        # reads them
+        sigma = max(induced_independence_number(M1), induced_independence_number(M2))
+        if M1.mask != ground_mask(d1) and M2.mask:
+            sigma = max(sigma, 2)
+        if induced_independence_number(M) != sigma:
+            violations.append({"check": "sigma_lift_join", "i": i})
+        # a 0-dimensional M2 leaves M = M1, outside the rank rule
+        if d2 and (rank_mask(M.mask, M.n) == M.n) != (rank_mask(M2.mask, d2) == d2):
+            violations.append({"check": "full_rank_lift_join", "i": i})
         # restriction compatibility, bitwise
         F1, F2 = _random_flat(d1, rng), _random_flat(d2, rng)
         combined = closure_mask(

@@ -1,8 +1,10 @@
 """Command-line surface: file format, reports, exit codes."""
 
+import functools
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -61,6 +63,45 @@ def test_gen_matches_builders():
     assert parse_matroid(out).points() == [1, 2, 3]
     code, out, _ = run_cli(["gen", "empty", "4"])
     assert parse_matroid(out) == BinaryMatroid(4, 0)
+
+
+def test_gen_covers_every_builder(tmp_path):
+    from binmatroid import cli, construct
+    from binmatroid.gf2 import closure, empty_flat
+
+    A, B, P = c4(), construct.triangle_matroid(), BinaryMatroid(1, 0b10)
+    paths = []
+    for name, M in (("a", A), ("b", B), ("p", P)):
+        path = tmp_path / f"{name}.matroid"
+        path.write_text(format_matroid(M))
+        paths.append(str(path))
+    a, b, p = paths
+    cases = [
+        (["i", "2"], construct.independent_matroid(2)),
+        (["c4"], A),
+        (["p5"], construct.p5()),
+        (["k4"], construct.k4()),
+        (["triangle"], B),
+        (["empty", "2"], construct.empty_matroid(2)),
+        (["full", "3"], construct.full_matroid(3)),
+        (["pg-sum", "1", "2"], pg_sum(1, 2)),
+        (["bose-burton", "4", "1"], construct.bose_burton(4, 1)),
+        (["target", "3", "1"], construct.target(3, [1])),
+        (["doubling", a], construct.doubling(A)),
+        (["semidouble", p], construct.semidoubling(P, empty_flat(1))),
+        (["semidouble", a, "1", "2"], construct.semidoubling(A, closure([1, 2], 3))),
+        (["liftjoin", a, b], lift_join(A, B)),
+        (["directsum", a, b], construct.direct_sum(A, B)),
+        (["partial", a, b], construct.partial_lift_join(A, empty_flat(3), B, empty_flat(2))),
+        (
+            ["partial", a, b, "--f1", "3", "--f2", "1"],
+            construct.partial_lift_join(A, closure([3], 3), B, closure([1], 2)),
+        ),
+    ]
+    assert {argv[0] for argv, _ in cases} == {name for name, _, _ in cli.GEN_BUILDERS}
+    for argv, want in cases:
+        code, out, _ = run_cli(["gen", *argv])
+        assert code == 0 and parse_matroid(out) == want, argv
 
 
 def test_gen_pipe_composition(tmp_path):
@@ -161,6 +202,61 @@ def test_decompose_report_reuses_the_root_decomposer(monkeypatch):
             tree = rep.pop("tree")
             assert rep == {k: v for k, v in analyzed.items() if k != "tree"}
             assert len(searches) == (1 if flags and "leaf" in tree else 0)
+
+
+def test_reports_match_the_direct_searches():
+    # flags and invariants are read off the decomposition tree; the direct
+    # `classify` and `invariants` of the whole input are the oracle
+    import random
+
+    from binmatroid import classify, independent_matroid, invariants
+    from binmatroid.matroid import apply_linear_map
+
+    rng = random.Random(6)
+    claw = independent_matroid(3)
+    inputs = [c4(), pg_sum(2, 3), claw, lift_join(claw, c4()), BinaryMatroid(4, 0)]
+    for n in (5, 6, 7):
+        left = BinaryMatroid(3, rng.getrandbits(7) << 1)
+        right = BinaryMatroid(n - 3, rng.getrandbits((1 << (n - 3)) - 1) << 1)
+        images = [1 << i for i in range(n)]
+        images[0] |= images[n - 1]  # an invertible map off the coordinates
+        inputs.append(apply_linear_map(lift_join(left, right), images))
+    for M in inputs:
+        for argv in (["analyze"], ["decompose"], ["decompose", "--stop-at-basic"]):
+            code, out, _ = run_cli(argv, stdin=format_matroid(M))
+            rep = json.loads(out)
+            assert code == 0
+            assert rep["flags"] == asdict(classify(M)), (argv, M)
+            assert rep["invariants"] == asdict(invariants(M)), (argv, M)
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_structure_violation_exits_3(monkeypatch, command):
+    # analyze reads its report off the decomposition tree, so a leaf that
+    # breaks the structure theorem stops it as it stops decompose
+    from binmatroid import structure
+
+    def violating(M, tags=None):
+        raise structure.StructureTheoremViolation(f"leaf {M.points()}")
+
+    monkeypatch.setattr(structure, "_leaf", violating)
+    code, out, _ = run_cli([command], stdin=format_matroid(c4()))
+    assert code == 3
+    assert json.loads(out) == {
+        "error": "structure-theorem-violation",
+        "detail": "leaf []",
+    }
+
+
+def test_parser_is_built_once(monkeypatch):
+    from binmatroid import cli
+
+    built = []
+    parser = functools.cache(lambda: built.append(1) or cli.build_parser())
+    monkeypatch.setattr(cli, "_parser", parser)
+    for _ in range(3):
+        assert run_cli(["gen", "c4"])[0] == 0
+    assert built == [1]
 
 
 def test_exit_codes():

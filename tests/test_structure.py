@@ -33,8 +33,12 @@ from binmatroid import (
     tree_point_map,
     verify_structure_theorem,
 )
+from binmatroid import classify, invariants
 from binmatroid import gf2, structure
-from binmatroid.gf2 import TranslateTable, bits_list, full_flat, iter_bits
+from binmatroid.census import sample_claw_free_mask
+from binmatroid.gf2 import TranslateTable, bits_list, full_flat, ground_mask, iter_bits
+from binmatroid.matroid import apply_linear_map
+from binmatroid.structure import fold_invariants, has_decomposer_mask, tree_flags
 
 
 def test_defect_set_examples():
@@ -367,3 +371,162 @@ def test_abstract_isomorphism_is_weaker_than_decomposing():
     assert not is_decomposer(M, F)
     joined = lift_join(restrict(M, F), restrict(M, complementary_flat(F)))
     assert is_isomorphic(M, joined)
+
+
+# ---------------------------------------------------------------------------
+# Anchors in no decomposer, and the fold up the decomposition tree
+# ---------------------------------------------------------------------------
+
+
+def _unpruned_decomposer(M):
+    """The anchor loop with every fixpoint grown in full, as the oracle."""
+    best = None
+    table = TranslateTable(M.mask, M.n)
+    for a in range(1, 1 << M.n):
+        F = minimal_decomposer_containing(M, a, table)
+        if F is not None and (best is None or (F.dim, F.basis) < (best.dim, best.basis)):
+            best = F
+            if best.dim == 1:
+                break
+    return best
+
+
+def _random_gl(n, rng):
+    """Images of the unit vectors under a random invertible linear map."""
+    while True:
+        images = [rng.randrange(1, 1 << n) for _ in range(n)]
+        if closure(images, n).dim == n:
+            return images
+
+
+def _random_factor(d, rng):
+    """Empty, full, claw-free or uniform ground set at dimension d."""
+    r = rng.random()
+    if r < 0.15:
+        return BinaryMatroid(d, 0)
+    if r < 0.3:
+        return BinaryMatroid(d, ground_mask(d))
+    if r < 0.65:
+        return BinaryMatroid(d, sample_claw_free_mask(d, rng))
+    return BinaryMatroid(d, rng.getrandbits((1 << d) - 1) << 1)
+
+
+def _random_lift_join(n, rng):
+    """A lift-join tree of random factors, 1-dimensional ones included."""
+    if n == 1 or rng.random() < 0.25:
+        return _random_factor(n, rng)
+    d = rng.randint(1, n - 1)
+    return lift_join(_random_lift_join(d, rng), _random_lift_join(n - d, rng))
+
+
+def _mapped_lift_joins(n, count, seed):
+    rng = random.Random(f"mapped-lift-join:{n}:{seed}")
+    return [
+        apply_linear_map(_random_lift_join(n, rng), _random_gl(n, rng))
+        for _ in range(count)
+    ]
+
+
+def _pruned_spans(M):
+    table = TranslateTable(M.mask, M.n)
+    bad = 0
+    spans = []
+    for a in range(1, 1 << M.n):
+        span = structure._fixpoint_span(table, a, bad)
+        if span is None:
+            bad |= 1 << a
+        spans.append(span)
+    return spans
+
+
+def _unpruned_spans(M):
+    table = TranslateTable(M.mask, M.n)
+    return [structure._fixpoint_span(table, a) for a in range(1, 1 << M.n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pruned_decomposer_search_exhaustive(n):
+    # an anchor whose span reaches an anchor in no decomposer is in none
+    # itself, so pruning changes no anchor's answer, nor the flat found
+    for code in range(1 << ((1 << n) - 1)):
+        M = BinaryMatroid(n, code << 1)
+        want = _unpruned_decomposer(M)
+        assert find_decomposer(M) == want, hex(M.mask)
+        assert has_decomposer_mask(M.mask, n) == (want is not None)
+        if n <= 3 or code % 7 == 0:
+            assert _pruned_spans(M) == _unpruned_spans(M), hex(M.mask)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_pruned_decomposer_search_seeded(n):
+    rng = random.Random(f"pruned:{n}")
+    count = {5: 60, 6: 40, 7: 16, 8: 8}[n]
+    inputs = _decomposer_candidates(n, rng, count) + _mapped_lift_joins(n, count, 0)
+    found = 0
+    for M in inputs:
+        want = _unpruned_decomposer(M)
+        assert find_decomposer(M) == want, hex(M.mask)
+        assert has_decomposer_mask(M.mask, n) == (want is not None)
+        found += want is not None
+        if n <= 6:
+            assert _pruned_spans(M) == _unpruned_spans(M), hex(M.mask)
+    assert 0 < found < len(inputs)
+
+
+def _quadric(n):
+    """Points where x1x2 + x3x4 + ... is 1: full-rank and indecomposable."""
+    mask = 0
+    for v in range(1, 1 << n):
+        q = 0
+        for i in range(0, n - 1, 2):
+            q ^= (v >> i) & (v >> (i + 1)) & 1
+        mask |= q << v
+    return BinaryMatroid(n, mask)
+
+
+def test_decomposer_growth_steps_frozen(monkeypatch):
+    # each growth step of a fixpoint span is one translate of the span;
+    # the 4 095 anchors of the quadric at n = 12 take 45 045 steps unpruned
+    steps = []
+
+    def counting(mask, a, n):
+        steps.append(a)
+        return gf2.xor_translate(mask, a, n)
+
+    monkeypatch.setattr(structure, "xor_translate", counting)
+    M = _quadric(12)
+    assert find_decomposer(M) is None
+    assert len(steps) == 4120
+    steps.clear()
+    assert not has_decomposer_mask(M.mask, 12)
+    assert len(steps) == 4120
+
+
+def _assert_fold_matches(M, tree):
+    assert tree_flags(M, tree) == classify(M), hex(M.mask)
+    assert fold_invariants(tree) == invariants(M), hex(M.mask)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fold_matches_direct_invariants_exhaustive(n):
+    # every ground set, so every empty, full and 1-dimensional factor
+    joins = 0
+    for code in range(1 << ((1 << n) - 1)):
+        M = BinaryMatroid(n, code << 1)
+        tree = decompose(M)
+        if isinstance(tree, Join):
+            joins += 1
+            _assert_fold_matches(M, tree)
+    assert joins > 0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_fold_matches_direct_invariants_on_mapped_lift_joins(n):
+    count = {5: 60, 6: 40, 7: 20, 8: 12}[n]
+    joins = 0
+    for M in _mapped_lift_joins(n, count, 1):
+        for stop_at_basic in (False, True):
+            tree = decompose(M, stop_at_basic)
+            joins += isinstance(tree, Join)
+            _assert_fold_matches(M, tree)
+    assert joins >= count
