@@ -117,11 +117,18 @@ def tree_to_json(node) -> dict:
     return {"join": [tree_to_json(node.left), tree_to_json(node.right)]}
 
 
+@functools.lru_cache(maxsize=1)
+def _maximal_tree(M: BinaryMatroid):
+    """M's maximal decomposition tree, shared by the parts of one report;
+    `report_json` clears it when the report is done."""
+    return decompose(M)
+
+
 def classify(M: BinaryMatroid) -> ClassFlags:
     """The class flags a report gives: both claw flags are read off the
     leaves of M's maximal decomposition tree (`structure.tree_flags`), so
     the claw searches run on the leaves only."""
-    return tree_flags(M, decompose(M))
+    return tree_flags(M, _maximal_tree(M))
 
 
 def report_json(M: BinaryMatroid, tree=None, stop_at_basic: bool = False) -> dict:
@@ -129,29 +136,32 @@ def report_json(M: BinaryMatroid, tree=None, stop_at_basic: bool = False) -> dic
 
     The invariants are folded up `tree` when given, else up the maximal
     decomposition of M, which is then not printed.  The flags come from
-    `classify(M)`, which builds its own tree, so that one call is where
-    every report's flags come from (the benchmark's fault-injection test
-    in perfbench/tests patches it).  The decomposer is the root flat of a
-    join root.  A leaf
-    root of a maximal decomposition has none; a leaf cut off at a basic
-    class leaves it to `find_decomposer`.  Raises
-    StructureTheoremViolation as `decompose` does.
+    `classify(M)`, so that one call is where every report's flags come
+    from (the benchmark's fault-injection test in perfbench/tests patches
+    it); it reads the same maximal tree through `_maximal_tree`, which is
+    emptied when the report returns or raises.  The decomposer is the
+    root flat of a join root.  A leaf root of a maximal decomposition has
+    none; a leaf cut off at a basic class leaves it to `find_decomposer`.
+    Raises StructureTheoremViolation as `decompose` does.
     """
-    root = decompose(M) if tree is None else tree
-    if isinstance(root, Join):
-        dec = root.flat
-    elif stop_at_basic:
-        dec = find_decomposer(M)
-    else:
-        dec = None
-    return {
-        "dim": M.n,
-        "points": M.points(),
-        "flags": asdict(classify(M)),
-        "invariants": asdict(fold_invariants(root)),
-        "decomposer": list(dec.basis) if dec is not None else None,
-        "tree": tree_to_json(tree) if tree is not None else None,
-    }
+    try:
+        root = _maximal_tree(M) if tree is None else tree
+        if isinstance(root, Join):
+            dec = root.flat
+        elif stop_at_basic:
+            dec = find_decomposer(M)
+        else:
+            dec = None
+        return {
+            "dim": M.n,
+            "points": M.points(),
+            "flags": asdict(classify(M)),
+            "invariants": asdict(fold_invariants(root)),
+            "decomposer": list(dec.basis) if dec is not None else None,
+            "tree": tree_to_json(tree) if tree is not None else None,
+        }
+    finally:
+        _maximal_tree.cache_clear()
 
 
 def _emit(obj) -> None:
@@ -185,7 +195,11 @@ def cmd_decompose(args) -> int:
     M = parse_matroid(_read_input(args.file))
     stop = args.stop_at_basic
     return _emit_report(
-        lambda: report_json(M, tree=decompose(M, stop_at_basic=stop), stop_at_basic=stop)
+        lambda: report_json(
+            M,
+            tree=decompose(M, stop_at_basic=True) if stop else _maximal_tree(M),
+            stop_at_basic=stop,
+        )
     )
 
 

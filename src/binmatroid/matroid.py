@@ -176,13 +176,16 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     candidate sets are a few mask operations.  While S is small, V+p is
     the meet of the translates E+(s+p), read from one table; deeper, V
     is translated by p.  A capacity bound prunes branches that cannot
-    beat the best dimension found.
+    beat the best dimension found, and the search stops once it reaches
+    the bound of `_holds_hyperplane`: n - 1 when E holds a hyperplane,
+    else n - 2.
     """
     E, n = M.mask, M.n
     if E == 0:
         return 0
     if E == ground_mask(n):
         return n
+    top = n - 1 if _holds_hyperplane(E, n) else n - 2
     halves = _half_masks(n)
     table = TranslateTable(E, n)
     trans, get = table.entries, table.get
@@ -196,11 +199,11 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
         if dim > best:
             best = dim
         pop = V.bit_count()
-        if dim + ((pop >> dim) + 1).bit_length() - 1 <= best:
+        if best == top or dim + ((pop >> dim) + 1).bit_length() - 1 <= best:
             return
         grow = S is not None and len(S) < _TABLE_SPAN
         rest = C
-        while rest:
+        while rest and best < top:
             low = rest & -rest
             rest ^= low
             p = low.bit_length() - 1
@@ -230,6 +233,26 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
 
     dfs(E, E, 0, {}, [0])
     return best
+
+
+def _holds_hyperplane(E: int, n: int) -> bool:
+    """Whether a ground set other than G holds a hyperplane.
+
+    E holds a hyperplane iff its complement C lies in the complement of
+    one, an affine hyperplane, iff 0 is outside the affine hull of C,
+    that is iff c0 is outside span{c + c0 : c in C} for any c0 in C.  The
+    span grows from the lowest point of C whose sum with c0 lies outside
+    it, at most n - 1 steps of two translates each.
+    """
+    C = ground_mask(n) & ~E
+    c0 = (C & -C).bit_length() - 1
+    span = 1
+    while not (span >> c0) & 1:
+        out = C & ~xor_translate(span, c0, n)
+        if not out:
+            return True
+        span |= xor_translate(span, ((out & -out).bit_length() - 1) ^ c0, n)
+    return False
 
 
 def critical_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:

@@ -88,23 +88,24 @@ def pg_sum_witness_mask(mask: int, n: int) -> Optional[tuple[int, int]]:
     """Masks of two disjoint flats whose union is the ground set, or None.
 
     The maximal flat inside E through the lowest point of E is grown
-    greedily (validity of a point is monotone, so one ascending pass
-    suffices), and the rest of E is tested for flatness.  If E is a union
+    greedily, and the rest of E is tested for flatness.  If E is a union
     of two disjoint flats, every flat inside E lies wholly in one part (a
     vector space is never a union of two proper subspaces), so the grown
     flat is a whole part and no other anchor needs to be tried.
+
+    The growth carries V, the points whose coset over the span lies in
+    E ∪ {0}.  Absorbing p maps V to V ∩ (V + p), so V only shrinks, and
+    the next point absorbed is the lowest of V outside the span: each of
+    at most n steps costs two translates.
     """
     if mask == 0:
         return (0, 0)
-    not_allowed = ~(mask | 1)
-    span = 1 | (mask & -mask)
-    for p in iter_bits(mask & ~span):
-        if (span >> p) & 1:
-            continue
-        coset = xor_translate(span, p, n)
-        if coset & not_allowed:
-            continue
-        span |= coset
+    span = 1
+    valid = mask | 1
+    while cand := valid & ~span:
+        p = (cand & -cand).bit_length() - 1
+        valid &= xor_translate(valid, p, n)
+        span |= xor_translate(span, p, n)
     rest = mask & ~span
     return (span & ~1, rest) if is_flat(rest, n) else None
 
@@ -236,19 +237,36 @@ def chi_bound(k: int, dim_n: int) -> int:
 
 def classify(M: BinaryMatroid) -> ClassFlags:
     """All class flags in one record."""
-    return _classify(M, is_claw_free(M), is_anticlaw_free(M))
+    return _classify(M)
 
 
-def _classify(M: BinaryMatroid, claw_free: bool, anticlaw_free: bool) -> ClassFlags:
-    """The class flags of M, with the two claw flags supplied by the caller
-    (`structure.tree_flags` reads them off a decomposition tree)."""
+def _classify(
+    M: BinaryMatroid,
+    claw_free: Optional[bool] = None,
+    anticlaw_free: Optional[bool] = None,
+) -> ClassFlags:
+    """The class flags of M; a claw flag the caller supplies is taken as
+    given (`structure.tree_flags` reads both off a decomposition tree).
+
+    Even-plane, complement triangle-free and PG-sum sets are claw-free
+    (README, "Invariants at the leaves"), so the claw scan runs only when
+    none of them holds.  They can hold anticlaws, so that scan always runs.
+    """
     witness = pg_sum_witness_mask(M.mask, M.n)
+    even_plane = is_even_plane(M)
+    co_triangle_free = is_complement_triangle_free(M)
+    if claw_free is None:
+        claw_free = (
+            even_plane or co_triangle_free or witness is not None or is_claw_free(M)
+        )
+    if anticlaw_free is None:
+        anticlaw_free = is_anticlaw_free(M)
     return ClassFlags(
         claw_free=claw_free,
         anticlaw_free=anticlaw_free,
         triangle_free=is_triangle_free(M),
-        complement_triangle_free=is_complement_triangle_free(M),
-        even_plane=is_even_plane(M),
+        complement_triangle_free=co_triangle_free,
+        even_plane=even_plane,
         pg_sum=witness is not None,
         strict_pg_sum=_is_strict(witness, M.mask, M.n),
         bose_burton_order=is_bose_burton(M),

@@ -14,7 +14,7 @@ decomposer is in none either, which lets the anchor loops drop it early.
 
 `tree_flags` and `fold_invariants` read class flags and invariants off a
 decomposition tree through the lift-join identities, so only the leaves
-are searched.
+are searched, and a leaf only for what its basic-class tags leave open.
 """
 
 from __future__ import annotations
@@ -30,13 +30,17 @@ from .gf2 import (
     complementary_flat,
     cosets,
     ground_mask,
+    is_flat,
     iter_bits,
     xor_translate,
 )
 from .matroid import (
     BinaryMatroid,
     InvariantRecord,
-    invariants,
+    clique_number,
+    complement,
+    induced_independence_number,
+    is_full_rank,
     linear_map_table,
     rank_mask,
     restrict,
@@ -280,8 +284,9 @@ def leaves(node: DecompositionNode) -> list[Leaf]:
 def fold_invariants(node: DecompositionNode) -> InvariantRecord:
     """Invariants of the matroid a decomposition tree folds back to.
 
-    Leaves run the direct searches of `invariants`.  Over a join of
-    M1 = M|F and M2 = M|J, omega and alpha add; sigma is max(σ1, σ2),
+    A leaf answers omega, alpha and sigma from its tags where a basic
+    class bounds them (`_leaf_invariants`) and searches otherwise.  Over
+    a join of M1 = M|F and M2 = M|J, omega and alpha add; sigma is max(σ1, σ2),
     raised to at least 2 when E1 misses a point of F and E2 is nonempty;
     and M is full-rank iff M2 is.  Since omega is 0 exactly on the empty
     set and n exactly on the full one, the factors' records decide the
@@ -289,7 +294,7 @@ def fold_invariants(node: DecompositionNode) -> InvariantRecord:
     tree", has the proofs.
     """
     if isinstance(node, Leaf):
-        return invariants(node.matroid)
+        return _leaf_invariants(node)
     r1 = fold_invariants(node.left)
     r2 = fold_invariants(node.right)
     alpha = r1.alpha + r2.alpha
@@ -302,6 +307,34 @@ def fold_invariants(node: DecompositionNode) -> InvariantRecord:
         alpha=alpha,
         sigma=sigma,
         full_rank=r2.full_rank,
+    )
+
+
+def _leaf_invariants(leaf: Leaf) -> InvariantRecord:
+    """The invariants of a leaf, read off its tags where they decide them.
+
+    A claw-free set has sigma 0 when empty, 1 when a flat, else 2; an
+    even-plane set has omega 0 when empty, 1 when triangle-free, else 2;
+    a set with triangle-free complement has alpha 0 when full, else 1.
+    README, "Invariants at the leaves", has the proofs; `invariants` is
+    the oracle.
+    """
+    M, tags = leaf.matroid, leaf.tags
+    E, n = M.mask, M.n
+    if tags.even_plane:
+        omega = 0 if E == 0 else 1 if tags.triangle_free else 2
+    else:
+        omega = clique_number(M)
+    if tags.complement_triangle_free:
+        alpha = 0 if E == ground_mask(n) else 1
+    else:
+        alpha = clique_number(complement(M))
+    if tags.claw_free:
+        sigma = 0 if E == 0 else 1 if is_flat(E, n) else 2
+    else:
+        sigma = induced_independence_number(M)
+    return InvariantRecord(
+        omega=omega, chi=n - alpha, alpha=alpha, sigma=sigma, full_rank=is_full_rank(M)
     )
 
 

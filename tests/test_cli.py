@@ -230,6 +230,51 @@ def test_reports_match_the_direct_searches():
             assert rep["invariants"] == asdict(invariants(M)), (argv, M)
 
 
+def test_each_report_builds_one_maximal_tree(monkeypatch):
+    # the report's invariants, decomposer and flags (through `cli.classify`)
+    # read one maximal tree, which does not outlive the report
+    from binmatroid import cli, independent_matroid, structure
+
+    real = structure.decompose
+    roots = []
+    depth = [0]
+
+    def counting(M, stop_at_basic=False):
+        if depth[0] == 0:
+            roots.append(stop_at_basic)
+        depth[0] += 1
+        try:
+            return real(M, stop_at_basic)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(structure, "decompose", counting)
+    monkeypatch.setattr(cli, "decompose", counting)
+    claw = independent_matroid(3)
+    inputs = [c4(), pg_sum(2, 3), claw, lift_join(claw, c4()), BinaryMatroid(4, 0)]
+    for M in inputs:
+        for argv, want in (
+            (["analyze"], [False]),
+            (["decompose"], [False]),
+            (["decompose", "--stop-at-basic"], [True, False]),
+        ):
+            roots.clear()
+            code, _, _ = run_cli(argv, stdin=format_matroid(M))
+            assert code == 0
+            assert sorted(roots, reverse=True) == want, (argv, M)
+            assert cli._maximal_tree.cache_info().currsize == 0
+    cli.report_json(c4())
+    assert cli._maximal_tree.cache_info().currsize == 0
+
+    def violating(M, tags=None):
+        raise structure.StructureTheoremViolation("leaf")
+
+    monkeypatch.setattr(structure, "_leaf", violating)
+    with pytest.raises(structure.StructureTheoremViolation):
+        cli.report_json(c4())
+    assert cli._maximal_tree.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("command", ["analyze", "decompose"])
 def test_structure_violation_exits_3(monkeypatch, command):
     # analyze reads its report off the decomposition tree, so a leaf that

@@ -37,7 +37,7 @@ from binmatroid import (
     xor_translate,
 )
 from binmatroid import census, gf2, matroid, tables
-from binmatroid.gf2 import TranslateTable, mask_of, translates
+from binmatroid.gf2 import TranslateTable, iter_bits, mask_of, translates
 from binmatroid.matroid import apply_linear_map, linear_map_table, seq_key
 
 
@@ -547,6 +547,133 @@ def test_search_budget_hooks():
         induced_independence_number(
             BinaryMatroid.from_points([1, 2, 4, 8, 16, 32], 6), budget=2
         )
+
+
+# ---------------------------------------------------------------------------
+# The hyperplane bound of the clique search
+# ---------------------------------------------------------------------------
+
+
+def _hyperplane_scan(M):
+    return any(H.members & ~M.mask == 0 for H in flats_of_dim(M.n, M.n - 1))
+
+
+def _omega_top_down(M):
+    """The largest d with a d-flat inside E, scanning dimensions downwards;
+    cheap when omega is close to n."""
+    for d in range(M.n, 0, -1):
+        if any(F.members & ~M.mask == 0 for F in flats_of_dim(M.n, d)):
+            return d
+    return 0
+
+
+def _omega_by_levels(M):
+    """The largest flat inside E, grown one dimension at a time from every
+    flat inside E (each (d+1)-flat inside E holds a d-flat inside E);
+    cheap when E holds few flats."""
+    E, n = M.mask, M.n
+    level, d = {1}, 0
+    while True:
+        level = {
+            W | coset
+            for W in level
+            for p in iter_bits(E & ~W)
+            if (coset := xor_translate(W, p, n)) & ~E == 0
+        }
+        if not level:
+            return d
+        d += 1
+
+
+def _random_images(n, rng):
+    while True:
+        images = [rng.randrange(1, 1 << n) for _ in range(n)]
+        if closure(images, n).dim == n:
+            return images
+
+
+def _random_quadric(n, rng):
+    """Nonzero points where a random quadratic form is 1, or where it is 0."""
+    terms = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 0.5]
+    value = rng.getrandbits(1)
+    mask = 0
+    for v in range(1, 1 << n):
+        q = 0
+        for i, j in terms:
+            q ^= (v >> i) & (v >> j) & 1
+        mask |= (q == value) << v
+    return mask
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hyperplane_bound_exhaustive(n):
+    # E holds a hyperplane iff 0 is outside the affine hull of G \ E, and
+    # the clique search stops at n - 1 or n - 2 accordingly
+    omegas, _ = _definition_tables(n)
+    hyperplanes = [H.members for H in flats_of_dim(n, n - 1)]
+    for code in range(1 << ((1 << n) - 1)):
+        M = BinaryMatroid(n, code << 1)
+        omega = omegas[code]
+        assert clique_number(M) == omega, hex(M.mask)
+        if 0 < M.mask != ground_mask(n):
+            holds = any(H & ~M.mask == 0 for H in hyperplanes)
+            assert matroid._holds_hyperplane(M.mask, n) == holds, hex(M.mask)
+            assert omega == n - 1 if holds else omega <= n - 2
+        if n <= 3 or code % 61 == 0:
+            # the oracles of the seeded test, against the definition
+            assert _omega_top_down(M) == _omega_by_levels(M) == omega, hex(M.mask)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_hyperplane_bound_seeded(n):
+    rng = random.Random(f"hyperplane-bound:{n}")
+    dense = []
+    for _ in range(4):
+        # a hyperplane moved by a random map, plus random points off it
+        H = closure(_random_images(n, rng)[: n - 1], n).members
+        dense.append(H | (rng.getrandbits(1 << n) & ground_mask(n)))
+    for k in (1, 2, 3, n):
+        # near-full: a few points taken out, with a line among them or not;
+        # 0 is in the affine hull of a line, so no hyperplane survives it
+        a, b = rng.sample(range(1, 1 << n), 2)
+        line = mask_of([a, b, a ^ b])
+        gone = mask_of(rng.sample(range(1, 1 << n), k))
+        dense += [ground_mask(n) & ~gone, ground_mask(n) & ~(gone | line)]
+    tops = set()
+    for mask in dense:
+        M = BinaryMatroid(n, mask)
+        assert clique_number(M) == _omega_top_down(M), hex(mask)
+        holds = matroid._holds_hyperplane(mask, n)
+        assert holds == _hyperplane_scan(M), hex(mask)
+        tops.add(holds)
+    assert tops == {False, True}
+    sparse = [_quadric_mask(n), ground_mask(n) & ~_quadric_mask(n, elliptic=True)]
+    sparse += [_random_quadric(n, rng) for _ in range(2 if n == 8 else 6)]
+    for mask in sparse:
+        M = apply_linear_map(BinaryMatroid(n, mask), _random_images(n, rng))
+        assert clique_number(M) == _omega_by_levels(M), hex(M.mask)
+        assert matroid._holds_hyperplane(M.mask, n) == _hyperplane_scan(M), hex(M.mask)
+
+
+#: (ground set, omega, clique nodes) of the three co-triangle-free n = 8
+#: inputs of the benchmark's analyze pool; without the hyperplane bound
+#: the search takes 21 550, 20 575 and 45 953 nodes
+FROZEN_BOUNDED_NODES = [
+    (0xFBBFEF77DBBFAF7EFDFDF7EFAFDAF6EFFEEFFDF8FEE7FFFE6FFEBABF7FFEDBFE, 6, 3368),
+    (0xA67FFDBEFBD75FE9FEFF5FFFBFDFFFFF77A8FE65DDFFEBDFFFFAFBD6FFFFFEFE, 6, 1273),
+    (0x5BF9EDFFFAFFF7FEDFBFF7DD7BFFFF6EFFEE7FF7FFFFBBF7EFFFFFEFFFDAFFBC, 6, 5838),
+]
+
+
+@pytest.mark.parametrize(
+    "mask,omega,nodes", FROZEN_BOUNDED_NODES, ids=["ctf8-0", "ctf8-1", "ctf8-2"]
+)
+def test_bounded_search_nodes_frozen(mask, omega, nodes):
+    M = BinaryMatroid(8, mask)
+    assert not matroid._holds_hyperplane(mask, 8)  # so the search stops at 6
+    with pytest.raises(BudgetExceeded):
+        clique_number(M, budget=nodes - 1)
+    assert clique_number(M, budget=nodes) == omega
 
 
 def test_is_isomorphic_examples():

@@ -34,8 +34,8 @@ from binmatroid import (
     verify_structure_theorem,
 )
 from binmatroid import classify, invariants
-from binmatroid import gf2, structure
-from binmatroid.census import sample_claw_free_mask
+from binmatroid import census, gf2, structure
+from binmatroid.census import random_even_plane_mask, sample_claw_free_mask
 from binmatroid.gf2 import TranslateTable, bits_list, full_flat, ground_mask, iter_bits
 from binmatroid.matroid import apply_linear_map
 from binmatroid.structure import fold_invariants, has_decomposer_mask, tree_flags
@@ -530,3 +530,51 @@ def test_fold_matches_direct_invariants_on_mapped_lift_joins(n):
             joins += isinstance(tree, Join)
             _assert_fold_matches(M, tree)
     assert joins >= count
+
+
+# ---------------------------------------------------------------------------
+# Invariants at the leaves, read off their tags
+# ---------------------------------------------------------------------------
+
+
+def _assert_leaf_matches(M):
+    """The leaf identities against the direct searches; True when a tag
+    decided one of omega, alpha, sigma."""
+    tags = classify(M)
+    assert structure._leaf_invariants(Leaf(M, tags)) == invariants(M), hex(M.mask)
+    return tags.even_plane or tags.complement_triangle_free or tags.claw_free
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_leaf_invariants_exhaustive(n):
+    decided = 0
+    for code in range(1 << max((1 << n) - 1, 0)):
+        decided += _assert_leaf_matches(BinaryMatroid(n, code << 1))
+    assert decided > 0
+
+
+def _basic_sets(n, count, rng):
+    """Seeded even-plane, complement triangle-free, PG-sum and sampled
+    claw-free ground sets; the PG-sums are moved by random linear maps."""
+    masks = []
+    for _ in range(count):
+        d1 = rng.randint(1, n - 1)
+        d2 = n - d1 if rng.random() < 0.5 else rng.randint(0, n - d1)
+        masks += [
+            random_even_plane_mask(n, rng),
+            ground_mask(n) & ~census._greedy_triangle_free(n, rng),
+            apply_linear_map(BinaryMatroid(n, pg_sum(d1, d2).mask), _random_gl(n, rng)).mask,
+            sample_claw_free_mask(n, rng),
+        ]
+    return [BinaryMatroid(n, mask) for mask in masks]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_leaf_invariants_seeded(n):
+    count = {5: 10, 6: 6, 7: 3, 8: 2}[n]
+    inputs = _basic_sets(n, count, random.Random(f"leaf-invariants:{n}"))
+    flags = [classify(M) for M in inputs]
+    assert any(f.even_plane for f in flags) and any(f.complement_triangle_free for f in flags)
+    assert any(f.strict_pg_sum for f in flags) and all(f.claw_free for f in flags)
+    for M in inputs:
+        assert _assert_leaf_matches(M)
