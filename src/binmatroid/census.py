@@ -13,10 +13,8 @@ import random
 from functools import lru_cache
 from typing import Iterable, Optional
 
-import numpy as np
-
 from . import tables
-from .gf2 import ground_mask, iter_bits, xor_translate
+from .gf2 import _half_masks, echelon_basis, ground_mask, iter_bits, xor_translate
 from .matroid import BinaryMatroid, canonical_form, linear_map_table, seq_key
 from .construct import lift_join
 from .recognize import classify
@@ -99,39 +97,15 @@ def canon_table(n: int) -> dict[int, int]:
 
 @lru_cache(maxsize=None)
 def even_plane_basis(n: int) -> tuple[int, ...]:
-    """Nullspace basis of the per-plane parity constraints.
+    """Reduced echelon basis of the even-plane family.
 
-    A ground set is even-plane iff its bitset is orthogonal to every
-    plane mask, so the family is a linear space of bitsets.
+    The even-plane ground sets are the truth tables of degree at most 2
+    with f(0) = 0 (`tables.even_plane_mask`), so the monomials x_i and
+    x_i x_j span the family.  A reduced echelon basis of a space is
+    unique, so this is the nullspace basis of the per-plane parity rows.
     """
-    if n < 3:
-        free = [1 << v for v in range(1, 1 << n)]
-        return tuple(free)
-    rows = list(tables.flat_members(n, 3))
-    pivots: dict[int, int] = {}
-    for r in rows:
-        while r:
-            c = (r & -r).bit_length() - 1
-            if c in pivots:
-                r ^= pivots[c]
-            else:
-                pivots[c] = r
-                break
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for d in pivots:
-            if d != c and (pivots[d] >> c) & 1:
-                pivots[d] ^= row
-    basis = []
-    for f in range(1, 1 << n):
-        if f in pivots:
-            continue
-        v = 1 << f
-        for c, row in pivots.items():
-            if (row >> f) & 1:
-                v |= 1 << c
-        basis.append(v)
-    return tuple(basis)
+    coords = [ground_mask(n) & ~half for half in _half_masks(n)]
+    return echelon_basis(coords[i] & coords[j] for i in range(n) for j in range(i + 1))
 
 
 @lru_cache(maxsize=None)
@@ -173,23 +147,13 @@ def _greedy_claw_free(n: int, rng: random.Random) -> int:
     order = list(range(1, 1 << n))
     rng.shuffle(order)
     keep = rng.uniform(0.25, 1.0)
-    per_point = tables.planes_through_point(n) if n >= 3 else None
+    per_point = tables.planes_through_point(n)
     E = 0
     for p in order:
         if rng.random() > keep:
             continue
         cand = E | (1 << p)
-        if per_point is None:
-            E = cand
-            continue
-        arr = per_point[p]
-        inter = arr & np.uint64(cand)
-        ok = True
-        for i in np.flatnonzero(np.bitwise_count(inter) == 3):
-            if tables._xor_of_bits(int(inter[i])) != 0:
-                ok = False
-                break
-        if ok:
+        if tables.claw_free_on(per_point[p], cand):
             E = cand
     return E
 

@@ -332,11 +332,6 @@ def is_independent(points: Iterable[int]) -> bool:
     return True
 
 
-def coordinate_map(flat: Flat):
-    """The (to_local, from_local) bijection pair for a flat."""
-    return flat.to_local, flat.from_local
-
-
 def flats_of_dim(n: int, d: int) -> Iterator[Flat]:
     """Yield every d-dimensional flat of F_2^n exactly once.
 

@@ -13,21 +13,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf2 import Flat, _half_masks, flats_of_dim, ground_mask
+from .gf2 import _half_masks, flats_of_dim, ground_mask, iter_bits
 
 #: plane lists are materialised only up to this dimension
 PLANE_TABLE_MAX = 6
 
 
 @lru_cache(maxsize=None)
-def flats(n: int, d: int) -> tuple[Flat, ...]:
-    """Materialised list of all d-dimensional flats (small n only)."""
-    return tuple(flats_of_dim(n, d))
-
-
-@lru_cache(maxsize=None)
 def flat_members(n: int, d: int) -> tuple[int, ...]:
-    return tuple(f.members for f in flats(n, d))
+    """Membership masks of all d-dimensional flats (small n only)."""
+    return tuple(f.members for f in flats_of_dim(n, d))
 
 
 @lru_cache(maxsize=None)
@@ -43,11 +38,8 @@ def planes_through_point(n: int) -> tuple[np.ndarray, ...]:
     """For each point value, the masks of the planes containing it."""
     per_point: list[list[int]] = [[] for _ in range(1 << n)]
     for pm in flat_members(n, 3):
-        m = pm
-        while m:
-            low = m & -m
-            per_point[low.bit_length() - 1].append(pm)
-            m ^= low
+        for p in iter_bits(pm):
+            per_point[p].append(pm)
     return tuple(np.array(lst, dtype=np.uint64) for lst in per_point)
 
 
@@ -63,26 +55,24 @@ def triangles(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-def _xor_of_bits(mask: int) -> int:
-    acc = 0
-    while mask:
-        low = mask & -mask
-        acc ^= low.bit_length() - 1
-        mask ^= low
-    return acc
+def claw_free_on(planes: np.ndarray, mask: int) -> bool:
+    """No plane of `planes` meets E in a basis: three points, nonzero sum."""
+    inter = planes & np.uint64(mask)
+    for i in np.flatnonzero(np.bitwise_count(inter) == 3):
+        m = int(inter[i])
+        total = 0
+        while m:
+            low = m & -m
+            total ^= low.bit_length() - 1
+            m ^= low
+        if total:
+            return False
+    return True
 
 
 def claw_free_mask(mask: int, n: int) -> bool:
     """Claw-freeness via plane patterns: no plane meets E in a basis."""
-    if n < 3:
-        return True
-    planes = plane_array(n)
-    inter = planes & np.uint64(mask)
-    hits = np.flatnonzero(np.bitwise_count(inter) == 3)
-    for i in hits:
-        if _xor_of_bits(int(inter[i])) != 0:
-            return False
-    return True
+    return n < 3 or claw_free_on(plane_array(n), mask)
 
 
 def anticlaw_free_mask(mask: int, n: int) -> bool:
@@ -138,8 +128,6 @@ for _b in range(128):
 
 #: pattern is a claw: three points, independent
 _PAT_CLAW = (_POP == 3) & (_XORV != 0)
-#: pattern is odd-sized
-_PAT_ODD = (_POP & 1).astype(bool)
 #: pattern shows the restriction is one of the four non-PG-sum witnesses
 _PAT_PG_BAD = (
     ((_POP == 3) & (_XORV != 0))
@@ -153,14 +141,8 @@ def _local_patterns(n: int, codes: np.ndarray) -> list[np.ndarray]:
     """Per-plane 7-bit local patterns for every ground-set code."""
     out = []
     for pm in flat_members(n, 3):
-        pts = []
-        m = pm
-        while m:
-            low = m & -m
-            pts.append(low.bit_length() - 1)
-            m ^= low
         lm = np.zeros(len(codes), dtype=np.uint8)
-        for i, p in enumerate(pts):
+        for i, p in enumerate(iter_bits(pm)):
             lm |= ((codes >> np.uint32(p - 1)) & np.uint32(1)).astype(np.uint8) << np.uint8(i)
         out.append(lm)
     return out
@@ -170,24 +152,23 @@ def _local_patterns(n: int, codes: np.ndarray) -> list[np.ndarray]:
 def sweep_tables(n: int) -> dict[str, np.ndarray]:
     """Per-ground-set property columns over all subsets, for n <= 4.
 
-    Keys: claw_free, even_plane, anticlaw_free, pg_sum_forbidden_route.
-    Index by code k where mask = k << 1.
+    Keys: claw_free, anticlaw_free, pg_sum_forbidden_route (no restriction
+    to a plane is one of the four non-PG-sum witnesses).  Index by code k
+    where mask = k << 1.  Below n = 3 there are no planes and every column
+    is all True.
     """
     if n > 4:
         raise ValueError("whole-subset sweeps are supported only for n <= 4")
     ncodes = 1 << ((1 << n) - 1)
     codes = np.arange(ncodes, dtype=np.uint32)
     claw_free = np.ones(ncodes, dtype=bool)
-    even = np.ones(ncodes, dtype=bool)
     pg_ok = np.ones(ncodes, dtype=bool)
     if n >= 3:
         for lm in _local_patterns(n, codes):
             claw_free &= ~_PAT_CLAW[lm]
-            even &= ~_PAT_ODD[lm]
             pg_ok &= ~_PAT_PG_BAD[lm]
     return {
         "claw_free": claw_free,
-        "even_plane": even,
         # anticlaw-free E is claw-free G \ E, whose code is (ncodes - 1) ^ k
         "anticlaw_free": claw_free[::-1].copy(),
         "pg_sum_forbidden_route": pg_ok,
@@ -197,8 +178,6 @@ def sweep_tables(n: int) -> dict[str, np.ndarray]:
 @lru_cache(maxsize=None)
 def claw_free_masks_list(n: int) -> tuple[int, ...]:
     """All claw-free ground-set masks at dimension n <= 4, ascending."""
-    if n < 3:
-        return tuple(range(0, 1 << (1 << n), 2))
     table = sweep_tables(n)["claw_free"]
     return tuple(int(k) << 1 for k in np.flatnonzero(table))
 
@@ -210,11 +189,11 @@ def ground_codes(n: int) -> int:
 
 __all__ = [
     "PLANE_TABLE_MAX",
-    "flats",
     "flat_members",
     "plane_array",
     "planes_through_point",
     "triangles",
+    "claw_free_on",
     "claw_free_mask",
     "anticlaw_free_mask",
     "even_plane_mask",

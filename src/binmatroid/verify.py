@@ -91,28 +91,30 @@ def _truncation_fields(stopped_at: Optional[int]) -> dict:
     return {"truncated": True, "stopped_at": stopped_at}
 
 
-def verify_structure(n_max: int = 4) -> dict:
+def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     """Every claw-free ground set at n <= n_max satisfies one of the four
-    structure outcomes; exhaustive sweep."""
-    fields = _n_max_fields(n_max, 4)
-    n_max = fields["n_max"]
+    structure outcomes: an exhaustive sweep up to n = 4, then for n_max >= 5
+    `samples` seeded claw-free sets at each n = 5, 6, the parts merged."""
+    if n_max >= 5:
+        parts = [verify_structure(4)] + [
+            verify_structure_sampled(n, samples, seed) for n in range(5, min(n_max, 6) + 1)
+        ]
+        violations = sum((r["violations"] for r in parts), [])
+        return {
+            "suite": "structure",
+            **_n_max_fields(n_max, 6),
+            "checked": sum(r["checked"] for r in parts),
+            "violations": violations,
+            "parts": parts,
+            "passed": not violations,
+        }
     checked = 0
     outcomes = {"even_plane": 0, "complement_triangle_free": 0, "strict_pg_sum": 0, "decomposer": 0}
     violations = []
     for n in range(n_max + 1):
-        if n < 3:
-            checked += tables.ground_codes(n)
-            outcomes["even_plane"] += tables.ground_codes(n)
-            continue
-        sweep = tables.sweep_tables(n)
-        claw_free = sweep["claw_free"]
-        even = sweep["even_plane"]
-        for code in np.flatnonzero(claw_free):
+        for code in np.flatnonzero(tables.sweep_tables(n)["claw_free"]):
             mask = int(code) << 1
             checked += 1
-            if even[code]:
-                outcomes["even_plane"] += 1
-                continue
             out = _structure_outcome(mask, n)
             if out is None:
                 violations.append({"n": n, "points": list(iter_bits(mask))})
@@ -121,7 +123,7 @@ def verify_structure(n_max: int = 4) -> dict:
     return {
         "suite": "structure",
         "mode": "exhaustive",
-        **fields,
+        "n_max": n_max,
         "checked": checked,
         "outcomes": outcomes,
         "violations": violations,
@@ -374,13 +376,6 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     checked = 0
     stopped_at = None
     for n in range(fields["n_max"] + 1):
-        if n < 3:
-            for code in range(tables.ground_codes(n)):
-                checked += 1
-                mask = code << 1
-                if (pg_sum_witness_mask(mask, n) is not None) != pg_sum_forbidden_mask(mask, n):
-                    violations.append({"n": n, "points": list(iter_bits(mask))})
-            continue
         forbidden_col = tables.sweep_tables(n)["pg_sum_forbidden_route"]
         for code in range(tables.ground_codes(n)):
             checked += 1
@@ -399,14 +394,12 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
             roll = rng.random()
             if roll < 0.6:
                 mask = census.sample_uniform_mask(n, rng)
-            elif roll < 0.8:
-                pair = _random_disjoint_flat_pair(n, rng)
-                mask = (pair[0] | pair[1]) if pair else census.sample_uniform_mask(n, rng)
             else:
                 pair = _random_disjoint_flat_pair(n, rng)
                 mask = (pair[0] | pair[1]) if pair else census.sample_uniform_mask(n, rng)
-                for _ in range(rng.randint(1, 2)):
-                    mask ^= 1 << rng.randint(1, (1 << n) - 1)
+                if roll >= 0.8:  # a PG-sum with one or two points flipped
+                    for _ in range(rng.randint(1, 2)):
+                        mask ^= 1 << rng.randint(1, (1 << n) - 1)
             sampled += 1
             if (pg_sum_witness_mask(mask, n) is not None) != pg_sum_forbidden_mask(mask, n):
                 violations.append({"n": n, "points": list(iter_bits(mask))})
@@ -477,13 +470,6 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
     checked = 0
     stopped_at = None
     for n in range(fields["n_max"] + 1):
-        if n < 3:
-            for code in range(tables.ground_codes(n)):
-                checked += 1
-                M = BinaryMatroid(n, code << 1)
-                if (is_target(M) is not None) is False:
-                    violations.append({"n": n, "points": M.points()})
-            continue
         sweep = tables.sweep_tables(n)
         both = sweep["claw_free"] & sweep["anticlaw_free"]
         for code in range(tables.ground_codes(n)):
@@ -837,16 +823,13 @@ def verify_cftf(n_max: int = 4) -> dict:
     # dimension 0 is degenerate: the empty matroid is full-rank, claw-free
     # and triangle-free, but no flat can have dimension -1
     for n in range(1, n_max + 1):
-        claw_col = (
-            tables.sweep_tables(n)["claw_free"] if n >= 3 else None
-        )
+        claw_col = tables.sweep_tables(n)["claw_free"]
         for code in range(tables.ground_codes(n)):
             mask = code << 1
             if rank_mask(mask, n) != n:
                 continue
             checked += 1
-            cf = bool(claw_col[code]) if claw_col is not None else True
-            lhs = cf and triangle_free_mask(mask, n)
+            lhs = bool(claw_col[code]) and triangle_free_mask(mask, n)
             rhs = is_bose_burton(BinaryMatroid(n, mask)) == 1
             if lhs != rhs:
                 violations.append({"n": n, "points": list(iter_bits(mask))})
@@ -893,60 +876,32 @@ def verify_chibound(n_max: int = 5) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_suite(name: str, n_max: Optional[int] = None, seed: int = 0, samples: Optional[int] = None) -> dict:
-    """Dispatch a named suite with its defaults."""
-    if name == "structure":
-        if n_max is not None and n_max >= 5:
-            reports = [verify_structure(4)] + [
-                verify_structure_sampled(n, 100_000 if samples is None else samples, seed)
-                for n in range(5, min(n_max, 6) + 1)
-            ]
-            merged = {
-                "suite": "structure",
-                **_n_max_fields(n_max, 6),
-                "checked": sum(r["checked"] for r in reports),
-                "violations": sum((r["violations"] for r in reports), []),
-                "parts": reports,
-            }
-            merged["passed"] = not merged["violations"]
-            return merged
-        return verify_structure(4 if n_max is None else n_max)
-    if name == "density":
-        return verify_density(4 if n_max is None else n_max)
-    if name == "ljparams":
-        return verify_ljparams(10_000 if samples is None else samples, seed)
-    if name == "pgsum":
-        return verify_pgsum(4 if n_max is None else n_max, samples if samples is not None else 100_000, seed)
-    if name == "target":
-        return verify_target(4 if n_max is None else n_max, samples if samples is not None else 100_000, seed)
-    if name == "rlj":
-        return verify_rlj(seed=seed, recon_samples=10_000 if samples is None else samples)
-    if name == "coset":
-        return verify_coset(10_000 if samples is None else samples, 5 if n_max is None else n_max, seed)
-    if name == "tiny":
-        return verify_tiny()
-    if name == "semidouble":
-        return verify_semidouble(4 if n_max is None else n_max)
-    if name == "bbt":
-        return verify_bbt(4 if n_max is None else n_max)
-    if name == "cftf":
-        return verify_cftf(4 if n_max is None else n_max)
-    if name == "chibound":
-        return verify_chibound(5 if n_max is None else n_max)
-    raise ValueError(f"unknown suite {name!r}")
+#: suite name -> (suite, the keywords that take run_suite's n_max, samples
+#: and seed, or None where the suite takes no such argument)
+_SUITES = {
+    "structure": (verify_structure, ("n_max", "samples", "seed")),
+    "density": (verify_density, ("n_max", None, None)),
+    "ljparams": (verify_ljparams, (None, "samples", "seed")),
+    "pgsum": (verify_pgsum, ("n_max", "samples", "seed")),
+    "target": (verify_target, ("n_max", "samples", "seed")),
+    "rlj": (verify_rlj, (None, "recon_samples", "seed")),
+    "coset": (verify_coset, ("n_max", "samples", "seed")),
+    "tiny": (verify_tiny, (None, None, None)),
+    "semidouble": (verify_semidouble, ("n_max", None, None)),
+    "bbt": (verify_bbt, ("n_max", None, None)),
+    "cftf": (verify_cftf, ("n_max", None, None)),
+    "chibound": (verify_chibound, ("n_max", None, None)),
+}
+
+SUITE_NAMES = tuple(_SUITES)
 
 
-SUITE_NAMES = (
-    "structure",
-    "density",
-    "ljparams",
-    "pgsum",
-    "target",
-    "rlj",
-    "coset",
-    "tiny",
-    "semidouble",
-    "bbt",
-    "cftf",
-    "chibound",
-)
+def run_suite(
+    name: str, n_max: Optional[int] = None, seed: Optional[int] = None, samples: Optional[int] = None
+) -> dict:
+    """Run a named suite; an argument left as None keeps the suite's default."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    suite, keywords = _SUITES[name]
+    given = zip(keywords, (n_max, samples, seed))
+    return suite(**{kw: value for kw, value in given if kw and value is not None})

@@ -1,9 +1,12 @@
 """Orbit machinery, family enumeration, samplers, census records."""
 
+import hashlib
 import json
 import random
 
-from binmatroid import BinaryMatroid, canonical_form
+import pytest
+
+from binmatroid import BinaryMatroid, canonical_form, find_claw
 from binmatroid.census import (
     canon_table,
     even_plane_basis,
@@ -17,8 +20,9 @@ from binmatroid.census import (
     sampled_census,
     transform_mask,
 )
+from binmatroid.gf2 import flats_of_dim
 from binmatroid.recognize import is_even_plane
-from binmatroid.tables import claw_free_mask, claw_free_masks_list
+from binmatroid.tables import claw_free_masks_list
 
 
 def test_generators_walk_full_orbits():
@@ -60,6 +64,85 @@ def test_even_plane_class_counts():
     assert [len(even_plane_classes(n)) for n in (3, 4, 5)] == [5, 7, 8]
 
 
+def _plane_row_nullspace(n):
+    """Basis of the bitsets orthogonal to every plane mask, by eliminating
+    the plane rows on their lowest bits: one vector per free column."""
+    if n < 3:
+        return tuple(1 << v for v in range(1, 1 << n))
+    pivots = {}
+    for r in (F.members for F in flats_of_dim(n, 3)):
+        while r:
+            c = (r & -r).bit_length() - 1
+            if c in pivots:
+                r ^= pivots[c]
+            else:
+                pivots[c] = r
+                break
+    for c in sorted(pivots, reverse=True):
+        for d in pivots:
+            if d != c and (pivots[d] >> c) & 1:
+                pivots[d] ^= pivots[c]
+    basis = []
+    for f in range(1, 1 << n):
+        if f not in pivots:
+            v = 1 << f
+            for c, row in pivots.items():
+                if (row >> f) & 1:
+                    v |= 1 << c
+            basis.append(v)
+    return tuple(basis)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_even_plane_basis_is_the_plane_row_nullspace(n):
+    assert even_plane_basis(n) == _plane_row_nullspace(n)
+
+
+def test_even_plane_basis_frozen_at_n8():
+    digest = hashlib.sha256(repr(even_plane_basis(8)).encode()).hexdigest()
+    assert digest == "4adc44f8e6618157c70cfe40da5b7c9c05742182ed2438b17f303412f8f5621e"
+
+
+#: first draws of the two samplers under rng seed "freeze:<n>"
+FROZEN_EVEN_PLANE = {
+    5: [0x44BB7788, 0xA59699AA, 0x2E47D1B8, 0x8B2E8B2E],
+    6: [0x41D7BE28D74128BE, 0xCF6AA60303A69530, 0x1DEDE21284748474, 0x217421742E7BD184],
+    7: [
+        0xE28BD147B82E741DB7DE7BED12842148,
+        0x782D4411DD77E14BEE44D2784B1E7722,
+        0x8DD7D772288D7228287272D772D72872,
+        0x3FA99AF330599503CF5995FCC0A99A0C,
+    ],
+}
+FROZEN_CLAW_FREE = {
+    5: [0x10044000, 0xCC000072, 0x4000008, 0xFFFFFFC, 0x3FCF0FCC, 0x800100],
+    6: [
+        0xA0000000024,
+        0xF0FFFFFFF0FFFFFE,
+        0xCACAA35C5C5C35CA,
+        0xBB781E2244871E22,
+        0x2020801000400,
+        0x28001400800040,
+    ],
+    7: [
+        0xFFFF00000000FF0000FF0000000028,
+        0xFFFF7788,
+        0xFFFFFFFFFFFFFFFF0004000004000000,
+        0xEFF9DE93FB6FB7EE97F67BEEFE9FEDFA,
+        0x100000C030000000100000C02,
+        0xFFFFFFFF000000000000000030CF3030,
+    ],
+}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_sampler_streams_frozen(n):
+    rng = random.Random(f"freeze:{n}")
+    assert [random_even_plane_mask(n, rng) for _ in range(4)] == FROZEN_EVEN_PLANE[n]
+    rng = random.Random(f"freeze:{n}")
+    assert [sample_claw_free_mask(n, rng) for _ in range(6)] == FROZEN_CLAW_FREE[n]
+
+
 def test_random_even_plane_member():
     rng = random.Random(3)
     for _ in range(50):
@@ -71,7 +154,7 @@ def test_claw_free_sampler_is_claw_free():
     rng = random.Random(4)
     for n in (5, 6):
         for _ in range(150):
-            assert claw_free_mask(sample_claw_free_mask(n, rng), n)
+            assert find_claw(BinaryMatroid(n, sample_claw_free_mask(n, rng))) is None
 
 
 def test_claw_free_lists():

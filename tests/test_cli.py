@@ -348,6 +348,68 @@ def test_run_suite_honours_zero_samples():
     assert parts[-1]["samples"] == 0 and parts[-1]["checked"] == 0
 
 
+def test_run_suite_fills_only_the_arguments_a_suite_takes(monkeypatch):
+    import inspect
+
+    from binmatroid import verify
+
+    assert verify.SUITE_NAMES == (
+        "structure", "density", "ljparams", "pgsum", "target", "rlj",
+        "coset", "tiny", "semidouble", "bbt", "cftf", "chibound",
+    )
+    for suite, keywords in verify._SUITES.values():
+        params = inspect.signature(suite).parameters
+        assert all(kw in params for kw in keywords if kw), suite.__name__
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return {"passed": True}
+
+    for name in verify.SUITE_NAMES:
+        suite, keywords = verify._SUITES[name]
+        monkeypatch.setitem(verify._SUITES, name, (record, keywords))
+    verify.run_suite("rlj", n_max=3, seed=5, samples=7)
+    verify.run_suite("structure")
+    verify.run_suite("structure", n_max=6, samples=0)
+    verify.run_suite("tiny", n_max=3, seed=5, samples=7)
+    verify.run_suite("density", n_max=3, seed=5, samples=7)
+    assert calls == [
+        {"seed": 5, "recon_samples": 7},
+        {},
+        {"n_max": 6, "samples": 0},
+        {},
+        {"n_max": 3},
+    ]
+    with pytest.raises(ValueError):
+        verify.run_suite("bogus")
+
+
+def test_pgsum_sampled_stream_frozen(monkeypatch):
+    import hashlib
+
+    from binmatroid import verify
+
+    rep = verify.verify_pgsum(n_max=0, samples=320, seed=7)
+    assert rep == {
+        "suite": "pgsum", "n_max": 0, "samples": 320, "seed": 7, "checked": 1,
+        "sampled": 320, "chi_checked": 22, "truncated": False, "violations": [],
+        "passed": True,
+    }
+    seen = []
+    witness = verify.pg_sum_witness_mask
+
+    def record(mask, n):
+        seen.append((n, mask))
+        return witness(mask, n)
+
+    monkeypatch.setattr(verify, "pg_sum_witness_mask", record)
+    verify.verify_pgsum(n_max=0, samples=320, seed=7)
+    assert seen[:3] == [(0, 0), (5, 647892278), (5, 207388624)]
+    digest = hashlib.sha256(repr(seen).encode()).hexdigest()
+    assert digest == "1ec6d8af77a423f6cd55cca5f3b89c74d0356436126c298cc2ada26d2adbe38a"
+
+
 def test_reports_state_the_range_checked():
     from binmatroid import verify
     from binmatroid.verify import run_suite

@@ -1,0 +1,25 @@
+"""Every exported name resolves, so removing a function cannot leave a
+stale export behind."""
+
+import ast
+import inspect
+
+import binmatroid
+from binmatroid import tables
+
+
+def test_tables_all_resolves():
+    assert [name for name in tables.__all__ if not hasattr(tables, name)] == []
+
+
+def test_package_namespace_resolves():
+    """Every name `__init__` imports from a submodule is bound on the package."""
+    tree = ast.parse(inspect.getsource(binmatroid))
+    names = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(names) > 50
+    assert [name for name in names if not hasattr(binmatroid, name)] == []

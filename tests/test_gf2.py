@@ -14,7 +14,6 @@ from binmatroid.gf2 import (
     closure,
     closure_mask,
     complementary_flat,
-    coordinate_map,
     cosets,
     empty_flat,
     flats_of_dim,
@@ -139,9 +138,8 @@ def test_is_independent():
 
 def test_coordinate_map_examples():
     F = closure([1, 4], 3)
-    to_local, from_local = coordinate_map(F)
-    assert to_local(1) == 1 and to_local(4) == 2 and to_local(5) == 3
-    assert from_local(3) == 5
+    assert F.to_local(1) == 1 and F.to_local(4) == 2 and F.to_local(5) == 3
+    assert F.from_local(3) == 5
     assert closure([3], 3).to_local(3) == 1
     G = full_flat(3)
     assert all(G.to_local(v) == v for v in range(8))

@@ -1,13 +1,14 @@
 """The identities behind the fast predicates, each against a slow plane or
 anchor scan: even-plane is degree <= 2, anticlaw-free is claw-free
-complement, the lowest PG-sum anchor decides, and the flatness gate."""
+complement, the lowest PG-sum anchor decides, and the flatness gate; and
+the claw-plane loop against the pair scan `find_claw`."""
 
 import random
 
 import numpy as np
 import pytest
 
-from binmatroid import BinaryMatroid, find_anticlaw, is_anticlaw_free, is_even_plane
+from binmatroid import BinaryMatroid, find_anticlaw, find_claw, is_anticlaw_free, is_even_plane
 from binmatroid.census import random_even_plane_mask, sample_claw_free_mask, sample_uniform_mask
 from binmatroid.construct import lift_join
 from binmatroid.gf2 import (
@@ -93,13 +94,10 @@ def _flip(mask, n, rng):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_even_plane_degree_test_exhaustive(n):
     planes = _planes(n) if n >= 3 else []
-    col = tables.sweep_tables(n)["even_plane"] if n >= 3 else None
     for code in range(tables.ground_codes(n)):
         mask = code << 1
         want = _even_plane_oracle(mask, planes)
         assert tables.even_plane_mask(mask, n) == want, (n, mask)
-        if col is not None:
-            assert bool(col[code]) == want
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -142,6 +140,46 @@ def test_even_plane_at_the_dimension_cap():
     x = _coordinate_tables(16)
     assert not tables.even_plane_mask(x[0] & x[5] & x[15], 16)
     assert tables.even_plane_mask(0, 16)
+
+
+# -- the claw-plane loop against find_claw ----------------------------------
+
+
+def _claw_free_part(mask, n):
+    """E with one point of each claw `find_claw` reports dropped, until none is left."""
+    while (claw := find_claw(BinaryMatroid(n, mask))) is not None:
+        mask &= ~(1 << claw[0])
+    return mask
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_claw_plane_loop_matches_find_claw(n):
+    planes = tables.plane_array(n)
+    per_point = tables.planes_through_point(n)
+    rng = random.Random(f"claw-loop:{n}")
+    seen = {True: 0, False: 0}
+    through = {True: 0, False: 0}
+    for i in range(300):
+        if i % 3 == 0:
+            mask = sample_uniform_mask(n, rng)
+        else:
+            mask = sample_claw_free_mask(n, rng)
+            if i % 3 == 2:
+                mask = _flip(mask, n, rng)
+        want = find_claw(BinaryMatroid(n, mask)) is None
+        assert tables.claw_free_on(planes, mask) == want, (n, mask)
+        assert tables.claw_free_mask(mask, n) == want
+        seen[want] += 1
+        # the sampler's use: E is claw-free, so every claw of E + p runs through p
+        base = _claw_free_part(mask, n)
+        outside = [p for p in range(1, 1 << n) if not (base >> p) & 1]
+        if outside:
+            p = rng.choice(outside)
+            cand = base | (1 << p)
+            want = find_claw(BinaryMatroid(n, cand)) is None
+            assert tables.claw_free_on(per_point[p], cand) == want, (n, base, p)
+            through[want] += 1
+    assert min(seen.values()) >= 20 and min(through.values()) >= 20, (seen, through)
 
 
 # -- anticlaw-free: claw-free complement ------------------------------------
