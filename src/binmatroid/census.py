@@ -141,20 +141,38 @@ def even_plane_classes(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _claw_through(mask: int, p: int, n: int) -> bool:
+    """Whether E + {p} has a claw through p, for a point p outside E.
+
+    With T = E + p, A = E \\ T and B = G \\ (E ∪ T), the claws through
+    p are the triples {p, x, y} with x, y in A and x + y in B (README,
+    "Identities instead of plane searches"): at most one translate of B
+    per point x of A, met with the points of A after x.
+    """
+    T = xor_translate(mask, p, n)
+    rest = mask & ~T
+    B = ground_mask(n) & ~(mask | T)
+    while rest & (rest - 1):  # a pair of points of A is left
+        low = rest & -rest
+        rest ^= low
+        if xor_translate(B, low.bit_length() - 1, n) & rest:
+            return True
+    return False
+
+
 def _greedy_claw_free(n: int, rng: random.Random) -> int:
-    """Random insertion order, random keep rate; claws are blocked as they
-    would form, checking only the planes through the new point."""
+    """Random insertion order, random keep rate; a drawn point is kept
+    unless it completes a claw.  E stays claw-free, so such a claw runs
+    through the new point, and `_claw_through` decides it."""
     order = list(range(1, 1 << n))
     rng.shuffle(order)
     keep = rng.uniform(0.25, 1.0)
-    per_point = tables.planes_through_point(n)
     E = 0
     for p in order:
         if rng.random() > keep:
             continue
-        cand = E | (1 << p)
-        if tables.claw_free_on(per_point[p], cand):
-            E = cand
+        if not _claw_through(E, p, n):
+            E |= 1 << p
     return E
 
 

@@ -250,8 +250,19 @@ def closure_mask(mask: int, n: int) -> Flat:
     n = check_dim(n)
     if mask >> (1 << n):
         raise ValueError(f"bitset out of range for dimension {n}")
-    basis = echelon_basis(iter_bits(mask & ~1))
-    return Flat(n, basis, span_from_basis(basis, n) & ~1)
+    # grow the span from the lowest point outside it: the points taken
+    # span the same space as the mask, so their reduced echelon basis is
+    # the mask's, in at most n translates (none for the first point)
+    span = 1
+    taken = []
+    rest = mask & ~1
+    while rest:
+        low = rest & -rest
+        p = low.bit_length() - 1
+        taken.append(p)
+        span |= xor_translate(span, p, n) if span != 1 else low
+        rest &= ~span
+    return Flat(n, echelon_basis(taken), span & ~1)
 
 
 def is_flat(mask: int, n: int) -> bool:

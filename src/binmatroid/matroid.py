@@ -82,11 +82,12 @@ def restrict(M: BinaryMatroid, flat: Flat) -> BinaryMatroid:
     The re-embedding uses the flat's canonical coordinate map, so equal
     inputs give bit-identical outputs.
     """
-    sub = M.mask & flat.members
-    local = 0
-    for v in iter_bits(sub):
-        local |= 1 << flat.to_local(v)
-    return BinaryMatroid(flat.dim, local)
+    # points[w] is flat.from_local(w), doubled out over the basis
+    points = [0]
+    for b in flat.basis:
+        points += [v ^ b for v in points]
+    bits = bin(M.mask & flat.members)[:1:-1].ljust(1 << M.n, "0")
+    return BinaryMatroid(flat.dim, int("".join([bits[v] for v in reversed(points)]), 2))
 
 
 def complement(M: BinaryMatroid) -> BinaryMatroid:

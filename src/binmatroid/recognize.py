@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .gf2 import (
     Flat,
     closure_mask,
@@ -120,15 +122,30 @@ def is_pg_sum_direct(M: BinaryMatroid) -> Optional[tuple[Flat, Flat]]:
 
 
 def pg_sum_forbidden_mask(mask: int, n: int) -> bool:
+    """No plane meets E in five or six points, in a claw, or in four
+    points that sum to zero.
+
+    A plane's seven points sum to zero, so four of them sum to zero
+    exactly when the other three are a line.  Up to PLANE_TABLE_MAX the
+    plane table is met with E in numpy and the 3-point hits and the
+    complements of the 4-point hits are looked up in the line set;
+    beyond, the planes are streamed.
+    """
     if n < 3:
         return True
-    members = (
-        tables.flat_members(n, 3)
-        if n <= tables.PLANE_TABLE_MAX
-        else (F.members for F in flats_of_dim(n, 3))
-    )
-    for pm in members:
-        inside = mask & pm
+    if n <= tables.PLANE_TABLE_MAX:
+        planes = tables.plane_array(n)
+        inter = planes & np.uint64(mask)
+        count = np.bitwise_count(inter)
+        if np.any((count == 5) | (count == 6)):
+            return False
+        lines = tables._lines()
+        four = count == 4
+        return lines.issuperset(inter[count == 3].tolist()) and lines.isdisjoint(
+            (planes[four] ^ inter[four]).tolist()
+        )
+    for F in flats_of_dim(n, 3):
+        inside = mask & F.members
         s = inside.bit_count()
         if s in (5, 6):
             return False

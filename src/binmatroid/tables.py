@@ -1,10 +1,13 @@
-"""Cached flat tables and vectorized plane kernels (internal).
+"""Cached flat tables and plane kernels (internal).
 
-The verification sweeps and samplers hammer the same questions (is this
-plane pattern a claw? is the intersection even?) across thousands of
-ground sets, so the plane lists are materialised once per dimension and
-the per-plane patterns are classified through small lookup tables.  The
-single-set even-plane test needs no planes: it is a degree test.
+Claw-freeness asks whether some plane meets E in a basis, and the
+verification sweeps ask it of thousands of ground sets.  The plane lists
+are materialised once per dimension up to PLANE_TABLE_MAX.  For one set,
+`claw_free_on` intersects the planes with E in numpy and looks the 3-point
+hits up in the set of lines (three points of a plane are a basis unless
+they are a line).  For whole-subset sweeps at n <= 4, each plane's seven
+membership bits are classified through small lookup tables.  The
+even-plane test needs no planes: it is a degree test.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ def plane_array(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def planes_through_point(n: int) -> tuple[np.ndarray, ...]:
-    """For each point value, the masks of the planes containing it."""
+    """For each point value, the masks of the planes containing it: the
+    plane oracle for `census._claw_through`."""
     per_point: list[list[int]] = [[] for _ in range(1 << n)]
     for pm in flat_members(n, 3):
         for p in iter_bits(pm):
@@ -55,19 +59,24 @@ def triangles(n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _lines() -> frozenset[int]:
+    """Membership masks of the lines of PG(PLANE_TABLE_MAX - 1, 2).
+
+    The lines of PG(n-1,2) for smaller n are lines here too, with the same
+    point values, so one set serves every plane table.
+    """
+    return frozenset(flat_members(PLANE_TABLE_MAX, 2))
+
+
 def claw_free_on(planes: np.ndarray, mask: int) -> bool:
-    """No plane of `planes` meets E in a basis: three points, nonzero sum."""
+    """No plane of `planes` meets E in a basis.
+
+    Three points of a plane are a basis unless they are a line, so every
+    3-point hit must be a line.
+    """
     inter = planes & np.uint64(mask)
-    for i in np.flatnonzero(np.bitwise_count(inter) == 3):
-        m = int(inter[i])
-        total = 0
-        while m:
-            low = m & -m
-            total ^= low.bit_length() - 1
-            m ^= low
-        if total:
-            return False
-    return True
+    return _lines().issuperset(inter[np.bitwise_count(inter) == 3].tolist())
 
 
 def claw_free_mask(mask: int, n: int) -> bool:

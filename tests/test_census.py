@@ -7,7 +7,9 @@ import random
 import pytest
 
 from binmatroid import BinaryMatroid, canonical_form, find_claw
+from binmatroid import tables
 from binmatroid.census import (
+    _claw_through,
     canon_table,
     even_plane_basis,
     even_plane_classes,
@@ -17,6 +19,7 @@ from binmatroid.census import (
     orbit_of,
     random_even_plane_mask,
     sample_claw_free_mask,
+    sample_uniform_mask,
     sampled_census,
     transform_mask,
 )
@@ -155,6 +158,44 @@ def test_claw_free_sampler_is_claw_free():
     for n in (5, 6):
         for _ in range(150):
             assert find_claw(BinaryMatroid(n, sample_claw_free_mask(n, rng))) is None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_claw_through_matches_planes_through_point(n):
+    # E uniform, sampled claw-free, or claw-free with one point flipped
+    per_point = tables.planes_through_point(n)
+    rng = random.Random(f"through:{n}")
+    seen = {True: 0, False: 0}
+    for i in range(600):
+        if i % 3 == 0:
+            mask = sample_uniform_mask(n, rng)
+        else:
+            mask = sample_claw_free_mask(n, rng)
+            if i % 3 == 2:
+                mask ^= 1 << rng.randrange(1, 1 << n)
+        outside = [p for p in range(1, 1 << n) if not (mask >> p) & 1]
+        if not outside:
+            continue
+        p = rng.choice(outside)
+        want = not tables.claw_free_on(per_point[p], mask | (1 << p))
+        assert _claw_through(mask, p, n) == want, (n, mask, p)
+        seen[want] += 1
+    assert min(seen.values()) >= 60, seen
+
+
+@pytest.mark.parametrize("n,count", [(3, 300), (4, 300), (5, 300), (6, 200), (7, 60), (8, 40)])
+def test_claw_through_matches_find_claw(n, count):
+    # E is claw-free, so E + p has a claw exactly when one runs through p
+    rng = random.Random(f"through-claw:{n}")
+    seen = {True: 0, False: 0}
+    for _ in range(count):
+        mask = sample_claw_free_mask(n, rng)
+        outside = [p for p in range(1, 1 << n) if not (mask >> p) & 1]
+        for p in rng.sample(outside, min(4, len(outside))):
+            want = find_claw(BinaryMatroid(n, mask | (1 << p))) is not None
+            assert _claw_through(mask, p, n) == want, (n, mask, p)
+            seen[want] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_claw_free_lists():

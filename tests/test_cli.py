@@ -410,6 +410,52 @@ def test_pgsum_sampled_stream_frozen(monkeypatch):
     assert digest == "1ec6d8af77a423f6cd55cca5f3b89c74d0356436126c298cc2ada26d2adbe38a"
 
 
+#: (n, samples, seed) -> outcome counts and a digest of the sampled masks,
+#: recorded before the claw tests moved to the line set and the translate test
+FROZEN_STRUCTURE_SAMPLED = {
+    (5, 600, 3): (
+        {"even_plane": 81, "complement_triangle_free": 160, "strict_pg_sum": 0, "decomposer": 359},
+        "e0f69a0ce1af42d607207c6270b9cdf2db55ee31aa2ee7145e3862e70cf0f9d5",
+    ),
+    (5, 600, 11): (
+        {"even_plane": 86, "complement_triangle_free": 165, "strict_pg_sum": 0, "decomposer": 349},
+        "699cb7f79c7a33a777a854e4ed26c255c8345dd6ecf9f214b0164c2f5de3e3f4",
+    ),
+    (6, 180, 3): (
+        {"even_plane": 19, "complement_triangle_free": 33, "strict_pg_sum": 0, "decomposer": 128},
+        "8574d65e9c8d910ece77cde2dd2aa63f34505244623fdd0c80a45e8fdc571edf",
+    ),
+    (6, 180, 11): (
+        {"even_plane": 19, "complement_triangle_free": 46, "strict_pg_sum": 0, "decomposer": 115},
+        "baf68d280714ccef5f05dc46bf7586e795054627d965780711400a48c2237ec0",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,samples,seed", sorted(FROZEN_STRUCTURE_SAMPLED))
+def test_structure_sampled_reports_frozen(monkeypatch, n, samples, seed):
+    import hashlib
+
+    from binmatroid import verify
+
+    seen = []
+    sampler = verify.census.sample_claw_free_mask
+
+    def record(n, rng):
+        seen.append(sampler(n, rng))
+        return seen[-1]
+
+    monkeypatch.setattr(verify.census, "sample_claw_free_mask", record)
+    rep = verify.verify_structure_sampled(n, samples, seed)
+    outcomes, digest = FROZEN_STRUCTURE_SAMPLED[n, samples, seed]
+    assert rep == {
+        "suite": "structure", "mode": "sample", "n": n, "samples": samples,
+        "seed": seed, "checked": samples, "outcomes": outcomes,
+        "violations": [], "passed": True,
+    }
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
+
+
 def test_reports_state_the_range_checked():
     from binmatroid import verify
     from binmatroid.verify import run_suite

@@ -226,6 +226,27 @@ def test_closure_monotone(a, b):
     assert closure_mask(a << 1, 3).members & ~F.members == 0
 
 
+def _closure_oracle(mask, n):
+    """Echelon basis of every point of the mask, and its span."""
+    basis = gf2.echelon_basis(bits_list(mask & ~1))
+    return basis, gf2.span_from_basis(basis, n) & ~1
+
+
+def test_closure_mask_matches_all_points_echelon():
+    rng = random.Random("closure-mask")
+    for n in range(0, 11):
+        for i in range(60):
+            if i % 2:
+                mask = rng.getrandbits(1 << n)
+            else:
+                mask = mask_of(rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 5))) if n else 0
+            F = closure_mask(mask, n)
+            assert (F.basis, F.members) == _closure_oracle(mask, n), (n, mask)
+    mask = mask_of([3, 5, 6, 1 << 15, (1 << 16) - 1])
+    F = closure_mask(mask, 16)
+    assert (F.basis, F.members) == _closure_oracle(mask, 16)
+
+
 def test_empty_flat_is_first_class():
     e = empty_flat(5)
     assert e.dim == 0 and e.members == 0 and e.basis == ()

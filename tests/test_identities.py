@@ -1,8 +1,11 @@
 """The identities behind the fast predicates, each against a slow plane or
 anchor scan: even-plane is degree <= 2, anticlaw-free is claw-free
-complement, the lowest PG-sum anchor decides, and the flatness gate; and
-the claw-plane loop against the pair scan `find_claw`."""
+complement, the lowest PG-sum anchor decides, and the flatness gate; the
+claw-plane kernel against the pair scan `find_claw` and the per-hit
+loop; and the line-set PG-sum kernel against the per-plane loop."""
 
+import functools
+import operator
 import random
 
 import numpy as np
@@ -21,12 +24,13 @@ from binmatroid.gf2 import (
     iter_bits,
     xor_translate,
 )
-from binmatroid.recognize import pg_sum_witness_mask
+from binmatroid.recognize import pg_sum_forbidden_mask, pg_sum_witness_mask
 from binmatroid import tables
 
 
+@functools.lru_cache(maxsize=None)
 def _planes(n):
-    return [F.members for F in flats_of_dim(n, 3)]
+    return tuple(F.members for F in flats_of_dim(n, 3))
 
 
 def _even_plane_oracle(mask, planes):
@@ -152,8 +156,26 @@ def _claw_free_part(mask, n):
     return mask
 
 
-@pytest.mark.parametrize("n", [5, 6])
+def _per_hit_claw_free_on(planes, mask):
+    """Reference claw-plane loop: XOR the points of each 3-point hit."""
+    inter = planes & np.uint64(mask)
+    for i in np.flatnonzero(np.bitwise_count(inter) == 3):
+        if functools.reduce(operator.xor, iter_bits(int(inter[i]))):
+            return False
+    return True
+
+
+def test_line_set_is_every_table_dimensions_lines():
+    lines = tables._lines()
+    assert len(lines) == 651
+    for n in range(3, tables.PLANE_TABLE_MAX + 1):
+        assert lines >= set(tables.flat_members(n, 2))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_claw_plane_loop_matches_find_claw(n):
+    """The line-set kernel against `find_claw` and the per-hit loop, on all
+    planes and on the planes through one added point."""
     planes = tables.plane_array(n)
     per_point = tables.planes_through_point(n)
     rng = random.Random(f"claw-loop:{n}")
@@ -168,6 +190,7 @@ def test_claw_plane_loop_matches_find_claw(n):
                 mask = _flip(mask, n, rng)
         want = find_claw(BinaryMatroid(n, mask)) is None
         assert tables.claw_free_on(planes, mask) == want, (n, mask)
+        assert _per_hit_claw_free_on(planes, mask) == want
         assert tables.claw_free_mask(mask, n) == want
         seen[want] += 1
         # the sampler's use: E is claw-free, so every claw of E + p runs through p
@@ -178,6 +201,7 @@ def test_claw_plane_loop_matches_find_claw(n):
             cand = base | (1 << p)
             want = find_claw(BinaryMatroid(n, cand)) is None
             assert tables.claw_free_on(per_point[p], cand) == want, (n, base, p)
+            assert _per_hit_claw_free_on(per_point[p], cand) == want
             through[want] += 1
     assert min(seen.values()) >= 20 and min(through.values()) >= 20, (seen, through)
 
@@ -285,6 +309,50 @@ def test_first_anchor_witness_sampled(n, count):
                 mask = _flip(mask, n, rng)
         hits += _check_witness(mask, n) is not None
     assert hits > count // 10
+
+
+# -- PG-sum: the line-set forbidden-restriction kernel ----------------------
+
+
+def _pg_sum_forbidden_oracle(mask, n):
+    """Reference forbidden-restriction scan, one plane at a time."""
+    for pm in _planes(n):
+        inside = mask & pm
+        s = inside.bit_count()
+        if s in (5, 6):
+            return False
+        if s in (3, 4):
+            acc = functools.reduce(operator.xor, iter_bits(inside))
+            if (s == 3) == (acc != 0):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pg_sum_forbidden_kernel_exhaustive(n):
+    col = tables.sweep_tables(n)["pg_sum_forbidden_route"]
+    for code in range(tables.ground_codes(n)):
+        mask = code << 1
+        want = _pg_sum_forbidden_oracle(mask, n)
+        assert pg_sum_forbidden_mask(mask, n) == want == bool(col[code]), (n, mask)
+
+
+@pytest.mark.parametrize("n,count", [(5, 1500), (6, 600)])
+def test_pg_sum_forbidden_kernel_sampled(n, count):
+    rng = random.Random(f"forbidden:{n}")
+    seen = {True: 0, False: 0}
+    for i in range(count):
+        if i % 2 == 0:
+            mask = sample_uniform_mask(n, rng)
+        else:
+            f1 = _random_flat(n, rng)
+            mask = f1 | (_random_flat(n, rng) & ~f1)
+            if i % 4 == 3:
+                mask = _flip(mask, n, rng)
+        want = _pg_sum_forbidden_oracle(mask, n)
+        assert pg_sum_forbidden_mask(mask, n) == want, (n, mask)
+        seen[want] += 1
+    assert min(seen.values()) > count // 10, seen
 
 
 # -- the flatness gate --------------------------------------------------------

@@ -67,6 +67,16 @@ def test_restrict_examples():
     assert restrict(M, empty_flat(3)) == BinaryMatroid(0, 0)
 
 
+def test_restrict_matches_local_coordinates():
+    rng = random.Random("restrict")
+    for n in range(0, 10):
+        for _ in range(40):
+            F = closure([rng.randrange(1, 1 << n) for _ in range(rng.randint(0, n))], n) if n else gf2.empty_flat(0)
+            M = BinaryMatroid(n, rng.getrandbits(1 << n) & ~1)
+            want = mask_of(F.to_local(v) for v in iter_bits(M.mask & F.members))
+            assert restrict(M, F) == BinaryMatroid(F.dim, want), (n, M.mask, F.basis)
+
+
 def test_complement_examples():
     assert complement(c4()).points() == [3, 5, 6]
     assert complement(BinaryMatroid(4, 0)) == full_matroid(4)
