@@ -96,16 +96,19 @@ def complement(M: BinaryMatroid) -> BinaryMatroid:
 
 
 def rank_mask(mask: int, n: int) -> int:
-    """Rank of a point bitset, with an early exit at full rank."""
+    """Rank of a point bitset (bit 0 is ignored).
+
+    The span grows from the lowest point outside it, so it takes at most
+    n steps, as `gf2.closure_mask` does.
+    """
     span = 1
     dim = 0
-    full = (ground_mask(n) | 1)
-    for p in iter_bits(mask):
-        if not (span >> p) & 1:
-            span |= xor_translate(span, p, n)
-            dim += 1
-            if span == full:
-                break
+    rest = mask & ~1
+    while rest:
+        low = rest & -rest
+        span |= xor_translate(span, low.bit_length() - 1, n) if span != 1 else low
+        dim += 1
+        rest &= ~span
     return dim
 
 
@@ -168,6 +171,36 @@ def find_anticlaw(M: BinaryMatroid) -> Optional[Flat]:
 _TABLE_SPAN = 4
 
 
+def _colour_classes(C: int, table: TranslateTable, flip: int, limit: int) -> list[int]:
+    """Greedy colour classes of the points of C, lowest point first.
+
+    Two points q, r of C may share a class iff r lies in (E + q) ^ flip,
+    where E is the table's bitset: with flip = 0 a class holds no pair
+    whose sum lies outside E, with flip = -1 none whose sum lies in E.
+    A clique of the graph joining the other pairs has at most one point
+    in each class.  After `limit` classes the points still uncoloured
+    form one last entry, so the result has at most limit + 1 entries.
+    Each point reads one translate, from the table and not copied.
+    """
+    trans, get = table.entries, table.get
+    classes = []
+    while C:
+        if len(classes) == limit:
+            classes.append(C)
+            break
+        cls = 0
+        free = C
+        while free:
+            low = free & -free
+            cls |= low
+            free ^= low
+            q = low.bit_length() - 1
+            free &= (trans[q] or get(q)) ^ flip
+        C ^= cls
+        classes.append(cls)
+    return classes
+
+
 def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     """Dimension of the largest flat contained in the ground set.
 
@@ -178,18 +211,29 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     the meet of the translates E+(s+p), read from one table; deeper, V
     is translated by p.  A capacity bound prunes branches that cannot
     beat the best dimension found, and the search stops once it reaches
-    the bound of `_holds_hyperplane`: n - 1 when E holds a hyperplane,
-    else n - 2.
+    the least of two upper bounds: the bound of `_holds_hyperplane`,
+    n - 1 when E holds a hyperplane and else n - 2, and the colour bound.
+    A k-flat inside E is a (2^k - 1)-clique of the graph on E joining q
+    and r when q + r lies in E, so k <= log2(c + 1) for the c classes of
+    one greedy colouring of that graph at the root; the colouring stops
+    once c + 1 reaches 2^top, past which it cannot lower the bound.
+    README, "Bounds in the leaf searches", has the proof.
     """
-    E, n = M.mask, M.n
+    return _clique_search(M.mask, M.n, budget)[0]
+
+
+def _clique_search(E: int, n: int, budget: Optional[int]) -> tuple[int, int]:
+    """`clique_number` of (n, E), and the nodes its search took."""
     if E == 0:
-        return 0
+        return 0, 0
     if E == ground_mask(n):
-        return n
+        return n, 0
     top = n - 1 if _holds_hyperplane(E, n) else n - 2
     halves = _half_masks(n)
     table = TranslateTable(E, n)
     trans, get = table.entries, table.get
+    colours = len(_colour_classes(E, table, -1, (1 << top) - 1))
+    top = min(top, (colours + 1).bit_length() - 1)
     best = 1
     nodes = 0
 
@@ -233,7 +277,7 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
             dfs(Vc, Cc, dim + 1, child_piv, child_S)
 
     dfs(E, E, 0, {}, [0])
-    return best
+    return best, nodes
 
 
 def _holds_hyperplane(E: int, n: int) -> bool:
@@ -269,48 +313,64 @@ def independence_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
 def induced_independence_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     """Largest size of an independent J ⊆ E whose closure meets E only in J.
 
-    Branch and bound over ascending point insertions; two bitsets are
-    propagated per node: Z (points whose whole coset over the span S of
-    the chosen points avoids E) and the candidate set.  While S is small,
-    Z+p is the complement of the union of the translates E+(s+p), read
-    from one table; deeper, Z is translated by p.
+    Branch and bound; two bitsets are propagated per node: Z (points
+    whose whole coset over the span S of the chosen points avoids E) and
+    the candidate set C.  While S is small, Z+p is the complement of the
+    union of the translates E+(s+p), read from one table; deeper, Z is
+    translated by p.  Any two points q, r of such a J have q + r outside
+    E, so the rest of J is a clique of the graph on C joining those
+    pairs: each node colours C greedily in that graph and expands its
+    points in falling colour order, pruning once the chosen points plus
+    the colour cannot beat the best size found.  The search stops at
+    min(n, alpha + 1): the nonzero even sums of J are a (|J| - 1)-flat
+    avoiding E.  `budget` caps the nodes of this search and of the alpha
+    search together.  README, "Bounds in the leaf searches", has the proofs.
     """
     E, n = M.mask, M.n
     if E == 0:
         return 0
+    alpha, nodes = _clique_search(ground_mask(n) & ~E, n, budget)
+    cap = min(n, alpha + 1)
     full = (1 << (1 << n)) - 1
     table = TranslateTable(E, n)
     trans, get = table.entries, table.get
     best = 0
-    nodes = 0
 
     def dfs(Z: int, C: int, size: int, S: Optional[list[int]]) -> None:
         nonlocal best, nodes
         if size > best:
             best = size
-        if size + C.bit_count() <= best:
+        if best == cap or size + C.bit_count() <= best:
             return
         grow = S is not None and len(S) < _TABLE_SPAN
+        # colours above cap - size bound nothing: those points come last
+        # out of `_colour_classes`, and are expanded first
+        classes = _colour_classes(C, table, 0, cap - size)
         rest = C
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            p = low.bit_length() - 1
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(
-                    f"induced_independence_number budget {budget} exceeded"
-                )
-            if S is None:
-                shifted = xor_translate(Z, p, n)
-            else:
-                hit = 0
-                for s in S:
-                    s ^= p
-                    hit |= trans[s] or get(s)
-                shifted = full & ~hit
-            child_S = S + [s ^ p for s in S] if grow else None
-            dfs(Z & shifted, rest & shifted, size + 1, child_S)
+        for k in range(len(classes), 0, -1):
+            cls = classes[k - 1]
+            while cls:
+                if size + k <= best or best == cap:
+                    return
+                low = cls & -cls
+                cls ^= low
+                rest ^= low
+                p = low.bit_length() - 1
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise BudgetExceeded(
+                        f"induced_independence_number budget {budget} exceeded"
+                    )
+                if S is None:
+                    shifted = xor_translate(Z, p, n)
+                else:
+                    hit = 0
+                    for s in S:
+                        s ^= p
+                        hit |= trans[s] or get(s)
+                    shifted = full & ~hit
+                child_S = S + [s ^ p for s in S] if grow else None
+                dfs(Z & shifted, rest & shifted, size + 1, child_S)
 
     dfs(full & ~E, E, 0, [0])
     return best

@@ -285,10 +285,61 @@ def test_invariants_match_oracles_sampled(n):
             assert clique_number(M) == _omega_oracle(M), hex(M.mask)
 
 
+def _nodes_used(search, M):
+    """Least budget within which search(M) ends, by bisection; a search
+    that ends within a budget ends within every larger one."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            search(M, budget=hi)
+            break
+        except BudgetExceeded:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            search(M, budget=mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid
+    return hi
+
+
 #: (n, density, seed, omega, clique nodes, sigma, induced-independence
-#: nodes) for ground sets from `_seeded_mask`; node counts were found by
-#: bisecting `budget` before the searches read translates from a table
+#: nodes) for ground sets from `_seeded_mask`, recorded with `_nodes_used`
+#: once the searches had their colour bounds and the alpha + 1 cap; the
+#: sigma nodes include those of its alpha search
 FROZEN_SEARCH_NODES = [
+    (7, 0.5, 1, 3, 379, 4, 7),
+    (7, 0.8, 2, 4, 3316, 3, 6),
+    (7, 0.25, 3, 2, 2, 5, 3486),
+    (8, 0.5, 4, 4, 24, 4, 8891),
+    (8, 0.85, 5, 5, 46758, 3, 78),
+    (8, 0.2, 6, 2, 151, 6, 23701),
+    (8, 0.65, 7, 4, 9093, 4, 61),
+]
+
+
+@pytest.mark.parametrize(
+    "n,density,seed,omega,omega_nodes,sigma,sigma_nodes",
+    FROZEN_SEARCH_NODES,
+    ids=[f"{n}-{density}-{seed}" for n, density, seed, *_ in FROZEN_SEARCH_NODES],
+)
+def test_leaf_search_nodes_frozen(n, density, seed, omega, omega_nodes, sigma, sigma_nodes):
+    M = BinaryMatroid(n, _seeded_mask(n, density, seed))
+    for search, value, nodes in (
+        (clique_number, omega, omega_nodes),
+        (induced_independence_number, sigma, sigma_nodes),
+    ):
+        assert _nodes_used(search, M) == nodes
+        assert search(M, budget=nodes) == value
+
+
+#: the same rows with the node counts the searches took before their
+#: colour bounds and cap, found by bisecting `budget` before the searches
+#: read translates from a table; the searches kept below as oracles,
+#: `_clique_number_uncoloured` and `_sigma_ascending`, still take them
+UNBOUNDED_SEARCH_NODES = [
     (7, 0.5, 1, 3, 379, 4, 3308),
     (7, 0.8, 2, 4, 3316, 3, 1265),
     (7, 0.25, 3, 2, 52, 5, 2168),
@@ -300,13 +351,13 @@ FROZEN_SEARCH_NODES = [
 
 
 @pytest.mark.parametrize(
-    "n,density,seed,omega,omega_nodes,sigma,sigma_nodes", FROZEN_SEARCH_NODES
+    "n,density,seed,omega,omega_nodes,sigma,sigma_nodes", UNBOUNDED_SEARCH_NODES
 )
 def test_search_nodes_frozen(n, density, seed, omega, omega_nodes, sigma, sigma_nodes):
     M = BinaryMatroid(n, _seeded_mask(n, density, seed))
     for search, value, nodes in (
-        (clique_number, omega, omega_nodes),
-        (induced_independence_number, sigma, sigma_nodes),
+        (_clique_number_uncoloured, omega, omega_nodes),
+        (_sigma_ascending, sigma, sigma_nodes),
     ):
         with pytest.raises(BudgetExceeded):
             search(M, budget=nodes - 1)
@@ -545,6 +596,7 @@ def test_canonical_form_dimension_cap():
 
 def test_canonical_budget_hook():
     M = BinaryMatroid.from_points([1, 2, 4, 8, 16, 32], 6)
+    matroid._canonical_cache.pop((6, M.mask), None)  # a hit ignores the budget
     with pytest.raises(BudgetExceeded):
         canonical_form(M, budget=3)
 
@@ -684,6 +736,241 @@ def test_bounded_search_nodes_frozen(mask, omega, nodes):
     with pytest.raises(BudgetExceeded):
         clique_number(M, budget=nodes - 1)
     assert clique_number(M, budget=nodes) == omega
+
+
+# ---------------------------------------------------------------------------
+# The colour bounds and the alpha + 1 cap of the leaf searches
+# ---------------------------------------------------------------------------
+
+
+def _clique_number_uncoloured(M, budget=None):
+    """The clique search without its colour bound: `top` is the hyperplane
+    bound alone."""
+    return _clique_search_uncoloured(M, budget)[0]
+
+
+def _clique_search_uncoloured(M, budget=None):
+    """`_clique_number_uncoloured`, and the nodes its search took."""
+    E, n = M.mask, M.n
+    if E == 0:
+        return 0, 0
+    if E == ground_mask(n):
+        return n, 0
+    top = n - 1 if matroid._holds_hyperplane(E, n) else n - 2
+    halves = gf2._half_masks(n)
+    table = TranslateTable(E, n)
+    trans, get = table.entries, table.get
+    best = 1
+    nodes = 0
+
+    def dfs(V, C, dim, pivots, S):
+        nonlocal best, nodes
+        if dim > best:
+            best = dim
+        pop = V.bit_count()
+        if best == top or dim + ((pop >> dim) + 1).bit_length() - 1 <= best:
+            return
+        grow = S is not None and len(S) < matroid._TABLE_SPAN
+        rest = C
+        while rest and best < top:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded("uncoloured clique search")
+            r = p
+            while True:
+                h = r.bit_length() - 1
+                row = pivots.get(h)
+                if row is None:
+                    break
+                r ^= row
+            if S is None:
+                shifted = xor_translate(V, p, n)
+            else:
+                shifted = -1
+                for s in S:
+                    s ^= p
+                    shifted &= trans[s] or get(s)
+            child_piv = dict(pivots)
+            child_piv[h] = r
+            child_S = S + [s ^ p for s in S] if grow else None
+            dfs(V & shifted, rest & shifted & halves[h], dim + 1, child_piv, child_S)
+
+    dfs(E, E, 0, {}, [0])
+    return best, nodes
+
+
+def _sigma_ascending(M, budget=None):
+    """The induced independence search over ascending point insertions,
+    bounded by the candidate count alone, with no colours and no cap."""
+    E, n = M.mask, M.n
+    if E == 0:
+        return 0
+    full = (1 << (1 << n)) - 1
+    table = TranslateTable(E, n)
+    trans, get = table.entries, table.get
+    best = 0
+    nodes = 0
+
+    def dfs(Z, C, size, S):
+        nonlocal best, nodes
+        if size > best:
+            best = size
+        if size + C.bit_count() <= best:
+            return
+        grow = S is not None and len(S) < matroid._TABLE_SPAN
+        rest = C
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded("ascending sigma search")
+            if S is None:
+                shifted = xor_translate(Z, p, n)
+            else:
+                hit = 0
+                for s in S:
+                    s ^= p
+                    hit |= trans[s] or get(s)
+                shifted = full & ~hit
+            child_S = S + [s ^ p for s in S] if grow else None
+            dfs(Z & shifted, rest & shifted, size + 1, child_S)
+
+    dfs(full & ~E, E, 0, [0])
+    return best
+
+
+def _colours(E, n, flip):
+    """Classes of the greedy colouring of all of E: flip = -1 for the
+    clique search's graph (q + r in E), 0 for the sigma search's."""
+    return len(matroid._colour_classes(E, TranslateTable(E, n), flip, 1 << n))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_bounded_searches_match_unbounded_searches(n):
+    # seeded densities from sparse to dense, quadrics moved by a random
+    # map, and sets that hold a hyperplane
+    rng = random.Random(f"leaf-bounds:{n}")
+    densities = (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95)
+    if n == 9:  # the ascending sigma search is slow there
+        densities = (0.05, 0.2, 0.5, 0.8, 0.95)
+    masks = [_seeded_mask(n, d, rng.getrandbits(32)) for d in densities]
+    for _ in range(2):
+        images = _random_images(n, rng)
+        masks.append(apply_linear_map(BinaryMatroid(n, _random_quadric(n, rng)), images).mask)
+        H = closure(_random_images(n, rng)[: n - 1], n).members
+        masks.append(H | (_seeded_mask(n, 0.3, rng.getrandbits(32)) & ground_mask(n)))
+    tight = 0
+    for mask in masks:
+        M = BinaryMatroid(n, mask)
+        D = complement(M)
+        omega, alpha, sigma = clique_number(M), clique_number(D), induced_independence_number(M)
+        want, nodes = _clique_search_uncoloured(M)
+        assert omega == want, hex(mask)
+        assert alpha == _clique_number_uncoloured(D), hex(mask)
+        assert sigma == _sigma_ascending(M), hex(mask)
+        # lowering `top` only stops the same search sooner
+        assert clique_number(M, budget=nodes) == omega, hex(mask)
+        tight += sigma == min(n, alpha + 1)
+    assert tight > 0  # the cap stops some search
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_leaf_bounds_exhaustive(n):
+    omegas, sigmas = _definition_tables(n)
+    ground = ground_mask(n)
+    for code in range(1 << ((1 << n) - 1)):
+        E = code << 1
+        omega, sigma = omegas[code], sigmas[code]
+        alpha = omegas[(ground & ~E) >> 1]
+        assert sigma <= alpha + 1, hex(E)
+        assert (1 << omega) - 1 <= _colours(E, n, -1), hex(E)
+        assert sigma <= _colours(E, n, 0), hex(E)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_leaf_bounds_seeded(n):
+    rng = random.Random(f"leaf-bounds-seeded:{n}")
+    for density in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+        for _ in range(3 if n < 8 else 1):
+            M = BinaryMatroid(n, _seeded_mask(n, density, rng.getrandbits(32)))
+            D = complement(M)
+            omega, alpha = clique_number(M), clique_number(D)
+            sigma = induced_independence_number(M)
+            assert sigma <= alpha + 1, hex(M.mask)
+            assert (1 << omega) - 1 <= _colours(M.mask, n, -1), hex(M.mask)
+            assert (1 << alpha) - 1 <= _colours(D.mask, n, -1), hex(M.mask)
+            assert sigma <= _colours(M.mask, n, 0), hex(M.mask)
+
+
+def test_colour_classes_are_independent_and_stop_at_the_limit():
+    rng = random.Random("colour-classes")
+    for n in (3, 5, 7):
+        E = _seeded_mask(n, 0.5, rng.getrandbits(32))
+        table = TranslateTable(E, n)
+        for flip, joined in ((-1, lambda s: (E >> s) & 1), (0, lambda s: not (E >> s) & 1)):
+            classes = matroid._colour_classes(E, table, flip, 1 << n)
+            assert sum(classes) == E and sum(c.bit_count() for c in classes) == E.bit_count()
+            for cls in classes:
+                pts = list(iter_bits(cls))
+                assert not any(joined(q ^ r) for q, r in itertools.combinations(pts, 2))
+            limit = len(classes) - 1
+            capped = matroid._colour_classes(E, table, flip, limit)
+            assert capped[:limit] == classes[:limit]
+            assert capped[limit:] == [classes[limit]]
+
+
+def test_rank_mask_matches_echelon_basis():
+    rng = random.Random("rank-mask")
+    for n in range(0, 17):
+        ground = ground_mask(n)
+        cases = [0, ground]
+        if n:
+            cases.append(1 << rng.randrange(1, 1 << n))
+        for density in (0.001, 0.01, 0.1, 0.5):
+            if n <= 12:
+                cases.append(_seeded_mask(n, density, rng.getrandbits(32)))
+            else:  # fewer points, so that the oracle stays quick
+                cases.append(mask_of(rng.sample(range(1, 1 << n), 1 + int(density * 64))))
+        for mask in cases:
+            want = len(gf2.echelon_basis(iter_bits(mask)))
+            assert matroid.rank_mask(mask, n) == want, (n, hex(mask))
+
+
+def test_sigma_table_stays_under_its_bound(monkeypatch):
+    # the colourings read E+q for most q in E, and a table that kept
+    # them all would hold up to 2^14 translates of 2 KiB (32 MiB)
+    made = []
+
+    class Recording(TranslateTable):
+        __slots__ = ()
+
+        def __init__(self, mask, n):
+            super().__init__(mask, n)
+            made.append(self)
+
+    monkeypatch.setattr(matroid, "TranslateTable", Recording)
+    n = 14
+    # a dense set whose complement holds a 6-flat, so alpha >= 6 and the
+    # sigma search is not cut short by its cap
+    flat = closure([1 << i for i in range(6)], n).members
+    M = BinaryMatroid(n, ground_mask(n) & ~(flat | _seeded_mask(n, 0.01, 14)))
+    with pytest.raises(BudgetExceeded):
+        induced_independence_number(M, budget=5000)
+    alpha_table, table = made
+    assert alpha_table.entries[0] == ground_mask(n) & ~M.mask
+    assert table.entries[0] == M.mask
+    for t in made:
+        stored = [u for u, e in enumerate(t.entries) if e]
+        assert (len(stored) - 1) * (1 << n) // 8 <= gf2.TRANSLATE_TABLE_BYTES
+    assert table.room == 0  # the bound was reached, so it was exercised
+    stored = [u for u, e in enumerate(table.entries) if e]
+    for u in stored[:: len(stored) // 50]:
+        assert table.entries[u] == gf2.xor_translate(M.mask, u, n)
 
 
 def test_is_isomorphic_examples():
