@@ -327,9 +327,17 @@ def induced_independence_number(M: BinaryMatroid, budget: Optional[int] = None) 
     search together.  README, "Bounds in the leaf searches", has the proofs.
     """
     E, n = M.mask, M.n
+    alpha, nodes = _clique_search(ground_mask(n) & ~E, n, budget)
+    return _sigma_search(E, n, alpha, budget, nodes)
+
+
+def _sigma_search(
+    E: int, n: int, alpha: int, budget: Optional[int] = None, nodes: int = 0
+) -> int:
+    """`induced_independence_number` of (n, E), given its alpha; `nodes`
+    counts those already spent against `budget`."""
     if E == 0:
         return 0
-    alpha, nodes = _clique_search(ground_mask(n) & ~E, n, budget)
     cap = min(n, alpha + 1)
     full = (1 << (1 << n)) - 1
     table = TranslateTable(E, n)
@@ -384,7 +392,7 @@ def invariants(M: BinaryMatroid) -> InvariantRecord:
         omega=omega,
         chi=M.n - alpha,
         alpha=alpha,
-        sigma=induced_independence_number(M),
+        sigma=_sigma_search(M.mask, M.n, alpha),
         full_rank=is_full_rank(M),
     )
 
@@ -450,7 +458,7 @@ def _canonical_mask(n: int, E: int, budget: Optional[int] = None) -> int:
     if img is not None:
         _canonical_cache.move_to_end(key)
         return img
-    img = _canonical_search(n, E, budget)
+    img = _canonical_search(n, E, budget)[0]
     _canonical_cache[key] = img
     if len(_canonical_cache) > CANONICAL_CACHE_SIZE:
         _canonical_cache.popitem(last=False)
@@ -484,10 +492,11 @@ def _least_segment(
     return key, cands
 
 
-def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
+def _canonical_search(n: int, E: int, budget: Optional[int]) -> tuple[int, int]:
+    """Canonical mask of (n, E), and the nodes its search took."""
     ground = ground_mask(n)
     if n == 0 or E == 0 or E == ground:
-        return E
+        return E, 0
     npoints = 1 << n
     trans = translates(E, n)
     best: list[Optional[int]] = [None] * n
@@ -497,10 +506,12 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
 
     def rec(
         k: int, span: int, pre: list[int], prefix: list[int], stab: list[list[int]]
-    ) -> None:
+    ) -> int:
         # stab: the automorphisms found so far that fix every point of
         # prefix; a child inherits those that also fix its own point, and
-        # after each child only the automorphisms found since are tested
+        # after each child only the automorphisms found since are tested.
+        # Returns the level of the frame that resumes: k - 1, or a lower
+        # one after a tie at a leaf.
         nonlocal nodes
         # rest: least-key candidates not yet visited nor in the orbit of one
         key, rest = _least_segment(ground & ~span, pre, trans, best[k - 1])
@@ -522,23 +533,37 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
             if k == n:
                 if improved:
                     best_pre[0] = full_pre
-                elif best_pre[0] is not None:
-                    # a tie exhibits an automorphism of the ground set
+                else:
+                    # a tie exhibits an automorphism g of the ground set,
+                    # sending the best leaf's path to this one; if the paths
+                    # first part at level j, g fixes the common prefix and
+                    # maps the finished best child of level j onto this
+                    # path's child there, so that child's subtree is covered
                     ref = best_pre[0]
                     inv = [0] * npoints
                     for j, v in enumerate(ref):
                         inv[v] = j
                     auts.append([full_pre[inv[v]] for v in range(npoints)])
+                    j = 1
+                    while full_pre[1 << (j - 1)] == ref[1 << (j - 1)]:
+                        j += 1
+                    if j < k:
+                        return j
             else:
-                rec(
+                jump = rec(
                     k + 1,
                     span | xor_translate(span, w, n),
                     full_pre,
                     prefix + [w],
                     [t for t in stab if t[w] == w],
                 )
+                if jump < k:
+                    return jump
             if not rest:
                 break  # orbits and new automorphisms only prune later siblings
+            if len(auts) > seen:  # ties may have grown the group
+                stab.extend(t for t in auts[seen:] if all(t[u] == u for u in prefix))
+                seen = len(auts)
             if stab:
                 orbit = low
                 frontier = [w]
@@ -550,9 +575,7 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
                             orbit |= 1 << v
                             frontier.append(v)
                 rest &= ~orbit
-            if len(auts) > seen:  # ties may have grown the group
-                stab.extend(t for t in auts[seen:] if all(t[u] == u for u in prefix))
-                seen = len(auts)
+        return k - 1
 
     rec(1, 1, [0], [], [])
 
@@ -564,7 +587,7 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> int:
         for j in range(L):
             if (key >> (L - 1 - j)) & 1:
                 img |= 1 << (L + j)
-    return img
+    return img, nodes
 
 
 def canonical_form(M: BinaryMatroid, budget: Optional[int] = None) -> BinaryMatroid:

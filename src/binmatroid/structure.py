@@ -37,9 +37,9 @@ from .gf2 import (
 from .matroid import (
     BinaryMatroid,
     InvariantRecord,
+    _sigma_search,
     clique_number,
     complement,
-    induced_independence_number,
     is_full_rank,
     linear_map_table,
     rank_mask,
@@ -316,8 +316,9 @@ def _leaf_invariants(leaf: Leaf) -> InvariantRecord:
     A claw-free set has sigma 0 when empty, 1 when a flat, else 2; an
     even-plane set has omega 0 when empty, 1 when triangle-free, else 2;
     a set with triangle-free complement has alpha 0 when full, else 1.
-    README, "Invariants at the leaves", has the proofs; `invariants` is
-    the oracle.
+    The sigma search stops at alpha + 1 and takes alpha from here rather
+    than searching for it again.  README, "Invariants at the leaves", has
+    the proofs; `invariants` is the oracle.
     """
     M, tags = leaf.matroid, leaf.tags
     E, n = M.mask, M.n
@@ -332,7 +333,7 @@ def _leaf_invariants(leaf: Leaf) -> InvariantRecord:
     if tags.claw_free:
         sigma = 0 if E == 0 else 1 if is_flat(E, n) else 2
     else:
-        sigma = induced_independence_number(M)
+        sigma = _sigma_search(E, n, alpha)
     return InvariantRecord(
         omega=omega, chi=n - alpha, alpha=alpha, sigma=sigma, full_rank=is_full_rank(M)
     )

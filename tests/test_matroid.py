@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -480,6 +481,8 @@ FROZEN_FORMS = [
     (6, pg_sum(3, 3).mask, 0x4241128806a0c000),
     (6, _quadric_mask(6, elliptic=True), 0x9556566a3ffcfcc0),
     (6, _BASIS6_AND_SUM, 0xe880800080000000),
+    # the slowest set of the benchmark's census pool
+    (6, 0x1004000000, 0xc000000000000000),
 ]
 
 
@@ -489,9 +492,116 @@ def test_canonical_form_frozen(n, mask, form):
     assert canonical_form(BinaryMatroid(n, mask)).mask == form
 
 
-#: (n, ground set, search nodes), recorded with the frozen forms; the
-#: node count pins the visiting order and the automorphism pruning
+def _canonical_search_without_backjump(n, E, budget=None):
+    """The canonical search before it left the subtree under a leaf tie:
+    every frame finishes its children, and a frame adds the automorphisms
+    found under a child only after skipping that child's orbit."""
+    ground = ground_mask(n)
+    if n == 0 or E == 0 or E == ground:
+        return E, 0
+    npoints = 1 << n
+    trans = translates(E, n)
+    best = [None] * n
+    best_pre = [None]
+    auts = []
+    nodes = 0
+
+    def rec(k, span, pre, prefix, stab):
+        nonlocal nodes
+        key, rest = matroid._least_segment(ground & ~span, pre, trans, best[k - 1])
+        seen = len(auts)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded("canonical search without backjump")
+            slot = best[k - 1]
+            improved = slot is None or key < slot
+            if improved:
+                best[k - 1] = key
+                for t in range(k, n):
+                    best[t] = None
+            full_pre = pre + [w ^ u for u in pre]
+            if k == n:
+                if improved:
+                    best_pre[0] = full_pre
+                elif best_pre[0] is not None:
+                    ref = best_pre[0]
+                    inv = [0] * npoints
+                    for j, v in enumerate(ref):
+                        inv[v] = j
+                    auts.append([full_pre[inv[v]] for v in range(npoints)])
+            else:
+                rec(
+                    k + 1,
+                    span | xor_translate(span, w, n),
+                    full_pre,
+                    prefix + [w],
+                    [t for t in stab if t[w] == w],
+                )
+            if not rest:
+                break
+            if stab:
+                orbit = low
+                frontier = [w]
+                while frontier and rest & ~orbit:
+                    u = frontier.pop()
+                    for t in stab:
+                        v = t[u]
+                        if not (orbit >> v) & 1:
+                            orbit |= 1 << v
+                            frontier.append(v)
+                rest &= ~orbit
+            if len(auts) > seen:
+                stab.extend(t for t in auts[seen:] if all(t[u] == u for u in prefix))
+                seen = len(auts)
+
+    rec(1, 1, [0], [], [])
+    img = 0
+    for k in range(1, n + 1):
+        L = 1 << (k - 1)
+        for j in range(L):
+            if (best[k - 1] >> (L - 1 - j)) & 1:
+                img |= 1 << (L + j)
+    return img, nodes
+
+
+#: (n, ground set, search nodes); the node count pins the visiting order,
+#: the automorphism pruning and the backjump after a leaf tie.  Recorded
+#: once the search left the subtree under a tie, so the counts differ
+#: from those of `WITHOUT_BACKJUMP_NODES`, the same sets before
 FROZEN_NODES = [
+    (5, 0x10116, 329),
+    (5, 0x17a0cd4a, 462),
+    (5, 0x2000082, 378),
+    (6, 0xbfdbfee7bddf1f9e, 153),
+    (6, 0x5e79c701ddf9e87c, 481),
+    (6, _quadric_mask(6), 42),
+    (6, 0xfffffffe, 46),
+    (6, 0x100010116, 20194),
+    (6, pg_sum(3, 3).mask, 33),
+    (6, _quadric_mask(6, elliptic=True), 40),
+    (6, _BASIS6_AND_SUM, 1152),
+    # the slowest set of the benchmark's census pool
+    (6, 0x1004000000, 2885),
+]
+
+
+@pytest.mark.parametrize(
+    "n,mask,nodes", FROZEN_NODES, ids=[f"{n}-{mask:#x}" for n, mask, _ in FROZEN_NODES]
+)
+def test_canonical_nodes_frozen(n, mask, nodes):
+    # a budget of exactly the recorded count does not raise
+    assert matroid._canonical_search(n, mask, nodes)[1] == nodes
+
+
+#: the rows of `FROZEN_NODES` with the node counts the search took before
+#: it left the subtree under a leaf tie, which
+#: `_canonical_search_without_backjump` still takes; all but the last
+#: were recorded with the frozen forms by bisecting `budget`
+WITHOUT_BACKJUMP_NODES = [
     (5, 0x10116, 1812),
     (5, 0x17a0cd4a, 462),
     (5, 0x2000082, 633),
@@ -504,16 +614,40 @@ FROZEN_NODES = [
     (6, pg_sum(3, 3).mask, 1428),
     (6, _quadric_mask(6, elliptic=True), 103),
     (6, _BASIS6_AND_SUM, 10553),
+    (6, 0x1004000000, 3285),
 ]
 
 
-@pytest.mark.parametrize("n,mask,nodes", FROZEN_NODES)
+@pytest.mark.parametrize("n,mask,nodes", WITHOUT_BACKJUMP_NODES)
 def test_canonical_search_nodes_frozen(n, mask, nodes):
-    M = BinaryMatroid(n, mask)
-    matroid._canonical_cache.pop((n, mask), None)
-    with pytest.raises(BudgetExceeded):
-        canonical_form(M, budget=nodes - 1)
-    canonical_form(M, budget=nodes)
+    assert _canonical_search_without_backjump(n, mask)[1] == nodes
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_canonical_search_matches_search_without_backjump(n):
+    # seeded sets from sparse to dense, and sets of 2 and 4 points with
+    # their complements
+    rng = random.Random(f"backjump:{n}")
+    densities = (0.03, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97)
+    masks = [_seeded_mask(n, d, rng.getrandbits(32)) for d in densities]
+    for size in (2, 4):
+        points = mask_of(rng.sample(range(1, 1 << n), size))
+        masks += [points, ground_mask(n) & ~points]
+    for mask in masks:
+        form = matroid._canonical_search(n, mask, None)[0]
+        assert form == _canonical_search_without_backjump(n, mask)[0], hex(mask)
+
+
+@pytest.mark.parametrize("n,samples", [(5, 8), (6, 4)])
+def test_sampled_census_matches_search_without_backjump(n, samples, monkeypatch):
+    for seed in range(4):
+        monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
+        got = census.sampled_census(n, samples, seed, filter_claw_free=True)
+        monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
+        with monkeypatch.context() as patch:
+            patch.setattr(matroid, "_canonical_search", _canonical_search_without_backjump)
+            want = census.sampled_census(n, samples, seed, filter_claw_free=True)
+        assert got == want
 
 
 def _random_prefix(n, k, rng):
@@ -557,9 +691,10 @@ def test_least_segment_matches_per_candidate_keys():
 
 def test_canonical_budget_does_not_poison_cache():
     basis = BinaryMatroid.from_points([1, 2, 4, 8, 16], 5)
+    nodes = {(n, mask): count for n, mask, count in FROZEN_NODES}[5, basis.mask]
     matroid._canonical_cache.pop((5, basis.mask), None)
     with pytest.raises(BudgetExceeded):
-        canonical_form(basis, budget=3)
+        canonical_form(basis, budget=nodes - 1)
     assert (5, basis.mask) not in matroid._canonical_cache
     assert canonical_form(basis).mask == 0xe8800000
     # a hit returns the known form whatever the budget

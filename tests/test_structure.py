@@ -34,7 +34,7 @@ from binmatroid import (
     verify_structure_theorem,
 )
 from binmatroid import classify, invariants
-from binmatroid import census, gf2, structure
+from binmatroid import census, gf2, matroid, structure
 from binmatroid.census import random_even_plane_mask, sample_claw_free_mask
 from binmatroid.gf2 import TranslateTable, bits_list, full_flat, ground_mask, iter_bits
 from binmatroid.matroid import apply_linear_map
@@ -578,3 +578,24 @@ def test_leaf_invariants_seeded(n):
     assert any(f.strict_pg_sum for f in flags) and all(f.claw_free for f in flags)
     for M in inputs:
         assert _assert_leaf_matches(M)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_leaf_invariants_search_alpha_once(n, monkeypatch):
+    # a leaf in no basic class searches for omega and alpha once each, and
+    # its sigma search takes that alpha
+    rng = random.Random(f"leaf-alpha-once:{n}")
+    M = BinaryMatroid(n, rng.getrandbits(1 << n) & ground_mask(n))
+    tags = classify(M)
+    assert not (tags.even_plane or tags.complement_triangle_free or tags.claw_free)
+    want = invariants(M)
+    searched = []
+    search = matroid._clique_search
+
+    def counted(E, dim, budget):
+        searched.append(E)
+        return search(E, dim, budget)
+
+    monkeypatch.setattr(matroid, "_clique_search", counted)
+    assert structure._leaf_invariants(Leaf(M, tags)) == want
+    assert searched == [M.mask, ground_mask(n) & ~M.mask]
