@@ -17,7 +17,7 @@ from . import tables
 from .gf2 import _half_masks, echelon_basis, ground_mask, iter_bits, xor_translate
 from .matroid import BinaryMatroid, canonical_form, linear_map_table, seq_key
 from .construct import lift_join
-from .recognize import classify
+from .recognize import classify, claw_free_any
 from .matroid import is_full_rank
 from .structure import has_decomposer
 
@@ -193,33 +193,11 @@ def sample_claw_free_mask(n: int, rng: random.Random) -> int:
     """One seeded claw-free ground set from a mixture of strategies:
     greedy insertion, lift-joins of smaller claw-free sets, even-plane
     members, complements of triangle-free sets, dimension extension, and
-    plain rejection."""
+    plain rejection.  Below n = 5 it draws from the list of all claw-free
+    sets; from n = 5 on, one mixture serves every dimension."""
     if n <= 4:
         pool = tables.claw_free_masks_list(n)
         return pool[rng.randrange(len(pool))]
-    if n > tables.PLANE_TABLE_MAX:
-        # no plane tables out here: stick to strategies that are
-        # claw-free by construction, plus pair-scanned extensions
-        from .recognize import claw_free_any
-
-        roll = rng.random()
-        if roll < 0.4:
-            n1 = rng.randint(1, n - 1)
-            left = BinaryMatroid(n1, sample_claw_free_mask(n1, rng))
-            right = BinaryMatroid(n - n1, sample_claw_free_mask(n - n1, rng))
-            return lift_join(left, right).mask
-        if roll < 0.6:
-            return random_even_plane_mask(n, rng)
-        if roll < 0.8:
-            return ground_mask(n) & ~_greedy_triangle_free(n, rng)
-        base = sample_claw_free_mask(n - 1, rng)
-        half = 1 << (n - 1)
-        for _ in range(8):
-            layer = base | 1 if rng.random() < 0.5 else base ^ rng.getrandbits(half)
-            cand = base | ((layer & ((1 << half) - 1)) << half)
-            if claw_free_any(cand, n):
-                return cand
-        return base | (base << half)  # plain doubling always stays claw-free
     roll = rng.random()
     if roll < 0.30:
         return _greedy_claw_free(n, rng)
@@ -245,7 +223,7 @@ def sample_claw_free_mask(n: int, rng: random.Random) -> int:
             else:
                 layer = rng.getrandbits(1 << (n - 1))
             cand = base | ((layer & ((1 << half) - 1)) << half)
-            if tables.claw_free_mask(cand, n):
+            if claw_free_any(cand, n):
                 return cand
         return _greedy_claw_free(n, rng)
     # rejection from uniform subsets at a random density
@@ -255,7 +233,7 @@ def sample_claw_free_mask(n: int, rng: random.Random) -> int:
         for v in range(1, 1 << n):
             if rng.random() < density:
                 cand |= 1 << v
-        if tables.claw_free_mask(cand, n):
+        if claw_free_any(cand, n):
             return cand
     return _greedy_claw_free(n, rng)
 

@@ -305,6 +305,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer: a sample count or a dimension bound."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="binmatroid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -321,16 +329,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="census of ground sets up to isomorphism")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--filter", choices=("claw_free", "all"), default="all")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a theorem-verification suite")
     p.add_argument("suite", choices=verify.SUITE_NAMES)
-    p.add_argument("--n-max", type=int, default=None, dest="n_max")
+    p.add_argument("--n-max", type=_count, default=None, dest="n_max")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_count, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("gen", help="emit a built matroid as a matroid file")

@@ -4,8 +4,9 @@ Each predicate is decided by an identity rather than a plane search:
 even-plane is algebraic degree at most 2 (`tables.even_plane_mask`),
 anticlaw-free is claw-free complement, and the PG-sum witness grows one
 maximal flat from the lowest point and tests the rest for flatness.  The
-forbidden-restriction scan over planes is kept as an independent PG-sum
-route, and the verification suites cross-check the two.
+forbidden-restriction scan over planes (`tables.pg_sum_forbidden_mask`,
+n <= 6) is kept as an independent PG-sum route, and the verification
+suites cross-check the two.
 """
 
 from __future__ import annotations
@@ -13,12 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .gf2 import (
     Flat,
     closure_mask,
-    flats_of_dim,
     ground_mask,
     is_flat,
     iter_bits,
@@ -26,6 +24,7 @@ from .gf2 import (
 )
 from .matroid import BinaryMatroid, find_claw, rank_mask
 from . import tables
+from .tables import pg_sum_forbidden_mask  # the plane-table PG-sum route, re-exported
 
 
 @dataclass(frozen=True)
@@ -121,46 +120,9 @@ def is_pg_sum_direct(M: BinaryMatroid) -> Optional[tuple[Flat, Flat]]:
     return (closure_mask(f1, M.n), closure_mask(f2, M.n))
 
 
-def pg_sum_forbidden_mask(mask: int, n: int) -> bool:
-    """No plane meets E in five or six points, in a claw, or in four
-    points that sum to zero.
-
-    A plane's seven points sum to zero, so four of them sum to zero
-    exactly when the other three are a line.  Up to PLANE_TABLE_MAX the
-    plane table is met with E in numpy and the 3-point hits and the
-    complements of the 4-point hits are looked up in the line set;
-    beyond, the planes are streamed.
-    """
-    if n < 3:
-        return True
-    if n <= tables.PLANE_TABLE_MAX:
-        planes = tables.plane_array(n)
-        inter = planes & np.uint64(mask)
-        count = np.bitwise_count(inter)
-        if np.any((count == 5) | (count == 6)):
-            return False
-        lines = tables._lines()
-        four = count == 4
-        return lines.issuperset(inter[count == 3].tolist()) and lines.isdisjoint(
-            (planes[four] ^ inter[four]).tolist()
-        )
-    for F in flats_of_dim(n, 3):
-        inside = mask & F.members
-        s = inside.bit_count()
-        if s in (5, 6):
-            return False
-        if s == 3 or s == 4:
-            acc = 0
-            for v in iter_bits(inside):
-                acc ^= v
-            if (s == 3) == (acc != 0):
-                return False
-    return True
-
-
 def is_pg_sum_forbidden(M: BinaryMatroid) -> bool:
     """Forbidden-restriction route: no plane restriction is a claw, a
-    four-point zero-sum set, or has five or six points."""
+    four-point zero-sum set, or has five or six points (n <= 6)."""
     return pg_sum_forbidden_mask(M.mask, M.n)
 
 

@@ -456,28 +456,16 @@ def check_coset_confinement(inst: PartitionInstance) -> CosetReport:
     """Verify: if no triangle meets P and meets R exactly once, then cl(P)
     stays inside P ∪ Q and every coset of cl(P) lies within Q or within R
     (within Q, R1 or R2 under the refinement hypothesis)."""
-    from .tables import triangles
-
     n = inst.n
     p, q, r = inst.p_mask, inst.q_mask, inst.r_mask
-    hypothesis = True
-    for x, y, z in triangles(n):
-        in_p = ((p >> x) & 1) + ((p >> y) & 1) + ((p >> z) & 1)
-        if not in_p:
-            continue
-        in_r = ((r >> x) & 1) + ((r >> y) & 1) + ((r >> z) & 1)
-        if in_r == 1:
-            hypothesis = False
-            break
+    # a triangle {x, y, x + y} with x in P meets R exactly once iff its
+    # point in R is x + y with y in P ∪ Q; one meeting P, R1 and R2 is
+    # {x, y, x + y} with x in P, y in R2 and x + y in R1 (README, "Identities")
+    hypothesis = not any(r & xor_translate(p | q, x, n) for x in iter_bits(p))
     refinement_hyp: Optional[bool] = None
     if inst.r1_mask is not None:
-        refinement_hyp = True
         r1, r2 = inst.r1_mask, inst.r2_mask
-        for x, y, z in triangles(n):
-            t = (1 << x) | (1 << y) | (1 << z)
-            if t & p and t & r1 and t & r2:
-                refinement_hyp = False
-                break
+        refinement_hyp = not any(r1 & xor_translate(r2, x, n) for x in iter_bits(p))
     if not hypothesis:
         return CosetReport(hypothesis_met=False, refinement_hypothesis_met=refinement_hyp)
 
@@ -492,11 +480,7 @@ def check_coset_confinement(inst: PartitionInstance) -> CosetReport:
                 break
         if refinement_hyp:
             for c in cosets(F):
-                if not (
-                    c & ~q == 0
-                    or c & ~inst.r1_mask == 0
-                    or c & ~inst.r2_mask == 0
-                ):
+                if not (c & ~q == 0 or c & ~r1 == 0 or c & ~r2 == 0):
                     refinement_confined = False
                     break
     return CosetReport(

@@ -5,7 +5,8 @@ verification sweeps ask it of thousands of ground sets.  The plane lists
 are materialised once per dimension up to PLANE_TABLE_MAX.  For one set,
 `claw_free_on` intersects the planes with E in numpy and looks the 3-point
 hits up in the set of lines (three points of a plane are a basis unless
-they are a line).  For whole-subset sweeps at n <= 4, each plane's seven
+they are a line); `pg_sum_forbidden_mask` does the same for the PG-sum
+forbidden restrictions.  For whole-subset sweeps at n <= 4, each plane's seven
 membership bits are classified through small lookup tables.  The
 even-plane test needs no planes: it is a degree test.
 """
@@ -48,18 +49,6 @@ def planes_through_point(n: int) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def triangles(n: int) -> tuple[tuple[int, int, int], ...]:
-    """All triangles as sorted point triples (x, y, x^y)."""
-    out = []
-    for x in range(1, 1 << n):
-        for y in range(x + 1, 1 << n):
-            z = x ^ y
-            if z > y:
-                out.append((x, y, z))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _lines() -> frozenset[int]:
     """Membership masks of the lines of PG(PLANE_TABLE_MAX - 1, 2).
 
@@ -77,6 +66,28 @@ def claw_free_on(planes: np.ndarray, mask: int) -> bool:
     """
     inter = planes & np.uint64(mask)
     return _lines().issuperset(inter[np.bitwise_count(inter) == 3].tolist())
+
+
+def pg_sum_forbidden_mask(mask: int, n: int) -> bool:
+    """No plane meets E in five or six points, in a claw, or in four
+    points that sum to zero (n <= PLANE_TABLE_MAX; vacuous for n < 3).
+
+    A plane's seven points sum to zero, so four of them sum to zero
+    exactly when the other three are a line: the 3-point hits and the
+    complements of the 4-point hits are looked up in the line set.
+    """
+    if n < 3:
+        return True
+    planes = plane_array(n)
+    inter = planes & np.uint64(mask)
+    count = np.bitwise_count(inter)
+    if np.any((count == 5) | (count == 6)):
+        return False
+    lines = _lines()
+    four = count == 4
+    return lines.issuperset(inter[count == 3].tolist()) and lines.isdisjoint(
+        (planes[four] ^ inter[four]).tolist()
+    )
 
 
 def claw_free_mask(mask: int, n: int) -> bool:
@@ -201,8 +212,8 @@ __all__ = [
     "flat_members",
     "plane_array",
     "planes_through_point",
-    "triangles",
     "claw_free_on",
+    "pg_sum_forbidden_mask",
     "claw_free_mask",
     "anticlaw_free_mask",
     "even_plane_mask",

@@ -10,8 +10,6 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-import numpy as np
-
 from . import census, tables
 from .construct import (
     c4,
@@ -82,10 +80,26 @@ def _n_max_fields(requested: int, cap: int) -> dict:
 MAX_VIOLATIONS = 20
 
 
+class _CapReached(Exception):
+    """A violation list grew past MAX_VIOLATIONS after `checked` cases."""
+
+    def __init__(self, checked: int):
+        super().__init__(checked)
+        self.checked = checked
+
+
+def _violation(violations: list, violation: dict, checked: int) -> None:
+    """Append a violation found among the first `checked` cases, and stop
+    the suite, later phases included, once the list passes the cap."""
+    violations.append(violation)
+    if len(violations) > MAX_VIOLATIONS:
+        raise _CapReached(checked)
+
+
 def _truncation_fields(stopped_at: Optional[int]) -> dict:
     """Report fields of the violation cap: `truncated` says whether the
     suite stopped at it, and `stopped_at` is the number of cases checked
-    when it first did."""
+    when it did."""
     if stopped_at is None:
         return {"truncated": False}
     return {"truncated": True, "stopped_at": stopped_at}
@@ -112,8 +126,7 @@ def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> d
     outcomes = {"even_plane": 0, "complement_triangle_free": 0, "strict_pg_sum": 0, "decomposer": 0}
     violations = []
     for n in range(n_max + 1):
-        for code in np.flatnonzero(tables.sweep_tables(n)["claw_free"]):
-            mask = int(code) << 1
+        for mask in tables.claw_free_masks_list(n):
             checked += 1
             out = _structure_outcome(mask, n)
             if out is None:
@@ -139,7 +152,7 @@ def verify_structure_sampled(n: int, samples: int, seed: int) -> dict:
     violations = []
     for _ in range(samples):
         mask = census.sample_claw_free_mask(n, rng)
-        if not tables.claw_free_mask(mask, n):  # sampler contract re-checked
+        if not claw_free_any(mask, n):  # sampler contract re-checked
             violations.append({"n": n, "points": list(iter_bits(mask)), "reason": "sampler produced a claw"})
             continue
         checked += 1
@@ -267,77 +280,73 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
     checked = 0
     stopped_at = None
 
-    for i in range(samples):
-        checked += 1
-        # associativity, bitwise
-        da, db, dc = (rng.choice(_TRIPLE_DIMS) for _ in range(3))
-        A, B, C = (_random_matroid(d, rng) for d in (da, db, dc))
-        left = lift_join(lift_join(A, B), C)
-        right = lift_join(A, lift_join(B, C))
-        if left != right:
-            violations.append({"check": "associativity", "i": i})
-        # complement homomorphism, bitwise
-        d1, d2 = rng.choice(_PAIR_DIMS), rng.choice(_PAIR_DIMS)
-        M1, M2 = _random_matroid(d1, rng), _random_matroid(d2, rng)
-        M = lift_join(M1, M2)
-        if complement(M) != lift_join(complement(M1), complement(M2)):
-            violations.append({"check": "complement", "i": i})
-        # parameter additivity
-        w1, w2 = clique_number(M1), clique_number(M2)
-        if clique_number(M) != w1 + w2:
-            violations.append({"check": "omega_additive", "i": i})
-        a1 = clique_number(complement(M1))
-        a2 = clique_number(complement(M2))
-        chi = M.n - clique_number(complement(M))
-        if chi != (M1.n - a1) + (M2.n - a2):
-            violations.append({"check": "chi_additive", "i": i})
-        # sigma and full rank through the join, as `structure.fold_invariants`
-        # reads them
-        sigma = max(induced_independence_number(M1), induced_independence_number(M2))
-        if M1.mask != ground_mask(d1) and M2.mask:
-            sigma = max(sigma, 2)
-        if induced_independence_number(M) != sigma:
-            violations.append({"check": "sigma_lift_join", "i": i})
-        # a 0-dimensional M2 leaves M = M1, outside the rank rule
-        if d2 and (rank_mask(M.mask, M.n) == M.n) != (rank_mask(M2.mask, d2) == d2):
-            violations.append({"check": "full_rank_lift_join", "i": i})
-        # restriction compatibility, bitwise
-        F1, F2 = _random_flat(d1, rng), _random_flat(d2, rng)
-        combined = closure_mask(
-            F1.members | sum(1 << (v << d1) for v in iter_bits(F2.members)), M.n
-        )
-        if restrict(M, combined) != lift_join(restrict(M1, F1), restrict(M2, F2)):
-            violations.append({"check": "restriction", "i": i})
-        # claw-free closure
-        c1 = _random_claw_free(rng.choice(_PAIR_DIMS), rng)
-        c2 = _random_claw_free(rng.choice(_PAIR_DIMS), rng)
-        cj = lift_join(c1, c2)
-        if not claw_free_any(cj.mask, cj.n):
-            violations.append({"check": "claw_free_closure", "i": i})
-        # partial lift-join bounds on sigma and omega
-        P1, P2 = _random_matroid(d1, rng), _random_matroid(d2, rng)
-        G1, G2 = _random_flat(d1, rng), _random_flat(d2, rng)
-        PM = partial_lift_join(P1, G1, P2, G2)
-        s1, s2 = induced_independence_number(P1), induced_independence_number(P2)
-        if induced_independence_number(PM) > max(3, 2 * (s1 + s2)):
-            violations.append({"check": "partial_sigma", "i": i})
-        if clique_number(PM) > clique_number(P1) + clique_number(P2):
-            violations.append({"check": "partial_omega", "i": i})
-        if len(violations) > MAX_VIOLATIONS:
-            stopped_at = checked
-            break
+    try:
+        for i in range(samples):
+            checked += 1
+            # associativity, bitwise
+            da, db, dc = (rng.choice(_TRIPLE_DIMS) for _ in range(3))
+            A, B, C = (_random_matroid(d, rng) for d in (da, db, dc))
+            left = lift_join(lift_join(A, B), C)
+            right = lift_join(A, lift_join(B, C))
+            if left != right:
+                _violation(violations, {"check": "associativity", "i": i}, checked)
+            # complement homomorphism, bitwise
+            d1, d2 = rng.choice(_PAIR_DIMS), rng.choice(_PAIR_DIMS)
+            M1, M2 = _random_matroid(d1, rng), _random_matroid(d2, rng)
+            M = lift_join(M1, M2)
+            if complement(M) != lift_join(complement(M1), complement(M2)):
+                _violation(violations, {"check": "complement", "i": i}, checked)
+            # parameter additivity
+            w1, w2 = clique_number(M1), clique_number(M2)
+            if clique_number(M) != w1 + w2:
+                _violation(violations, {"check": "omega_additive", "i": i}, checked)
+            a1 = clique_number(complement(M1))
+            a2 = clique_number(complement(M2))
+            chi = M.n - clique_number(complement(M))
+            if chi != (M1.n - a1) + (M2.n - a2):
+                _violation(violations, {"check": "chi_additive", "i": i}, checked)
+            # sigma and full rank through the join, as `structure.fold_invariants`
+            # reads them
+            sigma = max(induced_independence_number(M1), induced_independence_number(M2))
+            if M1.mask != ground_mask(d1) and M2.mask:
+                sigma = max(sigma, 2)
+            if induced_independence_number(M) != sigma:
+                _violation(violations, {"check": "sigma_lift_join", "i": i}, checked)
+            # a 0-dimensional M2 leaves M = M1, outside the rank rule
+            if d2 and (rank_mask(M.mask, M.n) == M.n) != (rank_mask(M2.mask, d2) == d2):
+                _violation(violations, {"check": "full_rank_lift_join", "i": i}, checked)
+            # restriction compatibility, bitwise
+            F1, F2 = _random_flat(d1, rng), _random_flat(d2, rng)
+            combined = closure_mask(
+                F1.members | sum(1 << (v << d1) for v in iter_bits(F2.members)), M.n
+            )
+            if restrict(M, combined) != lift_join(restrict(M1, F1), restrict(M2, F2)):
+                _violation(violations, {"check": "restriction", "i": i}, checked)
+            # claw-free closure
+            c1 = _random_claw_free(rng.choice(_PAIR_DIMS), rng)
+            c2 = _random_claw_free(rng.choice(_PAIR_DIMS), rng)
+            cj = lift_join(c1, c2)
+            if not claw_free_any(cj.mask, cj.n):
+                _violation(violations, {"check": "claw_free_closure", "i": i}, checked)
+            # partial lift-join bounds on sigma and omega
+            P1, P2 = _random_matroid(d1, rng), _random_matroid(d2, rng)
+            G1, G2 = _random_flat(d1, rng), _random_flat(d2, rng)
+            PM = partial_lift_join(P1, G1, P2, G2)
+            s1, s2 = induced_independence_number(P1), induced_independence_number(P2)
+            if induced_independence_number(PM) > max(3, 2 * (s1 + s2)):
+                _violation(violations, {"check": "partial_sigma", "i": i}, checked)
+            if clique_number(PM) > clique_number(P1) + clique_number(P2):
+                _violation(violations, {"check": "partial_omega", "i": i}, checked)
 
-    for i in range(samples // 10):
-        checked += 1
-        f1 = _random_i4_free(rng.choice(_PAIR_DIMS), rng)
-        f2 = _random_i4_free(rng.choice(_PAIR_DIMS), rng)
-        fj = lift_join(f1, f2)
-        if induced_independence_number(fj) > 3:
-            violations.append({"check": "i4_free_closure", "i": i})
-            if len(violations) > MAX_VIOLATIONS:
-                if stopped_at is None:
-                    stopped_at = checked
-                break
+        for i in range(samples // 10):
+            checked += 1
+            f1 = _random_i4_free(rng.choice(_PAIR_DIMS), rng)
+            f2 = _random_i4_free(rng.choice(_PAIR_DIMS), rng)
+            fj = lift_join(f1, f2)
+            if induced_independence_number(fj) > 3:
+                _violation(violations, {"check": "i4_free_closure", "i": i}, checked)
+    except _CapReached as cap:
+        stopped_at = cap.checked
 
     return {
         "suite": "ljparams",
@@ -373,22 +382,18 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     fields = _n_max_fields(n_max, 4)
     rng = random.Random(seed)
     violations = []
-    checked = 0
+    checked = sampled = chi_checked = 0
     stopped_at = None
-    for n in range(fields["n_max"] + 1):
-        forbidden_col = tables.sweep_tables(n)["pg_sum_forbidden_route"]
-        for code in range(tables.ground_codes(n)):
-            checked += 1
-            mask = code << 1
-            direct = pg_sum_witness_mask(mask, n) is not None
-            if direct != bool(forbidden_col[code]):
-                violations.append({"n": n, "points": list(iter_bits(mask))})
-        if len(violations) > MAX_VIOLATIONS:
-            stopped_at = checked
-            break
+    try:
+        for n in range(fields["n_max"] + 1):
+            forbidden_col = tables.sweep_tables(n)["pg_sum_forbidden_route"]
+            for code in range(tables.ground_codes(n)):
+                checked += 1
+                mask = code << 1
+                direct = pg_sum_witness_mask(mask, n) is not None
+                if direct != bool(forbidden_col[code]):
+                    _violation(violations, {"n": n, "points": list(iter_bits(mask))}, checked)
 
-    sampled = 0
-    if samples:
         n = 5
         for i in range(samples):
             roll = rng.random()
@@ -402,30 +407,37 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
                         mask ^= 1 << rng.randint(1, (1 << n) - 1)
             sampled += 1
             if (pg_sum_witness_mask(mask, n) is not None) != pg_sum_forbidden_mask(mask, n):
-                violations.append({"n": n, "points": list(iter_bits(mask))})
-                if len(violations) > MAX_VIOLATIONS:
-                    if stopped_at is None:
-                        stopped_at = checked + sampled
-                    break
+                _violation(
+                    violations, {"n": n, "points": list(iter_bits(mask))}, checked + sampled
+                )
 
-    # perfection: chi equals omega on PG-sums
-    chi_checked = 0
-    for n in range(fields["n_max"] + 1):
-        all_flats = [F.members for d in range(n + 1) for F in flats_of_dim(n, d)]
-        for fm1 in all_flats:
-            for fm2 in all_flats:
-                if fm1 & fm2:
-                    continue
-                M = BinaryMatroid(n, fm1 | fm2)
+        # perfection: chi equals omega on PG-sums
+        for n in range(fields["n_max"] + 1):
+            all_flats = [F.members for d in range(n + 1) for F in flats_of_dim(n, d)]
+            for fm1 in all_flats:
+                for fm2 in all_flats:
+                    if fm1 & fm2:
+                        continue
+                    M = BinaryMatroid(n, fm1 | fm2)
+                    chi_checked += 1
+                    if M.n - clique_number(complement(M)) != clique_number(M):
+                        _violation(
+                            violations,
+                            {"n": n, "chi_neq_omega": M.points()},
+                            checked + sampled + chi_checked,
+                        )
+        for d1 in range(6):
+            for d2 in range(6 - d1):
+                M = pg_sum(d1, d2)
                 chi_checked += 1
                 if M.n - clique_number(complement(M)) != clique_number(M):
-                    violations.append({"n": n, "chi_neq_omega": M.points()})
-    for d1 in range(6):
-        for d2 in range(6 - d1):
-            M = pg_sum(d1, d2)
-            chi_checked += 1
-            if M.n - clique_number(complement(M)) != clique_number(M):
-                violations.append({"pg_sum": (d1, d2), "chi_neq_omega": True})
+                    _violation(
+                        violations,
+                        {"pg_sum": (d1, d2), "chi_neq_omega": True},
+                        checked + sampled + chi_checked,
+                    )
+    except _CapReached as cap:
+        stopped_at = cap.checked
 
     return {
         "suite": "pgsum",
@@ -467,22 +479,18 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
     fields = _n_max_fields(n_max, 4)
     rng = random.Random(seed)
     violations = []
-    checked = 0
+    checked = sampled = 0
     stopped_at = None
-    for n in range(fields["n_max"] + 1):
-        sweep = tables.sweep_tables(n)
-        both = sweep["claw_free"] & sweep["anticlaw_free"]
-        for code in range(tables.ground_codes(n)):
-            checked += 1
-            M = BinaryMatroid(n, int(code) << 1)
-            if (is_target(M) is not None) != bool(both[code]):
-                violations.append({"n": n, "points": M.points()})
-        if len(violations) > MAX_VIOLATIONS:
-            stopped_at = checked
-            break
+    try:
+        for n in range(fields["n_max"] + 1):
+            sweep = tables.sweep_tables(n)
+            both = sweep["claw_free"] & sweep["anticlaw_free"]
+            for code in range(tables.ground_codes(n)):
+                checked += 1
+                M = BinaryMatroid(n, code << 1)
+                if (is_target(M) is not None) != bool(both[code]):
+                    _violation(violations, {"n": n, "points": M.points()}, checked)
 
-    sampled = 0
-    if samples:
         n = 5
         for i in range(samples):
             roll = rng.random()
@@ -500,11 +508,11 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
             lhs = is_target(BinaryMatroid(n, mask)) is not None
             rhs = tables.claw_free_mask(mask, n) and tables.anticlaw_free_mask(mask, n)
             if lhs != rhs:
-                violations.append({"n": n, "points": list(iter_bits(mask))})
-                if len(violations) > MAX_VIOLATIONS:
-                    if stopped_at is None:
-                        stopped_at = checked + sampled
-                    break
+                _violation(
+                    violations, {"n": n, "points": list(iter_bits(mask))}, checked + sampled
+                )
+    except _CapReached as cap:
+        stopped_at = cap.checked
 
     return {
         "suite": "target",
@@ -543,7 +551,8 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
 
     rng = random.Random(seed)
     violations = []
-    checked = 0
+    checked = recon_checked = recon_exact = 0
+    stopped_at = None
 
     def check_one(M: BinaryMatroid, F: Flat) -> None:
         nonlocal checked
@@ -555,7 +564,7 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
             in_place |= xor_translate(span, e, M.n)
         lhs = is_decomposer(M, F)
         if lhs != (in_place == M.mask):
-            violations.append({"n": M.n, "points": M.points(), "flat": F.points()})
+            _violation(violations, {"n": M.n, "points": M.points(), "flat": F.points()}, checked)
             return
         if lhs:
             # the re-embedded join equals M through the basis change
@@ -568,43 +577,46 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
             for v in iter_bits(M.mask):
                 image |= 1 << inverse[v]
             if image != joined.mask:
-                violations.append(
-                    {"n": M.n, "points": M.points(), "flat": F.points(), "reason": "join image"}
+                _violation(
+                    violations,
+                    {"n": M.n, "points": M.points(), "flat": F.points(), "reason": "join image"},
+                    checked,
                 )
 
-    for n in (2, 3):
-        proper_flats = [F for d in range(1, n) for F in flats_of_dim(n, d)]
-        for code in range(tables.ground_codes(n)):
-            M = BinaryMatroid(n, code << 1)
-            for F in proper_flats:
-                check_one(M, F)
+    try:
+        for n in (2, 3):
+            proper_flats = [F for d in range(1, n) for F in flats_of_dim(n, d)]
+            for code in range(tables.ground_codes(n)):
+                M = BinaryMatroid(n, code << 1)
+                for F in proper_flats:
+                    check_one(M, F)
 
-    for n in (4, 5):
-        proper_flats = [F for d in range(1, n) for F in flats_of_dim(n, d)]
-        for _ in range(samples):
+        for n in (4, 5):
+            proper_flats = [F for d in range(1, n) for F in flats_of_dim(n, d)]
+            for _ in range(samples):
+                M = _random_matroid(n, rng)
+                check_one(M, proper_flats[rng.randrange(len(proper_flats))])
+
+        for _ in range(recon_samples):
+            n = rng.randint(1, 6)
             M = _random_matroid(n, rng)
-            check_one(M, proper_flats[rng.randrange(len(proper_flats))])
-
-    recon_checked = 0
-    recon_exact = 0
-    stopped_at = None
-    for _ in range(recon_samples):
-        n = rng.randint(1, 6)
-        M = _random_matroid(n, rng)
-        tree = decompose(M)
-        rebuilt = reconstruct(tree)
-        recon_checked += 1
-        table = tree_point_map(tree)
-        image = 0
-        for v in iter_bits(M.mask):
-            image |= 1 << table[v]
-        if image != rebuilt.mask or rebuilt.n != M.n:
-            violations.append({"check": "reconstruct", "n": n, "points": M.points()})
-            if len(violations) > MAX_VIOLATIONS:
-                stopped_at = checked + recon_checked
-                break
-        else:
-            recon_exact += 1
+            tree = decompose(M)
+            rebuilt = reconstruct(tree)
+            recon_checked += 1
+            table = tree_point_map(tree)
+            image = 0
+            for v in iter_bits(M.mask):
+                image |= 1 << table[v]
+            if image != rebuilt.mask or rebuilt.n != M.n:
+                _violation(
+                    violations,
+                    {"check": "reconstruct", "n": n, "points": M.points()},
+                    checked + recon_checked,
+                )
+            else:
+                recon_exact += 1
+    except _CapReached as cap:
+        stopped_at = cap.checked
 
     return {
         "suite": "rlj",
@@ -686,26 +698,28 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
     refinement_met = 0
     violations = []
     stopped_at = None
-    while met < samples:
-        generated += 1
-        n = rng.randint(2, n_max)
-        inst = (
-            _structured_partition(n, rng)
-            if rng.random() < 0.7
-            else _uniform_partition(n, rng)
-        )
-        report = check_coset_confinement(inst)
-        if not report.ok:
-            violations.append(
-                {"n": n, "P": list(iter_bits(inst.p_mask)), "R": list(iter_bits(inst.r_mask))}
+    try:
+        while met < samples:
+            generated += 1
+            n = rng.randint(2, n_max)
+            inst = (
+                _structured_partition(n, rng)
+                if rng.random() < 0.7
+                else _uniform_partition(n, rng)
             )
-            if len(violations) > MAX_VIOLATIONS:
-                stopped_at = generated
-                break
-        if report.hypothesis_met:
-            met += 1
-            if report.refinement_hypothesis_met:
-                refinement_met += 1
+            report = check_coset_confinement(inst)
+            if not report.ok:
+                _violation(
+                    violations,
+                    {"n": n, "P": list(iter_bits(inst.p_mask)), "R": list(iter_bits(inst.r_mask))},
+                    generated,
+                )
+            if report.hypothesis_met:
+                met += 1
+                if report.refinement_hypothesis_met:
+                    refinement_met += 1
+    except _CapReached as cap:
+        stopped_at = cap.checked
     return {
         "suite": "coset",
         "samples": samples,
@@ -744,29 +758,31 @@ def verify_semidouble(n_max: int = 4) -> dict:
     checked = 0
     violations = []
     stopped_at = None
-    for n in range(n_max + 1):
-        hyperplanes = list(flats_of_dim(n, n - 1)) if n >= 1 else []
-        for mask in census.even_plane_masks(n):
-            M = BinaryMatroid(n, mask)
-            checked += 1
-            if not tables.even_plane_mask(doubling(M).mask, n + 1):
-                violations.append({"op": "doubling", "n": n, "points": M.points()})
+    try:
+        for n in range(n_max + 1):
+            hyperplanes = list(flats_of_dim(n, n - 1)) if n >= 1 else []
             g = ground_mask(n)
-            for H in hyperplanes:
-                if not tables.even_plane_mask(semidoubling(M, H).mask, n + 1):
-                    violations.append(
-                        {"op": "semidoubling", "n": n, "points": M.points(), "h": H.points()}
-                    )
-                sym = mask ^ (g & ~H.members)
-                if not tables.even_plane_mask(sym, n):
-                    violations.append(
-                        {"op": "sym_diff", "n": n, "points": M.points(), "h": H.points()}
-                    )
-            if len(violations) > MAX_VIOLATIONS:
-                stopped_at = checked
-                break
-        if stopped_at is not None:
-            break
+            for mask in census.even_plane_masks(n):
+                M = BinaryMatroid(n, mask)
+                checked += 1
+                if not tables.even_plane_mask(doubling(M).mask, n + 1):
+                    _violation(violations, {"op": "doubling", "n": n, "points": M.points()}, checked)
+                for H in hyperplanes:
+                    if not tables.even_plane_mask(semidoubling(M, H).mask, n + 1):
+                        _violation(
+                            violations,
+                            {"op": "semidoubling", "n": n, "points": M.points(), "h": H.points()},
+                            checked,
+                        )
+                    sym = mask ^ (g & ~H.members)
+                    if not tables.even_plane_mask(sym, n):
+                        _violation(
+                            violations,
+                            {"op": "sym_diff", "n": n, "points": M.points(), "h": H.points()},
+                            checked,
+                        )
+    except _CapReached as cap:
+        stopped_at = cap.checked
     return {
         "suite": "semidouble",
         **fields,

@@ -127,13 +127,17 @@ FROZEN_CLAW_FREE = {
         0x2020801000400,
         0x28001400800040,
     ],
+    # re-recorded when n >= 7 joined the n = 5, 6 mixture; the separate
+    # n >= 7 mixture drew 0xFFFF00000000FF0000FF0000000028, 0xFFFF7788,
+    # 0xFFFFFFFFFFFFFFFF0004000004000000, 0xEFF9DE93FB6FB7EE97F67BEEFE9FEDFA,
+    # 0x100000C030000000100000C02 and 0xFFFFFFFF000000000000000030CF3030
     7: [
-        0xFFFF00000000FF0000FF0000000028,
-        0xFFFF7788,
-        0xFFFFFFFFFFFFFFFF0004000004000000,
-        0xEFF9DE93FB6FB7EE97F67BEEFE9FEDFA,
-        0x100000C030000000100000C02,
-        0xFFFFFFFF000000000000000030CF3030,
+        0x1020000000000000000008000200,
+        0x3F00003F3F00003F3F00003F3F00003E,
+        0xC35ACC5566FF960FFF99F0965A3CAACC,
+        0x13000001002,
+        0x200000000000000001000,
+        0x1000020400004000000000000000,
     ],
 }
 
@@ -155,8 +159,8 @@ def test_random_even_plane_member():
 
 def test_claw_free_sampler_is_claw_free():
     rng = random.Random(4)
-    for n in (5, 6):
-        for _ in range(150):
+    for n, count in ((5, 150), (6, 150), (7, 60), (8, 30)):
+        for _ in range(count):
             assert find_claw(BinaryMatroid(n, sample_claw_free_mask(n, rng))) is None
 
 

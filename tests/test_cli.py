@@ -339,6 +339,28 @@ def test_verify_unknown_suite_is_usage_error():
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "density", "--n-max", "-1"],
+        ["verify", "pgsum", "--n-max", "-2"],
+        ["verify", "coset", "--samples", "-3"],
+        ["enumerate", "--n", "5", "--mode", "sample", "--samples", "-4"],
+    ],
+)
+def test_negative_counts_are_usage_errors(argv):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert "must be nonnegative" in err
+
+
+def test_zero_samples_stay_legal_at_the_cli():
+    code, out, _ = run_cli(["verify", "pgsum", "--n-max", "0", "--samples", "0"])
+    assert code == 0 and json.loads(out)["sampled"] == 0
+    code, out, _ = run_cli(["enumerate", "--n", "5", "--mode", "sample", "--samples", "0"])
+    assert code == 0 and json.loads(out)["samples"] == 0
+
+
 def test_run_suite_honours_zero_samples():
     from binmatroid.verify import run_suite
 
@@ -479,12 +501,14 @@ def test_capped_violation_lists_are_marked(monkeypatch):
     from binmatroid import verify
 
     assert verify.verify_target(n_max=3, samples=0)["truncated"] is False
-    # every set is a violation: the cap is reached after n=3, before n=4
+    # the first 21 sets are claw-free and anticlaw-free, so each is a
+    # violation, and the sweep stops at the 21st, inside n = 3
     monkeypatch.setattr(verify, "is_target", lambda M: None)
-    rep = verify.verify_target(n_max=4, samples=0)
+    rep = verify.verify_target(n_max=4, samples=50)
     assert rep["truncated"] and not rep["passed"]
-    assert rep["stopped_at"] == rep["checked"] == 1 + 2 + 8 + 128
-    assert len(rep["violations"]) > verify.MAX_VIOLATIONS
+    assert rep["stopped_at"] == rep["checked"] == verify.MAX_VIOLATIONS + 1
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+    assert rep["sampled"] == 0  # the sampled phase is skipped
 
     monkeypatch.setattr(
         verify,
@@ -501,3 +525,46 @@ def test_capped_violation_lists_are_marked(monkeypatch):
     assert rep["truncated"]
     assert rep["stopped_at"] == rep["checked"]
     assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+
+
+def test_pgsum_cap_stops_the_later_phases(monkeypatch):
+    from binmatroid import verify
+
+    # the first 21 sets are PG-sums, so the sweep stops at the 21st
+    monkeypatch.setattr(verify, "pg_sum_witness_mask", lambda mask, n: None)
+    rep = verify.verify_pgsum(n_max=4, samples=50)
+    assert rep["truncated"] and not rep["passed"]
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+    assert rep["stopped_at"] == rep["checked"] == verify.MAX_VIOLATIONS + 1
+    assert rep["sampled"] == rep["chi_checked"] == 0
+
+    # a fault only the sampled phase sees stops it, and the chi phase is skipped
+    monkeypatch.undo()
+    witness = verify.pg_sum_witness_mask
+    monkeypatch.setattr(verify, "pg_sum_forbidden_mask", lambda mask, n: witness(mask, n) is None)
+    rep = verify.verify_pgsum(n_max=2, samples=50)
+    assert len(rep["violations"]) == rep["sampled"] == verify.MAX_VIOLATIONS + 1
+    assert rep["stopped_at"] == rep["checked"] + rep["sampled"]
+    assert rep["chi_checked"] == 0
+
+
+def test_rlj_cap_stops_the_flat_checks(monkeypatch):
+    from binmatroid import verify
+
+    monkeypatch.setattr(verify, "is_decomposer", lambda M, F: True)
+    rep = verify.verify_rlj(samples=50, recon_samples=50)
+    assert rep["truncated"] and not rep["passed"]
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+    assert rep["stopped_at"] == rep["checked"]
+    assert rep["recon_checked"] == 0
+
+
+def test_ljparams_cap_skips_the_i4_loop(monkeypatch):
+    from binmatroid import verify
+
+    # every claw-free closure check fails: one violation per main-loop case
+    monkeypatch.setattr(verify, "claw_free_any", lambda mask, n: False)
+    rep = verify.verify_ljparams(samples=100)
+    assert rep["truncated"] and not rep["passed"]
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+    assert rep["stopped_at"] == rep["checked"] == verify.MAX_VIOLATIONS + 1

@@ -3,6 +3,7 @@ stale export behind."""
 
 import ast
 import inspect
+from pathlib import Path
 
 import binmatroid
 from binmatroid import tables
@@ -23,3 +24,20 @@ def test_package_namespace_resolves():
     ]
     assert len(names) > 50
     assert [name for name in names if not hasattr(binmatroid, name)] == []
+
+
+def test_only_tables_imports_numpy():
+    """The plane tables are the package's one numpy module."""
+    package = Path(binmatroid.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+                importers.append(path.stem)
+    assert sorted(set(importers)) == ["tables"]

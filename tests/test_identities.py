@@ -355,6 +355,32 @@ def test_pg_sum_forbidden_kernel_sampled(n, count):
     assert min(seen.values()) > count // 10, seen
 
 
+def test_pg_sum_witness_matches_forbidden_oracle_past_the_tables():
+    """Past PLANE_TABLE_MAX the forbidden-restriction kernel raises, as the
+    plane tables do; the witness still agrees with the per-plane scan."""
+    n = 7
+    with pytest.raises(ValueError):
+        pg_sum_forbidden_mask(0, n)
+    rng = random.Random(f"forbidden:{n}")
+    seen = {True: 0, False: 0}
+    for i in range(160):
+        if i % 4 == 0:
+            mask = sample_uniform_mask(n, rng)
+        else:
+            f1 = _random_flat(n, rng)
+            mask = f1 | (_random_flat(n, rng) & ~f1)
+            if i % 4 == 3:
+                mask = _flip(mask, n, rng)
+        want = _pg_sum_forbidden_oracle(mask, n)
+        assert (pg_sum_witness_mask(mask, n) is not None) == want, (n, mask)
+        seen[want] += 1
+    assert min(seen.values()) > 16, seen
+
+
+def test_pg_sum_forbidden_kernel_is_the_table_kernel():
+    assert pg_sum_forbidden_mask is tables.pg_sum_forbidden_mask
+
+
 # -- the flatness gate --------------------------------------------------------
 
 

@@ -328,6 +328,42 @@ def test_coset_confinement_hypothesis_not_met():
     assert rep.ok  # not a failure, just out of scope
 
 
+def _triangle_hypotheses(inst):
+    """Reference hypothesis tests, one triangle {x, y, x + y} at a time: no
+    triangle meets P and meets R exactly once; no triangle meets P, R1 and R2."""
+    triangles = [
+        (1 << x) | (1 << y) | (1 << (x ^ y))
+        for x in range(1, 1 << inst.n)
+        for y in range(x + 1, 1 << inst.n)
+        if x ^ y > y
+    ]
+    hypothesis = not any(
+        t & inst.p_mask and (t & inst.r_mask).bit_count() == 1 for t in triangles
+    )
+    refinement = None
+    if inst.r1_mask is not None:
+        refinement = not any(
+            t & inst.p_mask and t & inst.r1_mask and t & inst.r2_mask for t in triangles
+        )
+    return hypothesis, refinement
+
+
+def test_coset_hypotheses_match_triangle_loop():
+    from binmatroid.verify import _structured_partition, _uniform_partition
+
+    rng = random.Random("coset-translate")
+    seen = set()
+    for i in range(3000):
+        n = 2 + i % 5
+        make = _structured_partition if i % 3 else _uniform_partition
+        inst = make(n, rng)
+        rep = check_coset_confinement(inst)
+        want = _triangle_hypotheses(inst)
+        assert (rep.hypothesis_met, rep.refinement_hypothesis_met) == want, inst
+        seen.add(want)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         PartitionInstance(2, 0b10, 0b10, 0b1100)
