@@ -17,6 +17,7 @@ from .gf2 import (
     bits_list,
     check_dim,
     closure,
+    closure_mask,
     flats_of_dim,
     ground_mask,
     iter_bits,
@@ -450,19 +451,50 @@ _canonical_cache: OrderedDict[tuple[int, int], int] = OrderedDict()
 def _canonical_mask(n: int, E: int, budget: Optional[int] = None) -> int:
     """Canonical mask of (n, E), cached on (n, E) alone.
 
-    A cache hit is returned whatever the budget; a search that raises
-    `BudgetExceeded` caches nothing.
+    When E or its complement spans a proper flat, the search runs on the
+    fixed representative of E's orbit that `_orbit_representative`
+    builds, and its result is cached under both sets, so every member of
+    that orbit shares one search.  A cache hit is returned whatever the
+    budget; `budget` caps each search run, and a search that raises
+    `BudgetExceeded` caches nothing for E or for its representative.
     """
     key = (n, E)
     img = _canonical_cache.get(key)
     if img is not None:
         _canonical_cache.move_to_end(key)
         return img
-    img = _canonical_search(n, E, budget)[0]
+    if E == 0 or E == ground_mask(n):
+        return E
+    rep = _orbit_representative(n, E, budget)
+    img = _canonical_cache.get((n, rep)) if rep != E else None
+    if img is None:
+        img = _canonical_search(n, rep, budget)[0]
+    _canonical_cache[n, rep] = img
+    _canonical_cache.move_to_end((n, rep))
     _canonical_cache[key] = img
-    if len(_canonical_cache) > CANONICAL_CACHE_SIZE:
+    while len(_canonical_cache) > CANONICAL_CACHE_SIZE:
         _canonical_cache.popitem(last=False)
     return img
+
+
+def _orbit_representative(n: int, E: int, budget: Optional[int]) -> int:
+    """A fixed member of the GL(n,2) orbit of a ground set E other than
+    the empty set and G.
+
+    If E spans a flat F of dimension r < n, it is the canonical mask at
+    dimension r of E in F's coordinates, read on the first r coordinates:
+    a map of F_2^r between two such local sets lifts to F_2^n, so the
+    orbit of E is fixed by r and the orbit of its local set.  If the
+    complement spans a proper flat, it is the complement of that set's
+    representative.  Otherwise it is E.  README, "Canonical forms".
+    """
+    ground = ground_mask(n)
+    for S, flip in ((E, 0), (ground & ~E, ground)):
+        if rank_mask(S, n) < n:
+            F = closure_mask(S, n)
+            local = restrict(BinaryMatroid(n, S), F).mask
+            return _canonical_mask(F.dim, local, budget) ^ flip
+    return E
 
 
 def _least_segment(

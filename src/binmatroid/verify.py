@@ -108,16 +108,21 @@ def _truncation_fields(stopped_at: Optional[int]) -> dict:
 def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     """Every claw-free ground set at n <= n_max satisfies one of the four
     structure outcomes: an exhaustive sweep up to n = 4, then for n_max >= 5
-    `samples` seeded claw-free sets at each n = 5, 6, the parts merged."""
+    `samples` seeded claw-free sets at each n = 5, 6, the parts merged.
+    The merged report stops after the first part that reaches the cap."""
     if n_max >= 5:
-        parts = [verify_structure(4)] + [
-            verify_structure_sampled(n, samples, seed) for n in range(5, min(n_max, 6) + 1)
-        ]
+        parts = [verify_structure(4)]
+        for n in range(5, min(n_max, 6) + 1):
+            if parts[-1]["truncated"]:
+                break
+            parts.append(verify_structure_sampled(n, samples, seed))
         violations = sum((r["violations"] for r in parts), [])
+        checked = sum(r["checked"] for r in parts)
         return {
             "suite": "structure",
             **_n_max_fields(n_max, 6),
-            "checked": sum(r["checked"] for r in parts),
+            "checked": checked,
+            **_truncation_fields(checked if parts[-1]["truncated"] else None),
             "violations": violations,
             "parts": parts,
             "passed": not violations,
@@ -125,20 +130,25 @@ def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> d
     checked = 0
     outcomes = {"even_plane": 0, "complement_triangle_free": 0, "strict_pg_sum": 0, "decomposer": 0}
     violations = []
-    for n in range(n_max + 1):
-        for mask in tables.claw_free_masks_list(n):
-            checked += 1
-            out = _structure_outcome(mask, n)
-            if out is None:
-                violations.append({"n": n, "points": list(iter_bits(mask))})
-            else:
-                outcomes[out] += 1
+    stopped_at = None
+    try:
+        for n in range(n_max + 1):
+            for mask in tables.claw_free_masks_list(n):
+                checked += 1
+                out = _structure_outcome(mask, n)
+                if out is None:
+                    _violation(violations, {"n": n, "points": list(iter_bits(mask))}, checked)
+                else:
+                    outcomes[out] += 1
+    except _CapReached as cap:
+        stopped_at = cap.checked
     return {
         "suite": "structure",
         "mode": "exhaustive",
         "n_max": n_max,
         "checked": checked,
         "outcomes": outcomes,
+        **_truncation_fields(stopped_at),
         "violations": violations,
         "passed": not violations,
     }
@@ -150,17 +160,22 @@ def verify_structure_sampled(n: int, samples: int, seed: int) -> dict:
     checked = 0
     outcomes = {"even_plane": 0, "complement_triangle_free": 0, "strict_pg_sum": 0, "decomposer": 0}
     violations = []
-    for _ in range(samples):
-        mask = census.sample_claw_free_mask(n, rng)
-        if not claw_free_any(mask, n):  # sampler contract re-checked
-            violations.append({"n": n, "points": list(iter_bits(mask)), "reason": "sampler produced a claw"})
-            continue
-        checked += 1
-        out = _structure_outcome(mask, n)
-        if out is None:
-            violations.append({"n": n, "points": list(iter_bits(mask))})
-        else:
-            outcomes[out] += 1
+    stopped_at = None
+    try:
+        for _ in range(samples):
+            mask = census.sample_claw_free_mask(n, rng)
+            if not claw_free_any(mask, n):  # sampler contract re-checked
+                violation = {"n": n, "points": list(iter_bits(mask)), "reason": "sampler produced a claw"}
+                _violation(violations, violation, checked)
+                continue
+            checked += 1
+            out = _structure_outcome(mask, n)
+            if out is None:
+                _violation(violations, {"n": n, "points": list(iter_bits(mask))}, checked)
+            else:
+                outcomes[out] += 1
+    except _CapReached as cap:
+        stopped_at = cap.checked
     return {
         "suite": "structure",
         "mode": "sample",
@@ -169,6 +184,7 @@ def verify_structure_sampled(n: int, samples: int, seed: int) -> dict:
         "seed": seed,
         "checked": checked,
         "outcomes": outcomes,
+        **_truncation_fields(stopped_at),
         "violations": violations,
         "passed": not violations,
     }

@@ -473,7 +473,7 @@ def test_structure_sampled_reports_frozen(monkeypatch, n, samples, seed):
     assert rep == {
         "suite": "structure", "mode": "sample", "n": n, "samples": samples,
         "seed": seed, "checked": samples, "outcomes": outcomes,
-        "violations": [], "passed": True,
+        "truncated": False, "violations": [], "passed": True,
     }
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
@@ -557,6 +557,38 @@ def test_rlj_cap_stops_the_flat_checks(monkeypatch):
     assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
     assert rep["stopped_at"] == rep["checked"]
     assert rep["recon_checked"] == 0
+
+
+def test_structure_cap_stops_the_sweeps_and_the_merge(monkeypatch):
+    from binmatroid import verify
+
+    assert verify.verify_structure(n_max=3)["truncated"] is False
+    # with no decomposers, 1 422 sets at n <= 4 and 169 of 300 samples
+    # at n = 5 would be violations; each sweep stops at the 21st
+    monkeypatch.setattr(verify, "has_decomposer_mask", lambda mask, n: False)
+    rep = verify.verify_structure(4)
+    assert rep["truncated"] and not rep["passed"]
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+    assert rep["stopped_at"] == rep["checked"] == 126
+    rep = verify.verify_structure_sampled(5, 300, 0)
+    assert rep["truncated"] and not rep["passed"]
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+    assert rep["stopped_at"] == rep["checked"] == 34
+
+    # the merged report stops after the exhaustive part
+    rep = verify.verify_structure(6, samples=300, seed=0)
+    assert [p["mode"] for p in rep["parts"]] == ["exhaustive"]
+    assert rep["truncated"] and rep["stopped_at"] == rep["checked"] == 126
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+
+    # a sampled part that reaches the cap is the last one
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "claw_free_any", lambda mask, n: False)
+    rep = verify.verify_structure(6, samples=300, seed=0)
+    assert [p.get("n") for p in rep["parts"]] == [None, 5]
+    assert rep["parts"][0]["truncated"] is False
+    assert rep["truncated"] and rep["stopped_at"] == rep["checked"] == rep["parts"][0]["checked"]
+    assert rep["parts"][1]["stopped_at"] == rep["parts"][1]["checked"] == 0
 
 
 def test_ljparams_cap_skips_the_i4_loop(monkeypatch):

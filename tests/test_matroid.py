@@ -487,8 +487,8 @@ FROZEN_FORMS = [
 
 
 @pytest.mark.parametrize("n,mask,form", FROZEN_FORMS)
-def test_canonical_form_frozen(n, mask, form):
-    matroid._canonical_cache.pop((n, mask), None)
+def test_canonical_form_frozen(n, mask, form, monkeypatch):
+    monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
     assert canonical_form(BinaryMatroid(n, mask)).mask == form
 
 
@@ -689,13 +689,13 @@ def test_least_segment_matches_per_candidate_keys():
                 assert rest == 0 and key > least - 1
 
 
-def test_canonical_budget_does_not_poison_cache():
+def test_canonical_budget_does_not_poison_cache(monkeypatch):
+    monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
     basis = BinaryMatroid.from_points([1, 2, 4, 8, 16], 5)
     nodes = {(n, mask): count for n, mask, count in FROZEN_NODES}[5, basis.mask]
-    matroid._canonical_cache.pop((5, basis.mask), None)
     with pytest.raises(BudgetExceeded):
         canonical_form(basis, budget=nodes - 1)
-    assert (5, basis.mask) not in matroid._canonical_cache
+    assert not matroid._canonical_cache
     assert canonical_form(basis).mask == 0xe8800000
     # a hit returns the known form whatever the budget
     assert canonical_form(basis, budget=1).mask == 0xe8800000
@@ -703,11 +703,86 @@ def test_canonical_budget_does_not_poison_cache():
 
 def test_canonical_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(matroid, "CANONICAL_CACHE_SIZE", 3)
-    matroid._canonical_cache.clear()
-    masks = [0b10, 0b110, 0b1110, 0b10110, 0b11110]
+    monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
+    # each of these sets and its complement span G, so each takes one key
+    masks = [0b10110, 0b11110, 0b1001110]
     for mask in masks:
         canonical_form(BinaryMatroid(3, mask))
-    assert list(matroid._canonical_cache) == [(3, m) for m in masks[-3:]]
+    assert list(matroid._canonical_cache) == [(3, m) for m in masks]
+    # {5, 6} spans a line: its local set {2, 3} at n = 2 and its
+    # representative {2, 3} at n = 3 take keys beside its own, and the
+    # three evict every older key
+    canonical_form(BinaryMatroid(3, 0b1100000))
+    assert list(matroid._canonical_cache) == [(2, 0b1100), (3, 0b1100), (3, 0b1100000)]
+
+
+def test_canonical_mask_matches_search_on_every_set_to_n4(monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(matroid, "_canonical_cache", cache)
+    for n in range(1, 5):
+        for code in range(1 << ((1 << n) - 1)):
+            mask = code << 1
+            cache.clear()
+            want = matroid._canonical_search(n, mask, None)[0]
+            assert matroid._canonical_mask(n, mask) == want, (n, hex(mask))
+
+
+def _random_proper_flat(n, rng):
+    """A seeded flat of dimension 1 .. n - 1."""
+    d = rng.randint(1, n - 1)
+    while True:
+        F = closure([rng.randrange(1, 1 << n) for _ in range(d)], n)
+        if F.dim == d:
+            return F
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_canonical_mask_matches_search_in_proper_flats(n, monkeypatch):
+    # seeded subsets of random proper flats, and their complements
+    rng = random.Random(f"proper-flat:{n}")
+    for _ in range(100):
+        F = _random_proper_flat(n, rng)
+        keep = rng.choice((0.2, 0.5, 0.8, 1.0))
+        E = sum(1 << p for p in F.points() if rng.random() < keep) or 1 << F.basis[0]
+        for mask in (E, ground_mask(n) & ~E):
+            monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
+            want = matroid._canonical_search(n, mask, None)[0]
+            assert matroid._canonical_mask(n, mask) == want, hex(mask)
+
+
+def test_canonical_search_runs_once_per_orbit(monkeypatch):
+    # every two-point set at n = 5 is one orbit: its local set at n = 2
+    # and its representative at n = 5 are searched once, for the first set
+    monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
+    searched = []
+    search = matroid._canonical_search
+
+    def counting(n, E, budget):
+        searched.append(n)
+        return search(n, E, budget)
+
+    monkeypatch.setattr(matroid, "_canonical_search", counting)
+    pairs = list(itertools.combinations(range(1, 32), 2))
+    assert len(pairs) == 465
+    forms = {canonical_form(BinaryMatroid.from_points(pair, 5)).mask for pair in pairs}
+    assert forms == {0xc0000000}
+    assert sorted(searched) == [2, 5]
+
+
+def test_canonical_budget_caches_nothing_for_a_representative(monkeypatch):
+    monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
+    # three independent points spanning a plane; the plane's local set
+    # is searched and cached first, so the budget trips at n = 6
+    M = BinaryMatroid.from_points([3, 12, 48], 6)
+    local = matroid.restrict(M, closure(M.points(), 6)).mask
+    rep = canonical_form(BinaryMatroid(3, local)).mask
+    with pytest.raises(BudgetExceeded):
+        canonical_form(M, budget=1)
+    assert (6, M.mask) not in matroid._canonical_cache
+    assert (6, rep) not in matroid._canonical_cache
+    form = canonical_form(M).mask
+    assert form == matroid._canonical_search(6, M.mask, None)[0]
+    assert matroid._canonical_cache[6, rep] == matroid._canonical_cache[6, M.mask] == form
 
 
 def test_canonical_form_invariant_under_random_maps():
@@ -729,9 +804,9 @@ def test_canonical_form_dimension_cap():
         canonical_form(BinaryMatroid(7, 0b10))
 
 
-def test_canonical_budget_hook():
+def test_canonical_budget_hook(monkeypatch):
+    monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())  # a hit ignores the budget
     M = BinaryMatroid.from_points([1, 2, 4, 8, 16, 32], 6)
-    matroid._canonical_cache.pop((6, M.mask), None)  # a hit ignores the budget
     with pytest.raises(BudgetExceeded):
         canonical_form(M, budget=3)
 
