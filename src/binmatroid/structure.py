@@ -247,12 +247,6 @@ def reconstruct(node: DecompositionNode) -> BinaryMatroid:
     return lift_join(reconstruct(node.left), reconstruct(node.right))
 
 
-def tree_dim(node: DecompositionNode) -> int:
-    if isinstance(node, Leaf):
-        return node.matroid.n
-    return tree_dim(node.left) + tree_dim(node.right)
-
-
 def tree_point_map(node: DecompositionNode) -> list[int]:
     """Point table of the coordinate change recorded by the decomposition.
 
@@ -511,23 +505,3 @@ def has_singleton_decomposer(M: BinaryMatroid) -> Optional[int]:
         if xor_translate(E, a, n) == E or xor_translate(with_zero, a, n) == with_zero:
             return a
     return None
-
-
-def check_dim3_odd_singleton_decomposers() -> dict:
-    """Every 3-dimensional odd-sized claw-free matroid has a one-element
-    decomposer; exhaustive over all 128 ground sets."""
-    from .matroid import find_claw
-
-    checked = 0
-    failures = []
-    for code in range(1 << 7):
-        M = BinaryMatroid(3, code << 1)
-        if M.size % 2 == 0 or find_claw(M) is not None:
-            continue
-        checked += 1
-        ok = any(
-            is_decomposer(M, closure_mask(1 << a, 3)) for a in range(1, 8)
-        )
-        if not ok:
-            failures.append(M.points())
-    return {"checked": checked, "failures": failures, "passed": not failures}

@@ -1,13 +1,15 @@
 """Theorem-verification suites with machine-readable reports.
 
-Each suite returns a dict with at least: suite, passed, checked, and a
-violations list holding counterexamples (empty on success).  Suites are
+Each suite returns a dict with at least: suite, a count of the cases
+checked, and the fields of its `_Ledger`: truncated, a violations list
+holding counterexamples (empty on success) and passed.  Suites are
 deterministic for a fixed seed; loops run sequentially in a fixed order.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import census, tables
@@ -39,6 +41,7 @@ from .matroid import (
 )
 from .recognize import (
     claw_free_any,
+    is_bose_burton,
     is_target,
     pg_sum_forbidden_mask,
     pg_sum_witness_mask,
@@ -48,7 +51,6 @@ from .recognize import (
 from .structure import (
     PartitionInstance,
     check_coset_confinement,
-    check_dim3_odd_singleton_decomposers,
     has_decomposer_mask,
     is_decomposer,
 )
@@ -80,29 +82,40 @@ def _n_max_fields(requested: int, cap: int) -> dict:
 MAX_VIOLATIONS = 20
 
 
-class _CapReached(Exception):
-    """A violation list grew past MAX_VIOLATIONS after `checked` cases."""
+@dataclass
+class _Ledger:
+    """A suite's violation list, capped at MAX_VIOLATIONS.
 
-    def __init__(self, checked: int):
-        super().__init__(checked)
-        self.checked = checked
+    `add` records a violation found among the first `checked` cases; at
+    the one that takes the list past the cap it ends the `with` block the
+    suite runs in, later phases included.  `fields` gives the report's
+    `truncated`, `stopped_at` (the cases checked at the stop, present only
+    when truncated), `violations` and `passed`."""
 
+    violations: list = field(default_factory=list)
+    stopped_at: Optional[int] = None
 
-def _violation(violations: list, violation: dict, checked: int) -> None:
-    """Append a violation found among the first `checked` cases, and stop
-    the suite, later phases included, once the list passes the cap."""
-    violations.append(violation)
-    if len(violations) > MAX_VIOLATIONS:
-        raise _CapReached(checked)
+    class _Full(Exception):
+        pass
 
+    def add(self, violation, checked: int) -> None:
+        self.violations.append(violation)
+        if len(self.violations) > MAX_VIOLATIONS:
+            self.stopped_at = checked
+            raise self._Full
 
-def _truncation_fields(stopped_at: Optional[int]) -> dict:
-    """Report fields of the violation cap: `truncated` says whether the
-    suite stopped at it, and `stopped_at` is the number of cases checked
-    when it did."""
-    if stopped_at is None:
-        return {"truncated": False}
-    return {"truncated": True, "stopped_at": stopped_at}
+    def __enter__(self) -> "_Ledger":
+        return self
+
+    def __exit__(self, kind, value, traceback) -> bool:
+        return kind is self._Full
+
+    def fields(self) -> dict:
+        if self.stopped_at is None:
+            cap = {"truncated": False}
+        else:
+            cap = {"truncated": True, "stopped_at": self.stopped_at}
+        return {**cap, "violations": self.violations, "passed": not self.violations}
 
 
 def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
@@ -116,78 +129,51 @@ def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> d
             if parts[-1]["truncated"]:
                 break
             parts.append(verify_structure_sampled(n, samples, seed))
-        violations = sum((r["violations"] for r in parts), [])
         checked = sum(r["checked"] for r in parts)
+        merged = _Ledger(
+            sum((r["violations"] for r in parts), []),
+            checked if parts[-1]["truncated"] else None,
+        )
         return {
             "suite": "structure",
             **_n_max_fields(n_max, 6),
             "checked": checked,
-            **_truncation_fields(checked if parts[-1]["truncated"] else None),
-            "violations": violations,
+            **merged.fields(),
             "parts": parts,
-            "passed": not violations,
         }
-    checked = 0
-    outcomes = {"even_plane": 0, "complement_triangle_free": 0, "strict_pg_sum": 0, "decomposer": 0}
-    violations = []
-    stopped_at = None
-    try:
-        for n in range(n_max + 1):
-            for mask in tables.claw_free_masks_list(n):
-                checked += 1
-                out = _structure_outcome(mask, n)
-                if out is None:
-                    _violation(violations, {"n": n, "points": list(iter_bits(mask))}, checked)
-                else:
-                    outcomes[out] += 1
-    except _CapReached as cap:
-        stopped_at = cap.checked
-    return {
-        "suite": "structure",
-        "mode": "exhaustive",
-        "n_max": n_max,
-        "checked": checked,
-        "outcomes": outcomes,
-        **_truncation_fields(stopped_at),
-        "violations": violations,
-        "passed": not violations,
-    }
+    cases = ((n, mask) for n in range(n_max + 1) for mask in tables.claw_free_masks_list(n))
+    report = {"suite": "structure", "mode": "exhaustive", "n_max": n_max}
+    return _tally_structure(report, cases, sampled=False)
 
 
 def verify_structure_sampled(n: int, samples: int, seed: int) -> dict:
     """Seeded claw-free samples at one dimension, zero outcome violations."""
     rng = random.Random(f"{seed}:{n}")
+    cases = ((n, census.sample_claw_free_mask(n, rng)) for _ in range(samples))
+    report = {"suite": "structure", "mode": "sample", "n": n, "samples": samples, "seed": seed}
+    return _tally_structure(report, cases, sampled=True)
+
+
+def _tally_structure(report: dict, cases, sampled: bool) -> dict:
+    """`report` completed by the first structure outcome of each (n, mask)
+    case; a case with none is a violation.  A sampled case is re-checked
+    for claws first (the sampler's contract) and counts only once it
+    passes."""
     checked = 0
     outcomes = {"even_plane": 0, "complement_triangle_free": 0, "strict_pg_sum": 0, "decomposer": 0}
-    violations = []
-    stopped_at = None
-    try:
-        for _ in range(samples):
-            mask = census.sample_claw_free_mask(n, rng)
-            if not claw_free_any(mask, n):  # sampler contract re-checked
+    with _Ledger() as ledger:
+        for n, mask in cases:
+            if sampled and not claw_free_any(mask, n):
                 violation = {"n": n, "points": list(iter_bits(mask)), "reason": "sampler produced a claw"}
-                _violation(violations, violation, checked)
+                ledger.add(violation, checked)
                 continue
             checked += 1
             out = _structure_outcome(mask, n)
             if out is None:
-                _violation(violations, {"n": n, "points": list(iter_bits(mask))}, checked)
+                ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
             else:
                 outcomes[out] += 1
-    except _CapReached as cap:
-        stopped_at = cap.checked
-    return {
-        "suite": "structure",
-        "mode": "sample",
-        "n": n,
-        "samples": samples,
-        "seed": seed,
-        "checked": checked,
-        "outcomes": outcomes,
-        **_truncation_fields(stopped_at),
-        "violations": violations,
-        "passed": not violations,
-    }
+    return {**report, "checked": checked, "outcomes": outcomes, **ledger.fields()}
 
 
 def density_floor(r: int) -> int:
@@ -196,56 +182,53 @@ def density_floor(r: int) -> int:
 
 
 def verify_density(n_max: int = 4) -> dict:
-    """Exhaustive minima of |E| over full-rank claw-free ground sets, and
-    the equality classes at r = 3, 4."""
+    """No full-rank claw-free ground set is smaller than the floor, and one
+    attains it (exhaustive); the equality classes at r = 3, 4."""
     fields = _n_max_fields(n_max, 4)
     n_max = fields["n_max"]
     results = {}
-    violations = []
-    for r in range(1, n_max + 1):
-        floor = density_floor(r)
-        best: Optional[int] = None
-        witnesses: set[int] = set()
-        table = census.canon_table(r)
-        for mask in tables.claw_free_masks_list(r):
-            size = mask.bit_count()
-            if best is not None and size > best:
-                continue
-            if rank_mask(mask, r) != r:
-                continue
-            if best is None or size < best:
-                best = size
-                witnesses = {table[mask]}
-            else:
-                witnesses.add(table[mask])
-        results[r] = {
-            "min_size": best,
-            "expected": floor,
-            "witness_classes": sorted(sorted(iter_bits(w)) for w in witnesses),
-        }
-        if best != floor:
-            violations.append({"r": r, "min_size": best, "expected": floor})
-    if n_max >= 3:
-        want3 = {
-            census.canon_table(3)[c4().mask],
-            census.canon_table(3)[pg_sum(1, 2).mask],
-        }
-        got3 = {sum(1 << p for p in w) for w in results[3]["witness_classes"]}
-        if got3 != want3:
-            violations.append({"r": 3, "witness_mismatch": results[3]["witness_classes"]})
-    if n_max >= 4:
-        want4 = {census.canon_table(4)[pg_sum(2, 2).mask]}
-        got4 = {sum(1 << p for p in w) for w in results[4]["witness_classes"]}
-        if got4 != want4:
-            violations.append({"r": 4, "witness_mismatch": results[4]["witness_classes"]})
-    return {
-        "suite": "density",
-        **fields,
-        "results": results,
-        "violations": violations,
-        "checked": sum(len(tables.claw_free_masks_list(r)) for r in range(1, n_max + 1)),
-        "passed": not violations,
-    }
+    checked = 0
+    with _Ledger() as ledger:
+        for r in range(1, n_max + 1):
+            floor = density_floor(r)
+            best: Optional[int] = None
+            witnesses: set[int] = set()
+            table = census.canon_table(r)
+            for mask in tables.claw_free_masks_list(r):
+                checked += 1
+                size = mask.bit_count()
+                if best is not None and size > best and size >= floor:
+                    continue
+                if rank_mask(mask, r) != r:
+                    continue
+                if size < floor:
+                    ledger.add({"r": r, "points": list(iter_bits(mask)), "expected": floor}, checked)
+                if best is None or size < best:
+                    best = size
+                    witnesses = {table[mask]}
+                elif size == best:
+                    witnesses.add(table[mask])
+            results[r] = {
+                "min_size": best,
+                "expected": floor,
+                "witness_classes": sorted(sorted(iter_bits(w)) for w in witnesses),
+            }
+            if best != floor:
+                ledger.add({"r": r, "min_size": best, "expected": floor}, checked)
+        if n_max >= 3:
+            want3 = {
+                census.canon_table(3)[c4().mask],
+                census.canon_table(3)[pg_sum(1, 2).mask],
+            }
+            got3 = {sum(1 << p for p in w) for w in results[3]["witness_classes"]}
+            if got3 != want3:
+                ledger.add({"r": 3, "witness_mismatch": results[3]["witness_classes"]}, checked)
+        if n_max >= 4:
+            want4 = {census.canon_table(4)[pg_sum(2, 2).mask]}
+            got4 = {sum(1 << p for p in w) for w in results[4]["witness_classes"]}
+            if got4 != want4:
+                ledger.add({"r": 4, "witness_mismatch": results[4]["witness_classes"]}, checked)
+    return {"suite": "density", **fields, "results": results, "checked": checked, **ledger.fields()}
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +275,8 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
     its factors, restriction compatibility, claw-free closure; plus
     partial lift-join bounds on sigma and omega."""
     rng = random.Random(seed)
-    violations = []
     checked = 0
-    stopped_at = None
-
-    try:
+    with _Ledger() as ledger:
         for i in range(samples):
             checked += 1
             # associativity, bitwise
@@ -305,54 +285,54 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
             left = lift_join(lift_join(A, B), C)
             right = lift_join(A, lift_join(B, C))
             if left != right:
-                _violation(violations, {"check": "associativity", "i": i}, checked)
+                ledger.add({"check": "associativity", "i": i}, checked)
             # complement homomorphism, bitwise
             d1, d2 = rng.choice(_PAIR_DIMS), rng.choice(_PAIR_DIMS)
             M1, M2 = _random_matroid(d1, rng), _random_matroid(d2, rng)
             M = lift_join(M1, M2)
             if complement(M) != lift_join(complement(M1), complement(M2)):
-                _violation(violations, {"check": "complement", "i": i}, checked)
+                ledger.add({"check": "complement", "i": i}, checked)
             # parameter additivity
             w1, w2 = clique_number(M1), clique_number(M2)
             if clique_number(M) != w1 + w2:
-                _violation(violations, {"check": "omega_additive", "i": i}, checked)
+                ledger.add({"check": "omega_additive", "i": i}, checked)
             a1 = clique_number(complement(M1))
             a2 = clique_number(complement(M2))
             chi = M.n - clique_number(complement(M))
             if chi != (M1.n - a1) + (M2.n - a2):
-                _violation(violations, {"check": "chi_additive", "i": i}, checked)
+                ledger.add({"check": "chi_additive", "i": i}, checked)
             # sigma and full rank through the join, as `structure.fold_invariants`
             # reads them
             sigma = max(induced_independence_number(M1), induced_independence_number(M2))
             if M1.mask != ground_mask(d1) and M2.mask:
                 sigma = max(sigma, 2)
             if induced_independence_number(M) != sigma:
-                _violation(violations, {"check": "sigma_lift_join", "i": i}, checked)
+                ledger.add({"check": "sigma_lift_join", "i": i}, checked)
             # a 0-dimensional M2 leaves M = M1, outside the rank rule
             if d2 and (rank_mask(M.mask, M.n) == M.n) != (rank_mask(M2.mask, d2) == d2):
-                _violation(violations, {"check": "full_rank_lift_join", "i": i}, checked)
+                ledger.add({"check": "full_rank_lift_join", "i": i}, checked)
             # restriction compatibility, bitwise
             F1, F2 = _random_flat(d1, rng), _random_flat(d2, rng)
             combined = closure_mask(
                 F1.members | sum(1 << (v << d1) for v in iter_bits(F2.members)), M.n
             )
             if restrict(M, combined) != lift_join(restrict(M1, F1), restrict(M2, F2)):
-                _violation(violations, {"check": "restriction", "i": i}, checked)
+                ledger.add({"check": "restriction", "i": i}, checked)
             # claw-free closure
             c1 = _random_claw_free(rng.choice(_PAIR_DIMS), rng)
             c2 = _random_claw_free(rng.choice(_PAIR_DIMS), rng)
             cj = lift_join(c1, c2)
             if not claw_free_any(cj.mask, cj.n):
-                _violation(violations, {"check": "claw_free_closure", "i": i}, checked)
+                ledger.add({"check": "claw_free_closure", "i": i}, checked)
             # partial lift-join bounds on sigma and omega
             P1, P2 = _random_matroid(d1, rng), _random_matroid(d2, rng)
             G1, G2 = _random_flat(d1, rng), _random_flat(d2, rng)
             PM = partial_lift_join(P1, G1, P2, G2)
             s1, s2 = induced_independence_number(P1), induced_independence_number(P2)
             if induced_independence_number(PM) > max(3, 2 * (s1 + s2)):
-                _violation(violations, {"check": "partial_sigma", "i": i}, checked)
+                ledger.add({"check": "partial_sigma", "i": i}, checked)
             if clique_number(PM) > clique_number(P1) + clique_number(P2):
-                _violation(violations, {"check": "partial_omega", "i": i}, checked)
+                ledger.add({"check": "partial_omega", "i": i}, checked)
 
         for i in range(samples // 10):
             checked += 1
@@ -360,18 +340,14 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
             f2 = _random_i4_free(rng.choice(_PAIR_DIMS), rng)
             fj = lift_join(f1, f2)
             if induced_independence_number(fj) > 3:
-                _violation(violations, {"check": "i4_free_closure", "i": i}, checked)
-    except _CapReached as cap:
-        stopped_at = cap.checked
+                ledger.add({"check": "i4_free_closure", "i": i}, checked)
 
     return {
         "suite": "ljparams",
         "samples": samples,
         "seed": seed,
         "checked": checked,
-        **_truncation_fields(stopped_at),
-        "violations": violations,
-        "passed": not violations,
+        **ledger.fields(),
     }
 
 
@@ -397,10 +373,8 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     numbers."""
     fields = _n_max_fields(n_max, 4)
     rng = random.Random(seed)
-    violations = []
     checked = sampled = chi_checked = 0
-    stopped_at = None
-    try:
+    with _Ledger() as ledger:
         for n in range(fields["n_max"] + 1):
             forbidden_col = tables.sweep_tables(n)["pg_sum_forbidden_route"]
             for code in range(tables.ground_codes(n)):
@@ -408,7 +382,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
                 mask = code << 1
                 direct = pg_sum_witness_mask(mask, n) is not None
                 if direct != bool(forbidden_col[code]):
-                    _violation(violations, {"n": n, "points": list(iter_bits(mask))}, checked)
+                    ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
 
         n = 5
         for i in range(samples):
@@ -423,9 +397,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
                         mask ^= 1 << rng.randint(1, (1 << n) - 1)
             sampled += 1
             if (pg_sum_witness_mask(mask, n) is not None) != pg_sum_forbidden_mask(mask, n):
-                _violation(
-                    violations, {"n": n, "points": list(iter_bits(mask))}, checked + sampled
-                )
+                ledger.add({"n": n, "points": list(iter_bits(mask))}, checked + sampled)
 
         # perfection: chi equals omega on PG-sums
         for n in range(fields["n_max"] + 1):
@@ -437,8 +409,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
                     M = BinaryMatroid(n, fm1 | fm2)
                     chi_checked += 1
                     if M.n - clique_number(complement(M)) != clique_number(M):
-                        _violation(
-                            violations,
+                        ledger.add(
                             {"n": n, "chi_neq_omega": M.points()},
                             checked + sampled + chi_checked,
                         )
@@ -447,13 +418,10 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
                 M = pg_sum(d1, d2)
                 chi_checked += 1
                 if M.n - clique_number(complement(M)) != clique_number(M):
-                    _violation(
-                        violations,
+                    ledger.add(
                         {"pg_sum": (d1, d2), "chi_neq_omega": True},
                         checked + sampled + chi_checked,
                     )
-    except _CapReached as cap:
-        stopped_at = cap.checked
 
     return {
         "suite": "pgsum",
@@ -463,9 +431,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
         "checked": checked,
         "sampled": sampled,
         "chi_checked": chi_checked,
-        **_truncation_fields(stopped_at),
-        "violations": violations,
-        "passed": not violations,
+        **ledger.fields(),
     }
 
 
@@ -494,10 +460,8 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
     at n <= n_max and sampled at n = 5."""
     fields = _n_max_fields(n_max, 4)
     rng = random.Random(seed)
-    violations = []
     checked = sampled = 0
-    stopped_at = None
-    try:
+    with _Ledger() as ledger:
         for n in range(fields["n_max"] + 1):
             sweep = tables.sweep_tables(n)
             both = sweep["claw_free"] & sweep["anticlaw_free"]
@@ -505,7 +469,7 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
                 checked += 1
                 M = BinaryMatroid(n, code << 1)
                 if (is_target(M) is not None) != bool(both[code]):
-                    _violation(violations, {"n": n, "points": M.points()}, checked)
+                    ledger.add({"n": n, "points": M.points()}, checked)
 
         n = 5
         for i in range(samples):
@@ -522,13 +486,9 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
                 mask = census.sample_claw_free_mask(n, rng)
             sampled += 1
             lhs = is_target(BinaryMatroid(n, mask)) is not None
-            rhs = tables.claw_free_mask(mask, n) and tables.anticlaw_free_mask(mask, n)
+            rhs = claw_free_any(mask, n) and claw_free_any(ground_mask(n) & ~mask, n)
             if lhs != rhs:
-                _violation(
-                    violations, {"n": n, "points": list(iter_bits(mask))}, checked + sampled
-                )
-    except _CapReached as cap:
-        stopped_at = cap.checked
+                ledger.add({"n": n, "points": list(iter_bits(mask))}, checked + sampled)
 
     return {
         "suite": "target",
@@ -537,9 +497,7 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
         "seed": seed,
         "checked": checked,
         "sampled": sampled,
-        **_truncation_fields(stopped_at),
-        "violations": violations,
-        "passed": not violations,
+        **ledger.fields(),
     }
 
 
@@ -566,9 +524,8 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
     from .structure import decompose, reconstruct, tree_point_map
 
     rng = random.Random(seed)
-    violations = []
+    ledger = _Ledger()
     checked = recon_checked = recon_exact = 0
-    stopped_at = None
 
     def check_one(M: BinaryMatroid, F: Flat) -> None:
         nonlocal checked
@@ -580,7 +537,7 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
             in_place |= xor_translate(span, e, M.n)
         lhs = is_decomposer(M, F)
         if lhs != (in_place == M.mask):
-            _violation(violations, {"n": M.n, "points": M.points(), "flat": F.points()}, checked)
+            ledger.add({"n": M.n, "points": M.points(), "flat": F.points()}, checked)
             return
         if lhs:
             # the re-embedded join equals M through the basis change
@@ -589,17 +546,13 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
             inverse = [0] * (1 << M.n)
             for y, v in enumerate(table):
                 inverse[v] = y
-            image = 0
-            for v in iter_bits(M.mask):
-                image |= 1 << inverse[v]
-            if image != joined.mask:
-                _violation(
-                    violations,
+            if census.transform_mask(M.mask, inverse) != joined.mask:
+                ledger.add(
                     {"n": M.n, "points": M.points(), "flat": F.points(), "reason": "join image"},
                     checked,
                 )
 
-    try:
+    with ledger:
         for n in (2, 3):
             proper_flats = [F for d in range(1, n) for F in flats_of_dim(n, d)]
             for code in range(tables.ground_codes(n)):
@@ -619,20 +572,12 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
             tree = decompose(M)
             rebuilt = reconstruct(tree)
             recon_checked += 1
-            table = tree_point_map(tree)
-            image = 0
-            for v in iter_bits(M.mask):
-                image |= 1 << table[v]
+            image = census.transform_mask(M.mask, tree_point_map(tree))
             if image != rebuilt.mask or rebuilt.n != M.n:
-                _violation(
-                    violations,
-                    {"check": "reconstruct", "n": n, "points": M.points()},
-                    checked + recon_checked,
-                )
+                violation = {"check": "reconstruct", "n": n, "points": M.points()}
+                ledger.add(violation, checked + recon_checked)
             else:
                 recon_exact += 1
-    except _CapReached as cap:
-        stopped_at = cap.checked
 
     return {
         "suite": "rlj",
@@ -642,9 +587,7 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
         "checked": checked,
         "recon_checked": recon_checked,
         "recon_exact": recon_exact,
-        **_truncation_fields(stopped_at),
-        "violations": violations,
-        "passed": not violations,
+        **ledger.fields(),
     }
 
 
@@ -712,9 +655,7 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
     met = 0
     generated = 0
     refinement_met = 0
-    violations = []
-    stopped_at = None
-    try:
+    with _Ledger() as ledger:
         while met < samples:
             generated += 1
             n = rng.randint(2, n_max)
@@ -725,8 +666,7 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
             )
             report = check_coset_confinement(inst)
             if not report.ok:
-                _violation(
-                    violations,
+                ledger.add(
                     {"n": n, "P": list(iter_bits(inst.p_mask)), "R": list(iter_bits(inst.r_mask))},
                     generated,
                 )
@@ -734,8 +674,6 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
                 met += 1
                 if report.refinement_hypothesis_met:
                     refinement_met += 1
-    except _CapReached as cap:
-        stopped_at = cap.checked
     return {
         "suite": "coset",
         "samples": samples,
@@ -744,9 +682,7 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
         "generated": generated,
         "hypothesis_met": met,
         "refinement_met": refinement_met,
-        **_truncation_fields(stopped_at),
-        "violations": violations,
-        "passed": not violations,
+        **ledger.fields(),
     }
 
 
@@ -756,13 +692,18 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
 
 
 def verify_tiny() -> dict:
-    report = check_dim3_odd_singleton_decomposers()
-    return {
-        "suite": "tiny",
-        "checked": report["checked"],
-        "violations": report["failures"],
-        "passed": report["passed"],
-    }
+    """Every 3-dimensional odd-sized claw-free matroid has a one-element
+    decomposer; exhaustive over all 128 ground sets."""
+    checked = 0
+    with _Ledger() as ledger:
+        for code in range(1 << 7):
+            M = BinaryMatroid(3, code << 1)
+            if M.size % 2 == 0 or not claw_free_any(M.mask, 3):
+                continue
+            checked += 1
+            if not any(is_decomposer(M, closure_mask(1 << a, 3)) for a in range(1, 8)):
+                ledger.add(M.points(), checked)
+    return {"suite": "tiny", "checked": checked, **ledger.fields()}
 
 
 def verify_semidouble(n_max: int = 4) -> dict:
@@ -772,9 +713,7 @@ def verify_semidouble(n_max: int = 4) -> dict:
     fields = _n_max_fields(n_max, 4)
     n_max = fields["n_max"]
     checked = 0
-    violations = []
-    stopped_at = None
-    try:
+    with _Ledger() as ledger:
         for n in range(n_max + 1):
             hyperplanes = list(flats_of_dim(n, n - 1)) if n >= 1 else []
             g = ground_mask(n)
@@ -782,96 +721,74 @@ def verify_semidouble(n_max: int = 4) -> dict:
                 M = BinaryMatroid(n, mask)
                 checked += 1
                 if not tables.even_plane_mask(doubling(M).mask, n + 1):
-                    _violation(violations, {"op": "doubling", "n": n, "points": M.points()}, checked)
+                    ledger.add({"op": "doubling", "n": n, "points": M.points()}, checked)
                 for H in hyperplanes:
                     if not tables.even_plane_mask(semidoubling(M, H).mask, n + 1):
-                        _violation(
-                            violations,
+                        ledger.add(
                             {"op": "semidoubling", "n": n, "points": M.points(), "h": H.points()},
                             checked,
                         )
                     sym = mask ^ (g & ~H.members)
                     if not tables.even_plane_mask(sym, n):
-                        _violation(
-                            violations,
+                        ledger.add(
                             {"op": "sym_diff", "n": n, "points": M.points(), "h": H.points()},
                             checked,
                         )
-    except _CapReached as cap:
-        stopped_at = cap.checked
     return {
         "suite": "semidouble",
         **fields,
         "checked": checked,
-        **_truncation_fields(stopped_at),
-        "violations": violations,
-        "passed": not violations,
+        **ledger.fields(),
     }
 
 
 def verify_bbt(n_max: int = 4) -> dict:
     """Flat-avoidance density bound: |E| <= 2^n - 2^(n-w) with w the clique
     number, equality only for Bose-Burton geometries; plus w <= chi."""
-    from .recognize import is_bose_burton
-
     fields = _n_max_fields(n_max, 4)
     n_max = fields["n_max"]
     checked = 0
-    violations = []
-    for n in range(n_max + 1):
-        for code in range(tables.ground_codes(n)):
-            mask = code << 1
-            M = BinaryMatroid(n, mask)
-            checked += 1
-            w = clique_number(M)
-            chi = n - clique_number(complement(M))
-            if w > chi:
-                violations.append({"n": n, "points": M.points(), "reason": "omega>chi"})
-                continue
-            bound = (1 << n) - (1 << (n - w))
-            size = M.size
-            if size > bound:
-                violations.append({"n": n, "points": M.points(), "reason": "bbt bound"})
-            elif size == bound and is_bose_burton(M) != w:
-                violations.append({"n": n, "points": M.points(), "reason": "bbt equality"})
-    return {
-        "suite": "bbt",
-        **fields,
-        "checked": checked,
-        "violations": violations,
-        "passed": not violations,
-    }
+    with _Ledger() as ledger:
+        for n in range(n_max + 1):
+            for code in range(tables.ground_codes(n)):
+                mask = code << 1
+                M = BinaryMatroid(n, mask)
+                checked += 1
+                w = clique_number(M)
+                chi = n - clique_number(complement(M))
+                if w > chi:
+                    ledger.add({"n": n, "points": M.points(), "reason": "omega>chi"}, checked)
+                    continue
+                bound = (1 << n) - (1 << (n - w))
+                size = M.size
+                if size > bound:
+                    ledger.add({"n": n, "points": M.points(), "reason": "bbt bound"}, checked)
+                elif size == bound and is_bose_burton(M) != w:
+                    ledger.add({"n": n, "points": M.points(), "reason": "bbt equality"}, checked)
+    return {"suite": "bbt", **fields, "checked": checked, **ledger.fields()}
 
 
 def verify_cftf(n_max: int = 4) -> dict:
     """Full-rank claw-free triangle-free ground sets are exactly the
     order-1 Bose-Burton geometries."""
-    from .recognize import is_bose_burton
-
     fields = _n_max_fields(n_max, 4)
     n_max = fields["n_max"]
     checked = 0
-    violations = []
     # dimension 0 is degenerate: the empty matroid is full-rank, claw-free
     # and triangle-free, but no flat can have dimension -1
-    for n in range(1, n_max + 1):
-        claw_col = tables.sweep_tables(n)["claw_free"]
-        for code in range(tables.ground_codes(n)):
-            mask = code << 1
-            if rank_mask(mask, n) != n:
-                continue
-            checked += 1
-            lhs = bool(claw_col[code]) and triangle_free_mask(mask, n)
-            rhs = is_bose_burton(BinaryMatroid(n, mask)) == 1
-            if lhs != rhs:
-                violations.append({"n": n, "points": list(iter_bits(mask))})
-    return {
-        "suite": "cftf",
-        **fields,
-        "checked": checked,
-        "violations": violations,
-        "passed": not violations,
-    }
+    with _Ledger() as ledger:
+        for n in range(1, n_max + 1):
+            claw_col = tables.sweep_tables(n)["claw_free"]
+            for code in range(tables.ground_codes(n)):
+                mask = code << 1
+                if rank_mask(mask, n) != n:
+                    continue
+                checked += 1
+                lhs = bool(claw_col[code]) and triangle_free_mask(mask, n)
+                rhs = is_bose_burton(BinaryMatroid(n, mask)) == 1
+                if lhs != rhs:
+                    ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
+    return {"suite": "cftf", **fields, "checked": checked, **ledger.fields()}
 
 
 def verify_chibound(n_max: int = 5) -> dict:
@@ -883,24 +800,17 @@ def verify_chibound(n_max: int = 5) -> dict:
     for n in range(n_max + 1):
         reps += [BinaryMatroid(n, m) for m in census.even_plane_classes(n)]
     chi = {M: M.n - clique_number(complement(M)) for M in reps}
-    checked = 0
-    violations = []
-    for M in reps:
-        for N in reps:
-            checked += 1
-            if N.n <= M.n and has_induced_restriction(M, N):
-                continue
-            if chi[M] > N.n + 4:
-                violations.append(
-                    {"M": M.points(), "nM": M.n, "N": N.points(), "nN": N.n, "chi": chi[M]}
-                )
-    return {
-        "suite": "chibound",
-        **fields,
-        "pairs": checked,
-        "violations": violations,
-        "passed": not violations,
-    }
+    pairs = 0
+    with _Ledger() as ledger:
+        for M in reps:
+            for N in reps:
+                pairs += 1
+                if N.n <= M.n and has_induced_restriction(M, N):
+                    continue
+                if chi[M] > N.n + 4:
+                    violation = {"M": M.points(), "nM": M.n, "N": N.points(), "nN": N.n, "chi": chi[M]}
+                    ledger.add(violation, pairs)
+    return {"suite": "chibound", **fields, "pairs": pairs, **ledger.fields()}
 
 
 # ---------------------------------------------------------------------------

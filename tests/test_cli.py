@@ -600,3 +600,39 @@ def test_ljparams_cap_skips_the_i4_loop(monkeypatch):
     assert rep["truncated"] and not rep["passed"]
     assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
     assert rep["stopped_at"] == rep["checked"] == verify.MAX_VIOLATIONS + 1
+
+
+def test_every_suite_reports_the_cap():
+    from binmatroid import verify
+
+    for name in verify.SUITE_NAMES:
+        rep = verify.run_suite(name, n_max=3, samples=20, seed=0)
+        assert "truncated" in rep, name
+        assert rep["passed"] == (rep["violations"] == []), name
+
+
+#: suite -> (the name patched in `verify`, a stand-in that makes every case
+#: it decides a violation, the report key counting the cases checked)
+INJECTED_FAULTS = {
+    # every claw-free set reads as full-rank, so the small ones undercut the floor
+    "density": ("rank_mask", lambda mask, n: n, "checked"),
+    # no Bose-Burton geometry is recognized, so every equality case fails
+    "bbt": ("is_bose_burton", lambda M: None, "checked"),
+    # every full-rank claw-free set reads as triangle-free
+    "cftf": ("triangle_free_mask", lambda mask, n: True, "checked"),
+    # every critical number reads as dim + 8
+    "chibound": ("clique_number", lambda M: -8, "pairs"),
+    "tiny": ("is_decomposer", lambda M, F: False, "checked"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(INJECTED_FAULTS))
+def test_exhaustive_suites_stop_at_the_cap(monkeypatch, suite):
+    from binmatroid import verify
+
+    name, fault, count = INJECTED_FAULTS[suite]
+    monkeypatch.setattr(verify, name, fault)
+    rep = verify.run_suite(suite)
+    assert rep["truncated"] and not rep["passed"]
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+    assert rep["stopped_at"] == rep[count]

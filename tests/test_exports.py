@@ -6,7 +6,7 @@ import inspect
 from pathlib import Path
 
 import binmatroid
-from binmatroid import tables
+from binmatroid import tables, verify
 
 
 def test_tables_all_resolves():
@@ -41,3 +41,18 @@ def test_only_tables_imports_numpy():
             if any(m == "numpy" or m.startswith("numpy.") for m in modules):
                 importers.append(path.stem)
     assert sorted(set(importers)) == ["tables"]
+
+
+def test_every_verify_suite_is_registered():
+    """A public `verify_*` function is a suite in `verify._SUITES`, or a
+    part that a registered suite runs and merges, so no report bypasses
+    the registry and its violation cap."""
+    registered = {suite for suite, _ in verify._SUITES.values()}
+    parts = {name for suite in registered for name in suite.__code__.co_names}
+    public = [
+        name
+        for name, f in vars(verify).items()
+        if name.startswith("verify_") and inspect.isfunction(f) and f.__module__ == verify.__name__
+    ]
+    assert len(public) > 10
+    assert [n for n in public if getattr(verify, n) not in registered and n not in parts] == []

@@ -12,7 +12,6 @@ from binmatroid import (
     bose_burton,
     c4,
     check_coset_confinement,
-    check_dim3_odd_singleton_decomposers,
     closure,
     complementary_flat,
     decompose,
@@ -34,7 +33,7 @@ from binmatroid import (
     verify_structure_theorem,
 )
 from binmatroid import classify, invariants
-from binmatroid import census, gf2, matroid, structure
+from binmatroid import census, gf2, matroid, structure, verify
 from binmatroid.census import random_even_plane_mask, sample_claw_free_mask
 from binmatroid.gf2 import TranslateTable, bits_list, full_flat, ground_mask, iter_bits
 from binmatroid.matroid import apply_linear_map
@@ -374,10 +373,10 @@ def test_partition_validation():
 
 
 def test_dim3_singleton_claim():
-    report = check_dim3_odd_singleton_decomposers()
+    report = verify.verify_tiny()
     assert report["passed"]
     assert report["checked"] == 36  # odd-sized claw-free ground sets at n = 3
-    assert report["failures"] == []
+    assert report["violations"] == []
 
 
 def test_rlj_in_place_equality_exhaustive_dim3():
