@@ -127,28 +127,22 @@ def find_claw(M: BinaryMatroid) -> Optional[tuple[int, int, int]]:
     """First independent triple x,y,z in E whose pairwise and triple sums
     all avoid E, in lexicographic order; None if the matroid is claw-free.
 
-    For each pair x < y with x+y outside E, the valid third points are a
-    single mask expression over the translates E+x, E+y and E+(x+y), so
-    pairs whose sum lands in E cost one test.
+    For each x, A is the set of points of E above x that lie outside
+    E + x, so every pair whose sum lands in E is dropped at once.  Walking
+    y up through A, the valid third points are the rest of A outside
+    E + y and E + (x+y), read from the translate table (README,
+    "Identities instead of plane searches").
     """
-    E, n = M.mask, M.n
-    table = TranslateTable(E, n)
+    E = M.mask
+    table = TranslateTable(E, M.n)
     trans, get = table.entries, table.get
-    pts = bits_list(E)
-    for i, x in enumerate(pts):
-        ex = trans[x] or get(x)
-        for j in range(i + 1, len(pts)):
-            y = pts[j]
-            s = x ^ y
-            if (E >> s) & 1:
-                continue
-            zs = (
-                E
-                & ~ex
-                & ~(trans[y] or get(y))
-                & ~(trans[s] or get(s))
-                & ~((1 << (y + 1)) - 1)
-            )
+    for x in iter_bits(E):
+        A = E & ~(trans[x] or get(x)) & ~((2 << x) - 1)
+        while A:
+            low = A & -A
+            A ^= low
+            y = low.bit_length() - 1
+            zs = A & ~(trans[y] or get(y)) & ~(trans[x ^ y] or get(x ^ y))
             if zs:
                 return (x, y, (zs & -zs).bit_length() - 1)
     return None

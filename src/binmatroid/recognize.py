@@ -3,10 +3,13 @@
 Each predicate is decided by an identity rather than a plane search:
 even-plane is algebraic degree at most 2 (`tables.even_plane_mask`),
 anticlaw-free is claw-free complement, and the PG-sum witness grows one
-maximal flat from the lowest point and tests the rest for flatness.  The
-forbidden-restriction scan over planes (`tables.pg_sum_forbidden_mask`,
-n <= 6) is kept as an independent PG-sum route, and the verification
-suites cross-check the two.
+maximal flat from the lowest point and tests the rest for flatness.  Both
+that witness and the target chain rest on one fact: a flat over F_2 is
+never the union of two proper subflats, so the PG-sum growth needs one
+anchor and the target descent is forced.  The forbidden-restriction
+scan over planes (`tables.pg_sum_forbidden_mask`, n <= 6) is kept as an
+independent PG-sum route, and the verification suites cross-check the
+two.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Optional
 from .gf2 import (
     Flat,
     closure_mask,
+    full_flat,
     ground_mask,
     is_flat,
     iter_bits,
@@ -59,8 +63,8 @@ def is_complement_triangle_free(M: BinaryMatroid) -> bool:
 
 
 def claw_free_any(mask: int, n: int) -> bool:
-    """Claw-freeness at any dimension: plane tables for n <= 6, the pair
-    scan of `find_claw` beyond."""
+    """Claw-freeness at any dimension: plane tables for n <= 6, the
+    A-walk of `find_claw` beyond."""
     if n <= tables.PLANE_TABLE_MAX:
         return tables.claw_free_mask(mask, n)
     return find_claw(BinaryMatroid(n, mask)) is None
@@ -154,57 +158,35 @@ def is_bose_burton(M: BinaryMatroid) -> Optional[int]:
     return M.n - flat.dim
 
 
-def _target_descent(E: int, n: int, members: int) -> Optional[list[tuple[int, str]]]:
-    """Descent to the empty flat by alternating closures, or None.
-
-    From a flat B, either the outer layer lies in E (descend to
-    cl(B \\ E)) or avoids it (descend to cl(B ∩ E)); both branches are
-    tried, and a strict dimension decrease is required, so the recursion
-    is exact and terminates within n levels.
-    """
-    if members == 0:
-        return []
-    for sub, label in ((members & ~E, "in"), (members & E, "out")):
-        next_members = closure_mask(sub, n).members
-        if next_members != members:
-            tail = _target_descent(E, n, next_members)
-            if tail is not None:
-                return [(next_members, label)] + tail
-    return None
-
-
 def is_target(M: BinaryMatroid) -> Optional[list[Flat]]:
     """Witness chain of nested flats whose alternate layers give E, or None.
 
-    The chain is normalised so that ground-set layers sit at even
-    positions; the assembled chain is re-checked against E before being
-    returned.
+    The chain is walked down from G: from a flat B the next flat is
+    cl(B \\ E), whose layer lies in E, or else cl(B ∩ E), whose layer
+    avoids it; M is not a target when neither is proper.  A flat is never
+    the union of two proper subflats, so at most one is proper and the
+    walk is forced, and the layers alternate (README, "Identities instead
+    of plane searches").  Read upward, E is the union of the layers at
+    even positions, so the bottom flat is dropped when the lowest layer
+    avoids E, and the top one when the highest layer does.
     """
     E, n = M.mask, M.n
-    descent = _target_descent(E, n, ground_mask(n))
-    if descent is None:
-        return None
-    # ascending flats; labels[i] labels the layer between masks[i] and masks[i+1]
-    masks = [m for m, _ in reversed(descent)] + [ground_mask(n)]
-    labels = [lab for _, lab in reversed(descent)]
-    chain: list[int] = [masks[0]] if masks else [0]
-    for i, lab in enumerate(labels):
-        want_even = lab == "in"
-        if ((len(chain) - 1) % 2 == 0) != want_even:
-            if len(chain) == 1:
-                # fold the out-of-E bottom layer into the chain base
-                chain = [masks[i + 1]]
-                continue
-            chain.append(chain[-1])
-        chain.append(masks[i + 1])
-    while len(chain) >= 2 and (len(chain) - 2) % 2 == 1:
-        chain.pop()  # a trailing out-of-E layer carries no content
-    rebuilt = 0
-    for i in range(0, len(chain) - 1, 2):
-        rebuilt |= chain[i + 1] & ~chain[i]
-    if rebuilt != E:
-        raise AssertionError("target chain assembly disagrees with the ground set")
-    return [closure_mask(m, n) for m in chain]
+    chain = [full_flat(n)]
+    inside = []
+    while B := chain[-1].members:
+        F = closure_mask(B & ~E, n)
+        inside.append(F.members != B)
+        if not inside[-1]:
+            F = closure_mask(B & E, n)
+            if F.members == B:
+                return None
+        chain.append(F)
+    chain.reverse()
+    if inside and not inside[-1]:
+        chain.pop(0)
+    if len(chain) > 1 and not inside[0]:
+        chain.pop()
+    return chain
 
 
 def chi_bound(k: int, dim_n: int) -> int:

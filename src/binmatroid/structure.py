@@ -10,7 +10,10 @@ flat enumeration: the minimal decomposer through a is the closure of a
 under "collect every point whose pair under some member of the flat is
 mixed".  The fixpoint is monotone, so it underlies every decomposer
 containing the anchor; an anchor whose span reaches a point in no
-decomposer is in none either, which lets the anchor loops drop it early.
+decomposer is in none either.  `_anchor_spans` walks the anchors in
+order with the bitset of those in no decomposer and drops each anchor
+whose span meets it; `find_decomposer` and `has_decomposer_mask` both
+read their spans from it.
 
 `tree_flags` and `fold_invariants` read class flags and invariants off a
 decomposition tree through the lift-join identities, so only the leaves
@@ -20,7 +23,7 @@ are searched, and a leaf only for what its basic-class tags leave open.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .construct import lift_join
 from .gf2 import (
@@ -90,24 +93,33 @@ def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     """Minimum-dimension decomposer, ties broken by lexicographic basis.
 
     None iff no proper nonempty flat decomposes M (equivalently, M is
-    not a lift-join of smaller matroids).  Anchors are tried in order;
-    one whose growing span reaches an earlier anchor that lies in no
-    decomposer is dropped there (see `_fixpoint_span`).
+    not a lift-join of smaller matroids).  The fixpoint spans come from
+    `_anchor_spans`.
     """
     best: Optional[Flat] = None
-    table = TranslateTable(M.mask, M.n)
-    bad = 0
-    for a in range(1, 1 << M.n):
-        span = _fixpoint_span(table, a, bad)
-        if span is None:
-            bad |= 1 << a
-            continue
+    for span in _anchor_spans(TranslateTable(M.mask, M.n)):
         F = closure_mask(span & ~1, M.n)
         if best is None or (F.dim, F.basis) < (best.dim, best.basis):
             best = F
             if best.dim == 1:
                 break  # later anchors cannot beat a first singleton
     return best
+
+
+def _anchor_spans(table: TranslateTable) -> Iterator[int]:
+    """The fixpoint span of each anchor, in anchor order, that stays proper.
+
+    An anchor whose span blows up to G lies in no decomposer, so it joins
+    the bad-anchor bitset, and a later anchor is dropped as soon as its
+    growing span meets that bitset (see `_fixpoint_span`).
+    """
+    bad = 0
+    for a in range(1, 1 << table.n):
+        span = _fixpoint_span(table, a, bad)
+        if span is None:
+            bad |= 1 << a
+        else:
+            yield span
 
 
 def _fixpoint_span(table: TranslateTable, a: int, bad: int = 0) -> Optional[int]:
@@ -150,13 +162,7 @@ def has_decomposer_mask(mask: int, n: int) -> bool:
         return False
     if rank_mask(mask, n) < n:
         return True  # any hyperplane over the closure of E decomposes
-    table = TranslateTable(mask, n)
-    bad = 0
-    for a in range(1, 1 << n):
-        if _fixpoint_span(table, a, bad) is not None:
-            return True
-        bad |= 1 << a
-    return False
+    return next(_anchor_spans(TranslateTable(mask, n)), None) is not None
 
 
 def has_decomposer(M: BinaryMatroid) -> bool:
@@ -492,16 +498,12 @@ def check_coset_confinement(inst: PartitionInstance) -> CosetReport:
 
 
 def has_singleton_decomposer(M: BinaryMatroid) -> Optional[int]:
-    """The least a with a+E = E or a+(E∪{0}) = E∪{0}, or None.
+    """The least a whose defect set is empty, or None.
 
-    These are exactly the one-element decomposers: the first condition
-    has a outside E, the second has a inside.
+    These are exactly the one-element decomposers: E + a and E agree
+    outside {0, a}, so a + E = E (a outside E) or a + (E ∪ {0}) = E ∪ {0}
+    (a inside E).
     """
-    E, n = M.mask, M.n
-    if n <= 1:
+    if M.n <= 1:
         return None
-    with_zero = E | 1
-    for a in range(1, 1 << n):
-        if xor_translate(E, a, n) == E or xor_translate(with_zero, a, n) == with_zero:
-            return a
-    return None
+    return next((a for a in range(1, 1 << M.n) if not defect_set(M, a)), None)

@@ -23,6 +23,7 @@ from .construct import (
     target,
 )
 from .gf2 import (
+    MAX_DIM,
     Flat,
     closure_mask,
     flats_of_dim,
@@ -122,46 +123,52 @@ def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> d
     """Every claw-free ground set at n <= n_max satisfies one of the four
     structure outcomes: an exhaustive sweep up to n = 4, then for n_max >= 5
     `samples` seeded claw-free sets at each n = 5, 6, the parts merged.
-    The merged report stops after the first part that reaches the cap."""
-    if n_max >= 5:
-        parts = [verify_structure(4)]
-        for n in range(5, min(n_max, 6) + 1):
-            if parts[-1]["truncated"]:
-                break
-            parts.append(verify_structure_sampled(n, samples, seed))
-        checked = sum(r["checked"] for r in parts)
-        merged = _Ledger(
-            sum((r["violations"] for r in parts), []),
-            checked if parts[-1]["truncated"] else None,
-        )
-        return {
-            "suite": "structure",
-            **_n_max_fields(n_max, 6),
-            "checked": checked,
-            **merged.fields(),
-            "parts": parts,
-        }
-    cases = ((n, mask) for n in range(n_max + 1) for mask in tables.claw_free_masks_list(n))
-    report = {"suite": "structure", "mode": "exhaustive", "n_max": n_max}
-    return _tally_structure(report, cases, sampled=False)
+    The parts share one ledger, so the merged report stops at the
+    violation that takes their combined list past the cap."""
+    top = min(n_max, 4)
+    cases = ((n, mask) for n in range(top + 1) for mask in tables.claw_free_masks_list(n))
+    report = {"suite": "structure", "mode": "exhaustive", "n_max": top}
+    ledger = _Ledger()
+    parts = [_tally_structure(report, cases, False, ledger)]
+    if n_max < 5:
+        return parts[0]
+    for n in range(5, min(n_max, 6) + 1):
+        if ledger.stopped_at is not None:
+            break
+        parts.append(_structure_sampled(n, samples, seed, ledger))
+    checked = sum(r["checked"] for r in parts)
+    merged = _Ledger(ledger.violations, None if ledger.stopped_at is None else checked)
+    return {
+        "suite": "structure",
+        **_n_max_fields(n_max, 6),
+        "checked": checked,
+        **merged.fields(),
+        "parts": parts,
+    }
 
 
 def verify_structure_sampled(n: int, samples: int, seed: int) -> dict:
     """Seeded claw-free samples at one dimension, zero outcome violations."""
+    return _structure_sampled(n, samples, seed, _Ledger())
+
+
+def _structure_sampled(n: int, samples: int, seed: int, ledger: _Ledger) -> dict:
     rng = random.Random(f"{seed}:{n}")
     cases = ((n, census.sample_claw_free_mask(n, rng)) for _ in range(samples))
     report = {"suite": "structure", "mode": "sample", "n": n, "samples": samples, "seed": seed}
-    return _tally_structure(report, cases, sampled=True)
+    return _tally_structure(report, cases, True, ledger)
 
 
-def _tally_structure(report: dict, cases, sampled: bool) -> dict:
+def _tally_structure(report: dict, cases, sampled: bool, ledger: _Ledger) -> dict:
     """`report` completed by the first structure outcome of each (n, mask)
-    case; a case with none is a violation.  A sampled case is re-checked
-    for claws first (the sampler's contract) and counts only once it
-    passes."""
+    case; a case with none is a violation, added to the running `ledger`,
+    and the report lists the violations of these cases only.  A sampled
+    case is re-checked for claws first (the sampler's contract) and
+    counts only once it passes."""
     checked = 0
+    start = len(ledger.violations)
     outcomes = {"even_plane": 0, "complement_triangle_free": 0, "strict_pg_sum": 0, "decomposer": 0}
-    with _Ledger() as ledger:
+    with ledger:
         for n, mask in cases:
             if sampled and not claw_free_any(mask, n):
                 violation = {"n": n, "points": list(iter_bits(mask)), "reason": "sampler produced a claw"}
@@ -173,7 +180,8 @@ def _tally_structure(report: dict, cases, sampled: bool) -> dict:
                 ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
             else:
                 outcomes[out] += 1
-    return {**report, "checked": checked, "outcomes": outcomes, **ledger.fields()}
+    part = _Ledger(ledger.violations[start:], ledger.stopped_at)
+    return {**report, "checked": checked, "outcomes": outcomes, **part.fields()}
 
 
 def density_floor(r: int) -> int:
@@ -506,14 +514,15 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
 # ---------------------------------------------------------------------------
 
 
-def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000) -> dict:
+def verify_rlj(samples: int = 2_000, seed: int = 0) -> dict:
     """is_decomposer(M, F) iff M equals the lift-join of M|F and M|J in
     place (ground set (E∩F) ∪ ((E∩J) + span F), J the canonical disjoint
     maximal flat); exhaustive at n <= 3, sampled at n = 4, 5.  When F
     decomposes, the re-embedded join must also match M under the
     coordinate change sending F's basis low and J's high.  Also:
     reconstruct(decompose(M)) equals M under the recorded coordinate
-    change, on random samples at n <= 6.
+    change, on random samples at n <= 6.  `samples` flat checks are drawn
+    at each of n = 4, 5, and 5 * `samples` reconstructions.
 
     Note the one-sided subtlety: a flat can fail to decompose M while the
     abstract join is coincidentally isomorphic to M, so the equivalence
@@ -566,7 +575,7 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
                 M = _random_matroid(n, rng)
                 check_one(M, proper_flats[rng.randrange(len(proper_flats))])
 
-        for _ in range(recon_samples):
+        for _ in range(5 * samples):
             n = rng.randint(1, 6)
             M = _random_matroid(n, rng)
             tree = decompose(M)
@@ -582,7 +591,6 @@ def verify_rlj(samples: int = 2_000, seed: int = 0, recon_samples: int = 10_000)
     return {
         "suite": "rlj",
         "samples": samples,
-        "recon_samples": recon_samples,
         "seed": seed,
         "checked": checked,
         "recon_checked": recon_checked,
@@ -650,7 +658,9 @@ def _uniform_partition(n: int, rng: random.Random) -> PartitionInstance:
 def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
     """Hypothesis-satisfying partitions all satisfy both conclusions,
     including the refinement; instances are generated until the quota of
-    hypothesis-met cases is reached."""
+    hypothesis-met cases is reached at random n in [2, n_max]."""
+    if not 2 <= n_max <= MAX_DIM:
+        raise ValueError(f"coset n_max must be in [2, {MAX_DIM}], got {n_max}")
     rng = random.Random(seed)
     met = 0
     generated = 0
@@ -826,7 +836,7 @@ _SUITES = {
     "ljparams": (verify_ljparams, (None, "samples", "seed")),
     "pgsum": (verify_pgsum, ("n_max", "samples", "seed")),
     "target": (verify_target, ("n_max", "samples", "seed")),
-    "rlj": (verify_rlj, (None, "recon_samples", "seed")),
+    "rlj": (verify_rlj, (None, "samples", "seed")),
     "coset": (verify_coset, ("n_max", "samples", "seed")),
     "tiny": (verify_tiny, (None, None, None)),
     "semidouble": (verify_semidouble, ("n_max", None, None)),

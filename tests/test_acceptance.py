@@ -78,7 +78,7 @@ def test_criteria_6_and_7_lift_join_algebra_and_partial_bounds():
 
 def test_criterion_8_decomposer_equivalence():
     t0 = time.perf_counter()
-    rep = verify.verify_rlj(samples=2_000, seed=2026, recon_samples=10_000)
+    rep = verify.verify_rlj(samples=2_000, seed=2026)
     _report("8 decomposer equivalence", rep, time.perf_counter() - t0)
     assert rep["passed"], rep["violations"][:5]
     assert rep["recon_exact"] == rep["recon_checked"] == 10_000

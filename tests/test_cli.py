@@ -397,7 +397,7 @@ def test_run_suite_fills_only_the_arguments_a_suite_takes(monkeypatch):
     verify.run_suite("tiny", n_max=3, seed=5, samples=7)
     verify.run_suite("density", n_max=3, seed=5, samples=7)
     assert calls == [
-        {"seed": 5, "recon_samples": 7},
+        {"seed": 5, "samples": 7},
         {},
         {"n_max": 6, "samples": 0},
         {},
@@ -552,7 +552,7 @@ def test_rlj_cap_stops_the_flat_checks(monkeypatch):
     from binmatroid import verify
 
     monkeypatch.setattr(verify, "is_decomposer", lambda M, F: True)
-    rep = verify.verify_rlj(samples=50, recon_samples=50)
+    rep = verify.verify_rlj(samples=50)
     assert rep["truncated"] and not rep["passed"]
     assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
     assert rep["stopped_at"] == rep["checked"]
@@ -589,6 +589,47 @@ def test_structure_cap_stops_the_sweeps_and_the_merge(monkeypatch):
     assert rep["parts"][0]["truncated"] is False
     assert rep["truncated"] and rep["stopped_at"] == rep["checked"] == rep["parts"][0]["checked"]
     assert rep["parts"][1]["stopped_at"] == rep["parts"][1]["checked"] == 0
+
+
+def test_structure_cap_spans_the_merged_parts(monkeypatch):
+    from binmatroid import verify
+
+    # five failures among the n = 4 sets and every n = 5 sample: the parts
+    # share one ledger, so the merge stops at the 16th sampled failure
+    real = verify._structure_outcome
+    failures_left = {4: 5, 5: 100}
+
+    def outcome(mask, n):
+        if failures_left.get(n):
+            failures_left[n] -= 1
+            return None
+        return real(mask, n)
+
+    monkeypatch.setattr(verify, "_structure_outcome", outcome)
+    rep = verify.verify_structure(6, samples=100)
+    exhaustive, sampled = rep["parts"]
+    assert sampled["n"] == 5
+    assert len(exhaustive["violations"]) == 5 and not exhaustive["truncated"]
+    assert len(sampled["violations"]) == verify.MAX_VIOLATIONS + 1 - 5
+    assert sampled["truncated"] and sampled["stopped_at"] == sampled["checked"] == 16
+    assert rep["violations"] == exhaustive["violations"] + sampled["violations"]
+    assert len(rep["violations"]) == verify.MAX_VIOLATIONS + 1
+    assert rep["truncated"] and not rep["passed"]
+    assert rep["stopped_at"] == rep["checked"] == exhaustive["checked"] + 16
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 17])
+def test_coset_rejects_a_range_it_cannot_run(n_max):
+    code, out, err = run_cli(["verify", "coset", "--n-max", str(n_max), "--samples", "1"])
+    assert code == 1 and out == ""
+    assert "[2, 16]" in err and f"got {n_max}" in err
+
+
+@pytest.mark.parametrize("n_max", [2, 16])
+def test_coset_runs_at_both_ends_of_its_range(n_max):
+    code, out, _ = run_cli(["verify", "coset", "--n-max", str(n_max), "--samples", "3"])
+    rep = json.loads(out)
+    assert code == 0 and rep["n_max"] == n_max and rep["hypothesis_met"] == 3
 
 
 def test_ljparams_cap_skips_the_i4_loop(monkeypatch):

@@ -106,6 +106,23 @@ def _claw_oracle(M):
     return None
 
 
+def _pair_scan_claw(M):
+    """First claw in lexicographic order by a scan over the pairs x < y
+    of E: the third points of a pair with x+y outside E are one mask
+    expression over E+x, E+y and E+(x+y)."""
+    E = M.mask
+    trans = gf2.translates(E, M.n)
+    pts = M.points()
+    for i, x in enumerate(pts):
+        for y in pts[i + 1:]:
+            if (E >> (x ^ y)) & 1:
+                continue
+            zs = E & ~trans[x] & ~trans[y] & ~trans[x ^ y] & ~((1 << (y + 1)) - 1)
+            if zs:
+                return (x, y, (zs & -zs).bit_length() - 1)
+    return None
+
+
 def test_find_claw_matches_triple_oracle():
     rng = random.Random(5)
     for _ in range(200):
@@ -131,6 +148,26 @@ def test_find_claw_matches_triple_oracle_high_dim(n):
         M = BinaryMatroid(n, mask)
         assert find_claw(M) == _claw_oracle(M), (n, hex(mask))
     assert any(_claw_oracle(BinaryMatroid(n, m)) is None for m in cases)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_find_claw_matches_pair_scan(n):
+    # claw-free lift-joins and their complements, and PG-sums with theirs
+    rng = random.Random(f"claw-pairs:{n}")
+    cases = [pg_sum(a, n - a).mask for a in range(1, n // 2 + 1)]
+    for _ in range(3):
+        n1 = rng.randint(2, n - 2)
+        left = BinaryMatroid(n1, census.sample_claw_free_mask(n1, rng))
+        right = BinaryMatroid(n - n1, census.sample_claw_free_mask(n - n1, rng))
+        cases.append(lift_join(left, right).mask)
+    cases += [ground_mask(n) & ~mask for mask in cases]
+    found = 0
+    for mask in cases:
+        M = BinaryMatroid(n, mask)
+        claw = find_claw(M)
+        assert claw == _pair_scan_claw(M), (n, hex(mask))
+        found += claw is not None
+    assert 0 < found < len(cases)
 
 
 def test_find_claw_sparse_high_dim_reads_few_translates(monkeypatch):

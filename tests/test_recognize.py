@@ -26,10 +26,19 @@ from binmatroid import (
     k4,
     p5,
     pg_sum,
+    target,
 )
 from binmatroid import census, recognize
 from binmatroid.census import even_plane_masks, random_even_plane_mask, sample_claw_free_mask
-from binmatroid.gf2 import closure, flats_of_dim, ground_mask, is_flat, iter_bits, xor_translate
+from binmatroid.gf2 import (
+    closure,
+    closure_mask,
+    flats_of_dim,
+    ground_mask,
+    is_flat,
+    iter_bits,
+    xor_translate,
+)
 from binmatroid.matroid import apply_linear_map, find_anticlaw, find_claw
 from binmatroid.recognize import pg_sum_witness_mask
 
@@ -143,6 +152,75 @@ def test_target_recognizer_matches_chain_oracle():
                 assert _chain_ground_set(masks) == M.mask
                 for a, b in zip(masks, masks[1:]):
                     assert a & ~b == 0  # nested
+
+
+def _descent_oracle(E, n, members):
+    """The recursive target descent, trying both closures at each flat:
+    (flat, label) pairs down to the empty flat, or None."""
+    if members == 0:
+        return []
+    for sub, label in ((members & ~E, "in"), (members & E, "out")):
+        next_members = closure_mask(sub, n).members
+        if next_members != members:
+            tail = _descent_oracle(E, n, next_members)
+            if tail is not None:
+                return [(next_members, label)] + tail
+    return None
+
+
+def _target_chain_oracle(M):
+    """Masks of the target chain assembled from the recursive descent,
+    repairing the layers' parity as it goes, or None."""
+    descent = _descent_oracle(M.mask, M.n, ground_mask(M.n))
+    if descent is None:
+        return None
+    masks = [m for m, _ in reversed(descent)] + [ground_mask(M.n)]
+    labels = [lab for _, lab in reversed(descent)]
+    chain = [masks[0]]
+    for i, lab in enumerate(labels):
+        if ((len(chain) - 1) % 2 == 0) != (lab == "in"):
+            if len(chain) == 1:
+                chain = [masks[i + 1]]  # an out-of-E bottom layer joins the base
+                continue
+            chain.append(chain[-1])
+        chain.append(masks[i + 1])
+    while len(chain) >= 2 and (len(chain) - 2) % 2 == 1:
+        chain.pop()  # a trailing out-of-E layer carries no content
+    return chain
+
+
+def _assert_target_matches_descent(M):
+    got = is_target(M)
+    want = _target_chain_oracle(M)
+    assert (None if got is None else [f.members for f in got]) == want, hex(M.mask)
+    if want is not None:
+        assert _chain_ground_set(want) == M.mask, hex(M.mask)
+    return want is not None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_target_walk_matches_descent_exhaustive(n):
+    hits = sum(
+        _assert_target_matches_descent(BinaryMatroid(n, code << 1))
+        for code in range(1 << ((1 << n) - 1))
+    )
+    assert hits > 0
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_target_walk_matches_descent_seeded(n):
+    # targets moved by linear maps, the same with one point flipped,
+    # claw-free samples and uniform sets
+    rng = random.Random(f"target-walk:{n}")
+    masks = []
+    for _ in range(20):
+        dims = sorted(rng.randint(0, n) for _ in range(rng.randint(1, n + 1)))
+        masks.append(apply_linear_map(target(n, dims), _random_images(n, rng)).mask)
+    masks += [m ^ (1 << rng.randrange(1, 1 << n)) for m in masks]
+    masks += [sample_claw_free_mask(n, rng) for _ in range(10)]
+    masks += [rng.getrandbits(1 << n) & ground_mask(n) for _ in range(10)]
+    hits = sum(_assert_target_matches_descent(BinaryMatroid(n, m)) for m in masks)
+    assert 20 <= hits < len(masks)
 
 
 def test_chi_bound_values():

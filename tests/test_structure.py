@@ -35,7 +35,14 @@ from binmatroid import (
 from binmatroid import classify, invariants
 from binmatroid import census, gf2, matroid, structure, verify
 from binmatroid.census import random_even_plane_mask, sample_claw_free_mask
-from binmatroid.gf2 import TranslateTable, bits_list, full_flat, ground_mask, iter_bits
+from binmatroid.gf2 import (
+    TranslateTable,
+    bits_list,
+    full_flat,
+    ground_mask,
+    iter_bits,
+    xor_translate,
+)
 from binmatroid.matroid import apply_linear_map
 from binmatroid.structure import fold_invariants, has_decomposer_mask, tree_flags
 
@@ -178,15 +185,23 @@ def test_minimal_decomposer_rejects_another_sets_table():
 
 
 def test_singleton_decomposer_matches_translate_conditions():
-    for code in range(1 << 7):
-        M = BinaryMatroid(3, code << 1)
-        a = has_singleton_decomposer(M)
-        direct = [
-            b for b in range(1, 8) if is_decomposer(M, closure([b], 3))
-        ]
-        assert (a is not None) == bool(direct)
-        if direct:
-            assert a == direct[0]
+    # the least a with a + E = E or a + (E ∪ {0}) = E ∪ {0}, on every set
+    # at n <= 4; up to n = 3 these are checked to be exactly the one-point
+    # decomposers
+    for n in (2, 3, 4):
+        points = range(1, 1 << n)
+        for code in range(1 << ((1 << n) - 1)):
+            M = BinaryMatroid(n, code << 1)
+            E, with_zero = M.mask, M.mask | 1
+            fixed = [
+                b for b in points
+                if xor_translate(E, b, n) == E or xor_translate(with_zero, b, n) == with_zero
+            ]
+            if n <= 3:
+                assert fixed == [b for b in points if is_decomposer(M, closure([b], n))]
+            assert has_singleton_decomposer(M) == (fixed[0] if fixed else None), hex(M.mask)
+    for M in (BinaryMatroid(0, 0), BinaryMatroid(1, 0), BinaryMatroid(1, 2)):
+        assert has_singleton_decomposer(M) is None  # no proper nonempty flat
 
 
 def test_nested_decomposers_lift():
