@@ -217,6 +217,12 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    takes = verify.suite_keywords(args.suite)
+    for kw, option in (("n_max", "--n-max"), ("samples", "--samples"), ("seed", "--seed")):
+        if getattr(args, kw) is not None and kw not in takes:
+            raise UsageError(f"suite {args.suite} takes no {option}")
+    if args.samples == 0:
+        raise UsageError(f"suite {args.suite} needs --samples of at least 1")
     log.info("running suite %s", args.suite)
     report = verify.run_suite(
         args.suite, n_max=args.n_max, seed=args.seed, samples=args.samples
@@ -337,7 +343,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run a theorem-verification suite")
     p.add_argument("suite", choices=verify.SUITE_NAMES)
     p.add_argument("--n-max", type=_count, default=None, dest="n_max")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=_count, default=None)
     p.set_defaults(fn=cmd_verify)
 

@@ -21,6 +21,7 @@ from .gf2 import (
     flats_of_dim,
     ground_mask,
     iter_bits,
+    span_from_basis,
     translates,
     xor_translate,
     _half_masks,
@@ -217,12 +218,15 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     return _clique_search(M.mask, M.n, budget)[0]
 
 
-def _clique_search(E: int, n: int, budget: Optional[int]) -> tuple[int, int]:
-    """`clique_number` of (n, E), and the nodes its search took."""
+def _clique_search(
+    E: int, n: int, budget: Optional[int]
+) -> tuple[int, int, list[int]]:
+    """`clique_number` of (n, E), the nodes its search took, and a basis of
+    the largest flat it found inside E, recorded whenever the best improves."""
     if E == 0:
-        return 0, 0
+        return 0, 0, []
     if E == ground_mask(n):
-        return n, 0
+        return n, 0, [1 << i for i in range(n)]
     top = n - 1 if _holds_hyperplane(E, n) else n - 2
     halves = _half_masks(n)
     table = TranslateTable(E, n)
@@ -230,14 +234,16 @@ def _clique_search(E: int, n: int, budget: Optional[int]) -> tuple[int, int]:
     colours = len(_colour_classes(E, table, -1, (1 << top) - 1))
     top = min(top, (colours + 1).bit_length() - 1)
     best = 1
+    flat = [(E & -E).bit_length() - 1]
     nodes = 0
 
     def dfs(
         V: int, C: int, dim: int, pivots: dict[int, int], S: Optional[list[int]]
     ) -> None:
-        nonlocal best, nodes
+        nonlocal best, flat, nodes
         if dim > best:
             best = dim
+            flat = list(pivots.values())
         pop = V.bit_count()
         if best == top or dim + ((pop >> dim) + 1).bit_length() - 1 <= best:
             return
@@ -272,7 +278,7 @@ def _clique_search(E: int, n: int, budget: Optional[int]) -> tuple[int, int]:
             dfs(Vc, Cc, dim + 1, child_piv, child_S)
 
     dfs(E, E, 0, {}, [0])
-    return best, nodes
+    return best, nodes, flat
 
 
 def _holds_hyperplane(E: int, n: int) -> bool:
@@ -318,22 +324,54 @@ def induced_independence_number(M: BinaryMatroid, budget: Optional[int] = None) 
     points in falling colour order, pruning once the chosen points plus
     the colour cannot beat the best size found.  The search stops at
     min(n, alpha + 1): the nonzero even sums of J are a (|J| - 1)-flat
-    avoiding E.  `budget` caps the nodes of this search and of the alpha
-    search together.  README, "Bounds in the leaf searches", has the proofs.
+    avoiding E.  Before it runs, the cosets of the flat the alpha search
+    found are tested for such a J of size alpha + 1 (`_coset_witness`).
+    `budget` caps the nodes of this search and of the alpha search
+    together.  README, "Bounds in the leaf searches", has the proofs.
     """
     E, n = M.mask, M.n
-    alpha, nodes = _clique_search(ground_mask(n) & ~E, n, budget)
-    return _sigma_search(E, n, alpha, budget, nodes)
+    alpha, nodes, flat = _clique_search(ground_mask(n) & ~E, n, budget)
+    return _sigma_search(E, n, alpha, budget, nodes, flat)
+
+
+def _coset_witness(E: int, n: int, flat: list[int]) -> bool:
+    """Whether some coset x + W of the flat W spanned by `flat`, a basis of
+    a flat avoiding E, meets E in exactly dim W + 1 independent points.
+
+    Such a J = E ∩ (x + W) has closure W ∪ (x + W), which meets E only
+    in J, so sigma >= dim W + 1.  The cosets are walked from the lowest
+    point of E not yet covered: at most min(|E|, 2^(n - dim W))
+    translates of W.  README, "Invariants at the leaves".
+    """
+    size = len(flat) + 1
+    W = span_from_basis(flat, n)
+    rest = E
+    while rest:
+        coset = xor_translate(W, (rest & -rest).bit_length() - 1, n)
+        J = E & coset
+        if J.bit_count() == size and rank_mask(J, n) == size:
+            return True
+        rest &= ~coset
+    return False
 
 
 def _sigma_search(
-    E: int, n: int, alpha: int, budget: Optional[int] = None, nodes: int = 0
+    E: int,
+    n: int,
+    alpha: int,
+    budget: Optional[int] = None,
+    nodes: int = 0,
+    flat: Optional[list[int]] = None,
 ) -> int:
     """`induced_independence_number` of (n, E), given its alpha; `nodes`
-    counts those already spent against `budget`."""
+    counts those already spent against `budget`.  `flat`, the basis of an
+    alpha-flat avoiding E, lets a coset of it answer alpha + 1 with no
+    search; without it the search runs in full."""
     if E == 0:
         return 0
     cap = min(n, alpha + 1)
+    if flat is not None and _coset_witness(E, n, flat):
+        return cap
     full = (1 << (1 << n)) - 1
     table = TranslateTable(E, n)
     trans, get = table.entries, table.get

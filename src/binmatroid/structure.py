@@ -32,6 +32,7 @@ from .gf2 import (
     closure_mask,
     complementary_flat,
     cosets,
+    echelon_basis,
     ground_mask,
     is_flat,
     iter_bits,
@@ -40,15 +41,15 @@ from .gf2 import (
 from .matroid import (
     BinaryMatroid,
     InvariantRecord,
+    _clique_search,
     _sigma_search,
     clique_number,
-    complement,
     is_full_rank,
     linear_map_table,
     rank_mask,
     restrict,
 )
-from .recognize import ClassFlags, _classify, classify
+from .recognize import ClassFlags, _classify, classify, pg_sum_witness_mask
 
 
 class StructureTheoremViolation(RuntimeError):
@@ -313,30 +314,71 @@ def fold_invariants(node: DecompositionNode) -> InvariantRecord:
 def _leaf_invariants(leaf: Leaf) -> InvariantRecord:
     """The invariants of a leaf, read off its tags where they decide them.
 
-    A claw-free set has sigma 0 when empty, 1 when a flat, else 2; an
-    even-plane set has omega 0 when empty, 1 when triangle-free, else 2;
-    a set with triangle-free complement has alpha 0 when full, else 1.
+    Six identities answer what a tag decides:
+
+    - a claw-free set has sigma 0 when empty, 1 when a flat, else 2;
+    - an even-plane set has omega 0 when empty, 1 when triangle-free,
+      else 2;
+    - an even-plane set has alpha n - k - [|E| >= 2^(n-1)], where 2k is
+      the rank of its polar form (`_dickson_alpha`);
+    - a set with triangle-free complement has alpha 0 when full, else 1;
+    - a strict PG-sum of an a-flat and a b-flat has omega max(a, b) and
+      alpha min(a, b);
+    - sigma is alpha + 1 when a coset of the flat the alpha search found
+      meets E in alpha + 1 independent points (`matroid._coset_witness`).
+
     The sigma search stops at alpha + 1 and takes alpha from here rather
     than searching for it again.  README, "Invariants at the leaves", has
     the proofs; `invariants` is the oracle.
     """
     M, tags = leaf.matroid, leaf.tags
     E, n = M.mask, M.n
+    if tags.strict_pg_sum:
+        # the dimensions of the two flats, least first
+        low, high = sorted(
+            (F.bit_count() + 1).bit_length() - 1 for F in pg_sum_witness_mask(E, n)
+        )
     if tags.even_plane:
         omega = 0 if E == 0 else 1 if tags.triangle_free else 2
+    elif tags.strict_pg_sum:
+        omega = high
     else:
         omega = clique_number(M)
+    flat = None
     if tags.complement_triangle_free:
         alpha = 0 if E == ground_mask(n) else 1
+    elif tags.strict_pg_sum:
+        alpha = low
+    elif tags.even_plane:
+        alpha = _dickson_alpha(E, n)
     else:
-        alpha = clique_number(complement(M))
+        alpha, _, flat = _clique_search(ground_mask(n) & ~E, n, None)
     if tags.claw_free:
         sigma = 0 if E == 0 else 1 if is_flat(E, n) else 2
     else:
-        sigma = _sigma_search(E, n, alpha)
+        sigma = _sigma_search(E, n, alpha, flat=flat)
     return InvariantRecord(
         omega=omega, chi=n - alpha, alpha=alpha, sigma=sigma, full_rank=is_full_rank(M)
     )
+
+
+def _dickson_alpha(E: int, n: int) -> int:
+    """alpha of an even-plane set E, by Dickson's classification.
+
+    E is f^{-1}(1) for a quadratic form f, whose polar form
+    B(x, y) = f(x + y) + f(x) + f(y) is read on the basis vectors; with
+    2k its rank, alpha = n - k - [|E| >= 2^(n-1)].  README, "Invariants
+    at the leaves".
+    """
+    rows = [0] * n
+    for i in range(n):
+        fi = (E >> (1 << i)) & 1
+        for j in range(i):
+            if ((E >> ((1 << i) | (1 << j))) ^ (E >> (1 << j)) ^ fi) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    k = len(echelon_basis(rows)) // 2
+    return n - k - (2 * E.bit_count() >= 1 << n)
 
 
 def tree_flags(M: BinaryMatroid, node: DecompositionNode) -> ClassFlags:

@@ -848,6 +848,13 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
+def suite_keywords(name: str) -> tuple[str, ...]:
+    """Which of n_max, samples and seed the named suite takes."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return tuple(kw for kw in _SUITES[name][1] if kw)
+
+
 def run_suite(
     name: str, n_max: Optional[int] = None, seed: Optional[int] = None, samples: Optional[int] = None
 ) -> dict:

@@ -354,11 +354,50 @@ def test_negative_counts_are_usage_errors(argv):
     assert "must be nonnegative" in err
 
 
-def test_zero_samples_stay_legal_at_the_cli():
-    code, out, _ = run_cli(["verify", "pgsum", "--n-max", "0", "--samples", "0"])
-    assert code == 0 and json.loads(out)["sampled"] == 0
+@pytest.mark.parametrize("suite", ["structure", "ljparams", "pgsum", "target", "rlj", "coset"])
+def test_zero_samples_are_usage_errors_for_sampling_suites(suite):
+    # a suite that samples nothing would report passed: true on 0 cases
+    code, out, err = run_cli(["verify", suite, "--samples", "0"])
+    assert code == 1 and out == ""
+    assert "--samples" in err
+
+
+def test_zero_samples_stay_legal_for_enumerate():
     code, out, _ = run_cli(["enumerate", "--n", "5", "--mode", "sample", "--samples", "0"])
     assert code == 0 and json.loads(out)["samples"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["verify", "tiny", "--n-max", "9"], "--n-max"),
+        (["verify", "rlj", "--n-max", "9"], "--n-max"),
+        (["verify", "ljparams", "--n-max", "3"], "--n-max"),
+        (["verify", "density", "--samples", "5"], "--samples"),
+        (["verify", "bbt", "--samples", "5"], "--samples"),
+        (["verify", "tiny", "--samples", "5"], "--samples"),
+        (["verify", "chibound", "--seed", "3"], "--seed"),
+        (["verify", "cftf", "--seed", "0"], "--seed"),
+    ],
+)
+def test_options_a_suite_does_not_take_are_usage_errors(argv, option):
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert "usage error" in err and option in err and argv[1] in err
+
+
+def test_suite_keywords_match_the_registry():
+    from binmatroid import verify
+
+    assert verify.suite_keywords("structure") == ("n_max", "samples", "seed")
+    assert verify.suite_keywords("rlj") == ("samples", "seed")
+    assert verify.suite_keywords("density") == ("n_max",)
+    assert verify.suite_keywords("tiny") == ()
+    with pytest.raises(ValueError):
+        verify.suite_keywords("bogus")
+    # a suite given only the options it takes still runs
+    code, out, _ = run_cli(["verify", "ljparams", "--samples", "3", "--seed", "2"])
+    assert code == 0 and json.loads(out)["samples"] == 3
 
 
 def test_run_suite_honours_zero_samples():

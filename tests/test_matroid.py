@@ -344,33 +344,72 @@ def _nodes_used(search, M):
 
 
 #: (n, density, seed, omega, clique nodes, sigma, induced-independence
-#: nodes) for ground sets from `_seeded_mask`, recorded with `_nodes_used`
-#: once the searches had their colour bounds and the alpha + 1 cap; the
-#: sigma nodes include those of its alpha search
+#: nodes, sigma dfs nodes) for ground sets from `_seeded_mask`, recorded
+#: with `_nodes_used` once the searches had their colour bounds and the
+#: alpha + 1 cap; the sigma nodes include those of its alpha search.  The
+#: induced-independence column was re-recorded when the coset witness of
+#: the alpha flat came in (it takes no nodes); the last column keeps the
+#: counts of the full dfs, `_sigma_no_witness`, from before that change
 FROZEN_SEARCH_NODES = [
-    (7, 0.5, 1, 3, 379, 4, 7),
-    (7, 0.8, 2, 4, 3316, 3, 6),
-    (7, 0.25, 3, 2, 2, 5, 3486),
-    (8, 0.5, 4, 4, 24, 4, 8891),
-    (8, 0.85, 5, 5, 46758, 3, 78),
-    (8, 0.2, 6, 2, 151, 6, 23701),
-    (8, 0.65, 7, 4, 9093, 4, 61),
+    (7, 0.5, 1, 3, 379, 4, 3, 7),
+    (7, 0.8, 2, 4, 3316, 3, 2, 6),
+    (7, 0.25, 3, 2, 2, 5, 3481, 3486),
+    (8, 0.5, 4, 4, 24, 4, 8891, 8891),
+    (8, 0.85, 5, 5, 46758, 3, 74, 78),
+    (8, 0.2, 6, 2, 151, 6, 23701, 23701),
+    (8, 0.65, 7, 4, 9093, 4, 6, 61),
 ]
 
 
+def _sigma_no_witness(M, budget=None):
+    """`induced_independence_number` with no coset witness: the alpha
+    search, then the sigma dfs in full under the same budget."""
+    E, n = M.mask, M.n
+    alpha, nodes, _ = matroid._clique_search(ground_mask(n) & ~E, n, budget)
+    return matroid._sigma_search(E, n, alpha, budget, nodes)
+
+
 @pytest.mark.parametrize(
-    "n,density,seed,omega,omega_nodes,sigma,sigma_nodes",
+    "n,density,seed,omega,omega_nodes,sigma,sigma_nodes,dfs_nodes",
     FROZEN_SEARCH_NODES,
     ids=[f"{n}-{density}-{seed}" for n, density, seed, *_ in FROZEN_SEARCH_NODES],
 )
-def test_leaf_search_nodes_frozen(n, density, seed, omega, omega_nodes, sigma, sigma_nodes):
+def test_leaf_search_nodes_frozen(
+    n, density, seed, omega, omega_nodes, sigma, sigma_nodes, dfs_nodes
+):
     M = BinaryMatroid(n, _seeded_mask(n, density, seed))
     for search, value, nodes in (
         (clique_number, omega, omega_nodes),
         (induced_independence_number, sigma, sigma_nodes),
+        (_sigma_no_witness, sigma, dfs_nodes),
     ):
         assert _nodes_used(search, M) == nodes
         assert search(M, budget=nodes) == value
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
+def test_coset_witness_matches_sigma_search(n):
+    # the flat the clique search returns has the dimension it reports and
+    # lies inside its set; a coset of the alpha flat that meets E in
+    # alpha + 1 independent points answers sigma = alpha + 1, and the
+    # search that tries it first agrees with the full dfs
+    rng = random.Random(f"coset-witness:{n}")
+    hits = misses = 0
+    for density in (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+        for _ in range(3 if n < 9 else 1):
+            E = _seeded_mask(n, density, rng.getrandbits(32))
+            for S in (E, ground_mask(n) & ~E):
+                dim, _, flat = matroid._clique_search(S, n, None)
+                assert len(flat) == dim == closure(flat, n).dim, hex(S)
+                assert gf2.span_from_basis(flat, n) & ~S == 1, hex(S)
+            want = matroid._sigma_search(E, n, dim)
+            assert matroid._sigma_search(E, n, dim, flat=flat) == want, hex(E)
+            if E and matroid._coset_witness(E, n, flat):
+                hits += 1
+                assert want == dim + 1, hex(E)
+            else:
+                misses += 1
+    assert hits and misses
 
 
 #: the same rows with the node counts the searches took before their

@@ -633,7 +633,8 @@ def test_leaf_invariants_seeded(n):
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_leaf_invariants_search_alpha_once(n, monkeypatch):
     # a leaf in no basic class searches for omega and alpha once each, and
-    # its sigma search takes that alpha
+    # its sigma search takes that alpha; an even-plane leaf searches for
+    # neither, since its tags and Dickson's identity decide both
     rng = random.Random(f"leaf-alpha-once:{n}")
     M = BinaryMatroid(n, rng.getrandbits(1 << n) & ground_mask(n))
     tags = classify(M)
@@ -647,5 +648,59 @@ def test_leaf_invariants_search_alpha_once(n, monkeypatch):
         return search(E, dim, budget)
 
     monkeypatch.setattr(matroid, "_clique_search", counted)
+    monkeypatch.setattr(structure, "_clique_search", counted)
     assert structure._leaf_invariants(Leaf(M, tags)) == want
     assert searched == [M.mask, ground_mask(n) & ~M.mask]
+    even = 0
+    while even < 3:
+        M = BinaryMatroid(n, random_even_plane_mask(n, rng))
+        tags = classify(M)
+        if tags.complement_triangle_free or tags.strict_pg_sum:
+            continue
+        even += 1
+        want = invariants(M)
+        searched.clear()
+        assert structure._leaf_invariants(Leaf(M, tags)) == want, hex(M.mask)
+        assert searched == []
+
+
+def _alpha_search(mask, n):
+    return matroid._clique_search(ground_mask(n) & ~mask, n, None)[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_dickson_alpha_exhaustive(n):
+    # every even-plane set, as a sum of the family's basis members
+    masks = census.even_plane_masks(n)
+    assert len(masks) == 1 << (n + n * (n - 1) // 2)
+    for mask in masks:
+        assert structure._dickson_alpha(mask, n) == _alpha_search(mask, n), hex(mask)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_dickson_alpha_seeded(n):
+    rng = random.Random(f"dickson:{n}")
+    sizes = set()
+    for _ in range({6: 30, 7: 20, 8: 10, 9: 5}[n]):
+        mask = random_even_plane_mask(n, rng)
+        sizes.add((2 * mask.bit_count() > 1 << n) - (2 * mask.bit_count() < 1 << n))
+        assert structure._dickson_alpha(mask, n) == _alpha_search(mask, n), hex(mask)
+    assert len(sizes) > 1  # more than one of the three sizes was drawn
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_pg_sum_leaf_identities(n):
+    # omega = max(a, b) and alpha = min(a, b) on a strict PG-sum of an
+    # a-flat and a b-flat, a + b = n, moved by random linear maps; the
+    # even-plane tag decides omega first on the small even-plane ones
+    rng = random.Random(f"pg-sum-leaf:{n}")
+    for a in range(1, n // 2 + 1):
+        for _ in range(2):
+            images = _random_gl(n, rng)
+            M = apply_linear_map(BinaryMatroid(n, pg_sum(a, n - a).mask), images)
+            tags = classify(M)
+            assert tags.strict_pg_sum and tags.even_plane == (n < 4 or (n, a) == (4, 2))
+            rec = structure._leaf_invariants(Leaf(M, tags))
+            assert (rec.omega, rec.alpha) == (n - a, a), hex(M.mask)
+            assert rec.omega == matroid._clique_search(M.mask, n, None)[0], hex(M.mask)
+            assert rec.alpha == _alpha_search(M.mask, n), hex(M.mask)
