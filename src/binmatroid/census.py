@@ -14,7 +14,14 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import tables
-from .gf2 import _half_masks, echelon_basis, ground_mask, iter_bits, xor_translate
+from .gf2 import (
+    TranslateTable,
+    _half_masks,
+    echelon_basis,
+    ground_mask,
+    iter_bits,
+    xor_translate,
+)
 from .matroid import BinaryMatroid, canonical_form, linear_map_table, seq_key
 from .construct import lift_join
 from .recognize import classify, claw_free_any
@@ -142,20 +149,28 @@ def even_plane_classes(n: int) -> tuple[int, ...]:
 
 
 def _claw_through(mask: int, p: int, n: int) -> bool:
-    """Whether E + {p} has a claw through p, for a point p outside E.
+    """Whether E + {p} has a claw through p, for a point p outside E; the
+    table test `_claw_through_table` over a translate table of E."""
+    return _claw_through_table(mask, p, TranslateTable(mask, n))
 
-    With T = E + p, A = E \\ T and B = G \\ (E ∪ T), the claws through
+
+def _claw_through_table(E: int, p: int, table: TranslateTable) -> bool:
+    """Whether E + {p} has a claw through p, for a point p outside E,
+    given a translate table of E.
+
+    With A = E \\ (E + p) and B = G \\ (E ∪ (E + p)), the claws through
     p are the triples {p, x, y} with x, y in A and x + y in B (README,
-    "Identities instead of plane searches"): at most one translate of B
-    per point x of A, met with the points of A after x.
+    "Identities instead of plane searches").  x + y lies in B iff y lies
+    in neither E + x nor E + (p + x), so each point x of A meets the
+    points of A after it with two table entries.
     """
-    T = xor_translate(mask, p, n)
-    rest = mask & ~T
-    B = ground_mask(n) & ~(mask | T)
+    T, get = table.entries, table.get
+    rest = E & ~(T[p] or get(p))
     while rest & (rest - 1):  # a pair of points of A is left
         low = rest & -rest
         rest ^= low
-        if xor_translate(B, low.bit_length() - 1, n) & rest:
+        x = low.bit_length() - 1
+        if rest & ~((T[x] or get(x)) | (T[p ^ x] or get(p ^ x))):
             return True
     return False
 
@@ -163,16 +178,29 @@ def _claw_through(mask: int, p: int, n: int) -> bool:
 def _greedy_claw_free(n: int, rng: random.Random) -> int:
     """Random insertion order, random keep rate; a drawn point is kept
     unless it completes a claw.  E stays claw-free, so such a claw runs
-    through the new point, and `_claw_through` decides it."""
+    through the new point, and `_claw_through_table` decides it from a
+    translate table of E, updated as a point q joins E (q + u joins
+    E + u).  Up to n = 13 every translate fits in the table, so all are
+    kept exact and read with no translate; beyond, only the stored ones
+    are updated, and the table computes the others from E."""
     order = list(range(1, 1 << n))
     rng.shuffle(order)
     keep = rng.uniform(0.25, 1.0)
     E = 0
+    table = TranslateTable(0, n)
+    T = table.entries
+    every = table.room >= len(T)
     for p in order:
         if rng.random() > keep:
             continue
-        if not _claw_through(E, p, n):
+        if not _claw_through_table(E, p, table):
             E |= 1 << p
+            if every:
+                T[:] = [t | 1 << (p ^ u) for u, t in enumerate(T)]
+            else:
+                # an entry left 0 is not stored
+                T[:] = [t and t | 1 << (p ^ u) for u, t in enumerate(T)]
+                T[0] = E
     return E
 
 

@@ -18,6 +18,7 @@ from .gf2 import (
     check_dim,
     closure,
     closure_mask,
+    echelon_basis,
     flats_of_dim,
     ground_mask,
     iter_bits,
@@ -207,13 +208,18 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     the meet of the translates E+(s+p), read from one table; deeper, V
     is translated by p.  A capacity bound prunes branches that cannot
     beat the best dimension found, and the search stops once it reaches
-    the least of two upper bounds: the bound of `_holds_hyperplane`,
-    n - 1 when E holds a hyperplane and else n - 2, and the colour bound.
-    A k-flat inside E is a (2^k - 1)-clique of the graph on E joining q
-    and r when q + r lies in E, so k <= log2(c + 1) for the c classes of
-    one greedy colouring of that graph at the root; the colouring stops
-    once c + 1 reaches 2^top, past which it cannot lower the bound.
-    README, "Bounds in the leaf searches", has the proof.
+    its root bound `top`.  Three proofs from above come first.  When E
+    holds a hyperplane, omega = n - 1 with no search
+    (`_hyperplane_functional`).  Otherwise omega <= n - 2, and the
+    colour bound may lower that: a k-flat inside E is a (2^k - 1)-clique
+    of the graph on E joining q and r when q + r lies in E, so
+    k <= log2(c + 1) for the c classes of one greedy colouring of that
+    graph at the root; the colouring stops once c + 1 reaches 2^top,
+    past which it cannot lower the bound.  When the bound is still
+    n - 2, the cover test `_codim2_flat` either finds a flat of that
+    dimension inside E, and omega = n - 2 with no search, or proves
+    that none exists and lowers `top` to n - 3 before the search.
+    README, "Bounds in the leaf searches", has the proofs.
     """
     return _clique_search(M.mask, M.n, budget)[0]
 
@@ -222,17 +228,26 @@ def _clique_search(
     E: int, n: int, budget: Optional[int]
 ) -> tuple[int, int, list[int]]:
     """`clique_number` of (n, E), the nodes its search took, and a basis of
-    the largest flat it found inside E, recorded whenever the best improves."""
+    the largest flat it found inside E, recorded whenever the best improves
+    or read off the functionals of a proof from above."""
     if E == 0:
         return 0, 0, []
     if E == ground_mask(n):
         return n, 0, [1 << i for i in range(n)]
-    top = n - 1 if _holds_hyperplane(E, n) else n - 2
+    w = _hyperplane_functional(ground_mask(n) & ~E, n)
+    if w:
+        return n - 1, 0, _annihilator([w], n)
+    top = n - 2
     halves = _half_masks(n)
     table = TranslateTable(E, n)
     trans, get = table.entries, table.get
     colours = len(_colour_classes(E, table, -1, (1 << top) - 1))
     top = min(top, (colours + 1).bit_length() - 1)
+    if top == n - 2 > 1:
+        cover = _codim2_flat(E, n)
+        if cover is not None:
+            return top, 0, cover
+        top -= 1
     best = 1
     flat = [(E & -E).bit_length() - 1]
     nodes = 0
@@ -282,23 +297,81 @@ def _clique_search(
 
 
 def _holds_hyperplane(E: int, n: int) -> bool:
-    """Whether a ground set other than G holds a hyperplane.
+    """Whether a ground set other than G holds a hyperplane: whether its
+    complement has a `_hyperplane_functional`."""
+    return _hyperplane_functional(ground_mask(n) & ~E, n) != 0
 
-    E holds a hyperplane iff its complement C lies in the complement of
-    one, an affine hyperplane, iff 0 is outside the affine hull of C,
-    that is iff c0 is outside span{c + c0 : c in C} for any c0 in C.  The
-    span grows from the lowest point of C whose sum with c0 lies outside
-    it, at most n - 1 steps of two translates each.
+
+def _hyperplane_functional(C: int, n: int) -> int:
+    """A functional w with w(c) = 1 for every point c of the nonempty set
+    C, or 0 when there is none.
+
+    Such a w exists iff C lies in an affine hyperplane, iff 0 is outside
+    the affine hull of C, that is iff c0 is outside span{c + c0 : c in C}
+    for any c0 in C; then ker w holds that span and not c0.  The span
+    grows from the lowest point of C whose sum with c0 lies outside it,
+    at most n - 1 steps of two translates each.  With C the complement
+    of E, the points of ker w other than 0 form a hyperplane inside E.
     """
-    C = ground_mask(n) & ~E
     c0 = (C & -C).bit_length() - 1
     span = 1
+    taken = []
     while not (span >> c0) & 1:
         out = C & ~xor_translate(span, c0, n)
         if not out:
-            return True
-        span |= xor_translate(span, ((out & -out).bit_length() - 1) ^ c0, n)
-    return False
+            return next(w for w in _annihilator(taken, n) if (w & c0).bit_count() & 1)
+        b = ((out & -out).bit_length() - 1) ^ c0
+        taken.append(b)
+        span |= xor_translate(span, b, n)
+    return 0
+
+
+def _codim2_flat(E: int, n: int) -> Optional[list[int]]:
+    """A basis of a flat of dimension n - 2 inside E, or None when there is
+    none; E must hold no hyperplane.
+
+    Let T = G \\ E and t0 its lowest point.  If ker u ∩ ker w, less 0, lies
+    inside E, then T misses it; t0 lies outside it, so one of the
+    functionals u, w, u + w that vanish on it is 1 at t0; call it u.
+    Then T ∩ ker u lies in {w = 1}, and conversely a functional w with
+    T ∩ ker u in {w = 1} puts ker u ∩ ker w, less 0, inside E (w is
+    neither 0 nor u, since E holds no hyperplane and so T ∩ ker u is not
+    empty).  So the test runs `_hyperplane_functional` on T ∩ ker u for
+    the 2^(n-1) functionals u with u(t0) = 1, walked in Gray-code order
+    so that each step updates T ∩ {u = 1} by one xor.  README, "Bounds
+    in the leaf searches".
+    """
+    T = ground_mask(n) & ~E
+    t0 = (T & -T).bit_length() - 1
+    odd_parts = [T & ~h for h in _half_masks(n)]  # points of T with bit i set
+    u = odd = 0  # odd is T ∩ {u = 1}
+    for k in range(1, 1 << n):
+        i = (k & -k).bit_length() - 1
+        u ^= 1 << i
+        odd ^= odd_parts[i]
+        if (u & t0).bit_count() & 1:
+            w = _hyperplane_functional(T ^ odd, n)
+            if w:
+                return _annihilator([u, w], n)
+    return None
+
+
+def _annihilator(rows: list[int], n: int) -> list[int]:
+    """A basis of the vectors v of F_2^n with r·v = 0 for every r in rows.
+
+    Over the reduced echelon basis of the rows, each non-pivot coordinate
+    j gives e_j plus the pivots of the rows that hold j.
+    """
+    pivots = {r.bit_length() - 1: r for r in echelon_basis(rows)}
+    out = []
+    for j in range(n):
+        if j not in pivots:
+            v = 1 << j
+            for p, r in pivots.items():
+                if (r >> j) & 1:
+                    v |= 1 << p
+            out.append(v)
+    return out
 
 
 def critical_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:

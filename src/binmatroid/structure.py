@@ -9,11 +9,13 @@ Decomposers are found per anchor point by a fixpoint closure, not by
 flat enumeration: the minimal decomposer through a is the closure of a
 under "collect every point whose pair under some member of the flat is
 mixed".  The fixpoint is monotone, so it underlies every decomposer
-containing the anchor; an anchor whose span reaches a point in no
-decomposer is in none either.  `_anchor_spans` walks the anchors in
-order with the bitset of those in no decomposer and drops each anchor
-whose span meets it; `find_decomposer` and `has_decomposer_mask` both
-read their spans from it.
+containing the anchor; an anchor whose span or defect union reaches a
+point in no decomposer is in none either.  `_anchor_spans` walks the
+anchors in order with the bitset of those in no decomposer and drops
+each anchor that reaches it; the first few such anchors also serve as
+point probes, which refute a later anchor a from E's membership at b
+and b + a alone, with no translate.  `find_decomposer` and
+`has_decomposer_mask` both read their spans from it.
 
 `tree_flags` and `fold_invariants` read class flags and invariants off a
 decomposition tree through the lift-join identities, so only the leaves
@@ -107,20 +109,39 @@ def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     return best
 
 
+#: Anchors in no decomposer that `_anchor_spans` keeps as point probes.
+_PROBES = 4
+
+
 def _anchor_spans(table: TranslateTable) -> Iterator[int]:
     """The fixpoint span of each anchor, in anchor order, that stays proper.
 
     An anchor whose span blows up to G lies in no decomposer, so it joins
     the bad-anchor bitset, and a later anchor is dropped as soon as its
-    growing span meets that bitset (see `_fixpoint_span`).
+    fixpoint reaches that bitset (see `_fixpoint_span`).  The first
+    `_PROBES` anchors that blow up become probes: a decomposer through a
+    holds every b with [b in E] != [b + a in E], since b and b + a share
+    a coset, so a probe b with that mismatch drops a with two lookups in
+    a membership string.  The string is built at the first bad anchor,
+    so a walk that yields before one pays nothing for the probes.
     """
     bad = 0
+    probes: list[int] = []
+    member = ""
     for a in range(1, 1 << table.n):
-        span = _fixpoint_span(table, a, bad)
-        if span is None:
+        if probes and any(member[b] != member[b ^ a] for b in probes):
             bad |= 1 << a
-        else:
+            continue
+        span = _fixpoint_span(table, a, bad)
+        if span is not None:
             yield span
+            continue
+        bad |= 1 << a
+        if len(probes) < _PROBES:
+            if not probes:
+                # member[v] is "1" iff v lies in E, for every v in F_2^n
+                member = bin(table.entries[0] | 1 << (1 << table.n))[:2:-1]
+            probes.append(a)
 
 
 def _fixpoint_span(table: TranslateTable, a: int, bad: int = 0) -> Optional[int]:
@@ -128,10 +149,12 @@ def _fixpoint_span(table: TranslateTable, a: int, bad: int = 0) -> Optional[int]
 
     The defect set of a member b is E ^ (E+b), read from the translate
     table of the ground set E.  `bad` holds points known to lie in no
-    proper decomposer: every decomposer through a contains the growing
-    span, so the search gives up as soon as the span meets `bad`.  The
-    span absorbs the lowest point still outside it and is re-masked, so
-    one anchor costs at most n growth steps.
+    proper decomposer.  Every decomposer through a contains the growing
+    span and the union `need` of its members' defect sets, which the
+    span absorbs next, so the search gives up as soon as either meets
+    `bad`: `need` is tested after each member's defect set joins it.
+    The span absorbs the lowest point still outside it and is re-masked,
+    so one anchor costs at most n growth steps.
     """
     n = table.n
     trans, get = table.entries, table.get
@@ -147,6 +170,8 @@ def _fixpoint_span(table: TranslateTable, a: int, bad: int = 0) -> Optional[int]
         need = 0
         for b in iter_bits(fresh):
             need |= E ^ (trans[b] or get(b))
+            if need & bad:
+                return None
         rest = need & ~span
         while rest:
             low = rest & -rest

@@ -191,7 +191,10 @@ def density_floor(r: int) -> int:
 
 def verify_density(n_max: int = 4) -> dict:
     """No full-rank claw-free ground set is smaller than the floor, and one
-    attains it (exhaustive); the equality classes at r = 3, 4."""
+    attains it (exhaustive); the equality classes at r = 3, 4.  The range
+    starts at r = 1, so an n_max below 1 would check nothing."""
+    if n_max < 1:
+        raise ValueError(f"density n_max must be at least 1, got {n_max}")
     fields = _n_max_fields(n_max, 4)
     n_max = fields["n_max"]
     results = {}
@@ -780,7 +783,10 @@ def verify_bbt(n_max: int = 4) -> dict:
 
 def verify_cftf(n_max: int = 4) -> dict:
     """Full-rank claw-free triangle-free ground sets are exactly the
-    order-1 Bose-Burton geometries."""
+    order-1 Bose-Burton geometries.  The range starts at n = 1, so an
+    n_max below 1 would check nothing."""
+    if n_max < 1:
+        raise ValueError(f"cftf n_max must be at least 1, got {n_max}")
     fields = _n_max_fields(n_max, 4)
     n_max = fields["n_max"]
     checked = 0

@@ -7,9 +7,10 @@ import random
 import pytest
 
 from binmatroid import BinaryMatroid, canonical_form, find_claw
-from binmatroid import tables
+from binmatroid import gf2, tables
 from binmatroid.census import (
     _claw_through,
+    _greedy_claw_free,
     canon_table,
     even_plane_basis,
     even_plane_classes,
@@ -23,7 +24,7 @@ from binmatroid.census import (
     sampled_census,
     transform_mask,
 )
-from binmatroid.gf2 import flats_of_dim
+from binmatroid.gf2 import flats_of_dim, ground_mask, xor_translate
 from binmatroid.recognize import is_even_plane
 from binmatroid.tables import claw_free_masks_list
 
@@ -200,6 +201,53 @@ def test_claw_through_matches_find_claw(n, count):
             assert _claw_through(mask, p, n) == want, (n, mask, p)
             seen[want] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _claw_through_translating(mask, p, n):
+    """`_claw_through` as a walk with no table: one translate of
+    B = G \\ (E ∪ (E + p)) per point of A = E \\ (E + p)."""
+    T = xor_translate(mask, p, n)
+    rest = mask & ~T
+    B = ground_mask(n) & ~(mask | T)
+    while rest & (rest - 1):
+        low = rest & -rest
+        rest ^= low
+        if xor_translate(B, low.bit_length() - 1, n) & rest:
+            return True
+    return False
+
+
+def _greedy_claw_free_translating(n, rng):
+    """`_greedy_claw_free` over `_claw_through_translating`, with no table
+    of translates."""
+    order = list(range(1, 1 << n))
+    rng.shuffle(order)
+    keep = rng.uniform(0.25, 1.0)
+    E = 0
+    for p in order:
+        if rng.random() > keep:
+            continue
+        if not _claw_through_translating(E, p, n):
+            E |= 1 << p
+    return E
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("table_bytes", [None, 64])
+def test_greedy_claw_free_matches_translating_greedy(n, table_bytes, monkeypatch):
+    # the table keeps every translate of E it stores up to date, so each
+    # claw test answers as the translating walk does and the RNG stream is
+    # the same; a 64-byte table stores only some translates, as at n >= 14
+    if table_bytes is not None:
+        monkeypatch.setattr(gf2, "TRANSLATE_TABLE_BYTES", table_bytes)
+    sizes = set()
+    for seed in range(300):
+        r1, r2 = random.Random(f"greedy:{n}:{seed}"), random.Random(f"greedy:{n}:{seed}")
+        mask = _greedy_claw_free(n, r1)
+        assert mask == _greedy_claw_free_translating(n, r2), (n, seed)
+        assert r1.getstate() == r2.getstate(), (n, seed)
+        sizes.add(mask.bit_count())
+    assert len(sizes) > 3
 
 
 def test_claw_free_lists():

@@ -362,6 +362,16 @@ def test_zero_samples_are_usage_errors_for_sampling_suites(suite):
     assert "--samples" in err
 
 
+@pytest.mark.parametrize("suite", ["density", "cftf"])
+def test_n_max_below_the_first_dimension_is_a_usage_error(suite):
+    # both ranges start at n = 1, so --n-max 0 would pass on no case
+    code, out, err = run_cli(["verify", suite, "--n-max", "0"])
+    assert code == 1 and out == ""
+    assert "usage error" in err and suite in err
+    code, out, _ = run_cli(["verify", suite, "--n-max", "1"])
+    assert code == 0 and json.loads(out)["checked"] > 0
+
+
 def test_zero_samples_stay_legal_for_enumerate():
     code, out, _ = run_cli(["enumerate", "--n", "5", "--mode", "sample", "--samples", "0"])
     assert code == 0 and json.loads(out)["samples"] == 0

@@ -344,44 +344,51 @@ def _nodes_used(search, M):
 
 
 #: (n, density, seed, omega, clique nodes, sigma, induced-independence
-#: nodes, sigma dfs nodes) for ground sets from `_seeded_mask`, recorded
-#: with `_nodes_used` once the searches had their colour bounds and the
-#: alpha + 1 cap; the sigma nodes include those of its alpha search.  The
-#: induced-independence column was re-recorded when the coset witness of
-#: the alpha flat came in (it takes no nodes); the last column keeps the
-#: counts of the full dfs, `_sigma_no_witness`, from before that change
+#: nodes, sigma dfs nodes, clique nodes with no cover test) for ground
+#: sets from `_seeded_mask`, recorded with `_nodes_used` once the searches
+#: had their colour bounds and the alpha + 1 cap; the sigma nodes include
+#: those of its alpha search.  The induced-independence column was
+#: re-recorded when the coset witness of the alpha flat came in (it takes
+#: no nodes), and the clique and induced-independence columns again when
+#: the clique search gained its proofs from above (the hyperplane and
+#: codim-2 cover tests, which take no nodes).  The last two columns keep
+#: the counts from before those changes: `_sigma_no_witness` runs the
+#: sigma dfs in full after the alpha search with no cover test, and
+#: `_clique_number_no_cover` is that clique search
 FROZEN_SEARCH_NODES = [
-    (7, 0.5, 1, 3, 379, 4, 3, 7),
-    (7, 0.8, 2, 4, 3316, 3, 2, 6),
-    (7, 0.25, 3, 2, 2, 5, 3481, 3486),
-    (8, 0.5, 4, 4, 24, 4, 8891, 8891),
-    (8, 0.85, 5, 5, 46758, 3, 74, 78),
-    (8, 0.2, 6, 2, 151, 6, 23701, 23701),
-    (8, 0.65, 7, 4, 9093, 4, 6, 61),
+    (7, 0.5, 1, 3, 379, 4, 3, 7, 379),
+    (7, 0.8, 2, 4, 4, 3, 2, 6, 3316),
+    (7, 0.25, 3, 2, 2, 5, 13, 3486, 2),
+    (8, 0.5, 4, 4, 24, 4, 8891, 8891, 24),
+    (8, 0.85, 5, 5, 5, 3, 74, 78, 46758),
+    (8, 0.2, 6, 2, 151, 6, 85, 23701, 151),
+    (8, 0.65, 7, 4, 9093, 4, 6, 61, 9093),
 ]
 
 
 def _sigma_no_witness(M, budget=None):
-    """`induced_independence_number` with no coset witness: the alpha
-    search, then the sigma dfs in full under the same budget."""
+    """`induced_independence_number` with no coset witness and no proof
+    from above: the alpha search with no cover test, then the sigma dfs
+    in full under the same budget."""
     E, n = M.mask, M.n
-    alpha, nodes, _ = matroid._clique_search(ground_mask(n) & ~E, n, budget)
+    alpha, nodes = _clique_search_no_cover(complement(M), budget)
     return matroid._sigma_search(E, n, alpha, budget, nodes)
 
 
 @pytest.mark.parametrize(
-    "n,density,seed,omega,omega_nodes,sigma,sigma_nodes,dfs_nodes",
+    "n,density,seed,omega,omega_nodes,sigma,sigma_nodes,dfs_nodes,walk_nodes",
     FROZEN_SEARCH_NODES,
     ids=[f"{n}-{density}-{seed}" for n, density, seed, *_ in FROZEN_SEARCH_NODES],
 )
 def test_leaf_search_nodes_frozen(
-    n, density, seed, omega, omega_nodes, sigma, sigma_nodes, dfs_nodes
+    n, density, seed, omega, omega_nodes, sigma, sigma_nodes, dfs_nodes, walk_nodes
 ):
     M = BinaryMatroid(n, _seeded_mask(n, density, seed))
     for search, value, nodes in (
         (clique_number, omega, omega_nodes),
         (induced_independence_number, sigma, sigma_nodes),
         (_sigma_no_witness, sigma, dfs_nodes),
+        (_clique_number_no_cover, omega, walk_nodes),
     ):
         assert _nodes_used(search, M) == nodes
         assert search(M, budget=nodes) == value
@@ -888,12 +895,19 @@ def test_canonical_budget_hook(monkeypatch):
 
 
 def test_search_budget_hooks():
-    near_full = BinaryMatroid(6, ground_mask(6) & ~0b100)
+    # G less a plane holds a 3-flat and no 4-flat, so the search runs; G
+    # less a point holds a hyperplane and takes no node
+    no_plane = BinaryMatroid(6, ground_mask(6) & ~closure([1, 2, 4], 6).members)
     with pytest.raises(BudgetExceeded):
-        clique_number(near_full, budget=2)
+        clique_number(no_plane, budget=2)
+    assert clique_number(BinaryMatroid(6, ground_mask(6) & ~0b100), budget=0) == 5
+    # six unit vectors: a hyperplane avoids them and its odd coset holds
+    # them, so sigma = 6 takes no node; five take five in the sigma dfs
+    six = BinaryMatroid.from_points([1, 2, 4, 8, 16, 32], 6)
+    assert induced_independence_number(six, budget=0) == 6
     with pytest.raises(BudgetExceeded):
         induced_independence_number(
-            BinaryMatroid.from_points([1, 2, 4, 8, 16, 32], 6), budget=2
+            BinaryMatroid.from_points([1, 2, 4, 8, 16], 6), budget=2
         )
 
 
@@ -1003,25 +1017,88 @@ def test_hyperplane_bound_seeded(n):
         assert matroid._holds_hyperplane(M.mask, n) == _hyperplane_scan(M), hex(M.mask)
 
 
-#: (ground set, omega, clique nodes) of the three co-triangle-free n = 8
-#: inputs of the benchmark's analyze pool; without the hyperplane bound
-#: the search takes 21 550, 20 575 and 45 953 nodes
+def _assert_flat_inside(basis, E, n, dim):
+    assert len(basis) == dim == closure(basis, n).dim, hex(E)
+    assert gf2.span_from_basis(basis, n) & ~E == 1, hex(E)
+
+
+def _flat_members(n, d):
+    return [F.members for F in flats_of_dim(n, d)]
+
+
+def _assert_cover_matches_scan(E, n, hyperplanes, codim2):
+    """The cover test and the hyperplane functional against a scan of the
+    flats given as bitsets; True when E holds a codim-2 flat and no
+    hyperplane."""
+    w = matroid._hyperplane_functional(ground_mask(n) & ~E, n)
+    assert bool(w) == any(H & ~E == 0 for H in hyperplanes), hex(E)
+    if w:
+        _assert_flat_inside(matroid._annihilator([w], n), E, n, n - 1)
+        return False
+    cover = matroid._codim2_flat(E, n)
+    holds = any(F & ~E == 0 for F in codim2)
+    assert (cover is not None) == holds, hex(E)
+    if holds:
+        _assert_flat_inside(cover, E, n, n - 2)
+    return holds
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_codim2_cover_exhaustive(n):
+    # a flat of dimension n - 2 inside E exactly when some functional u
+    # with u(t0) = 1 has T ∩ ker u in an affine hyperplane
+    seen = {True: 0, False: 0}
+    flats = _flat_members(n, n - 1), _flat_members(n, n - 2)
+    for code in range(1 << ((1 << n) - 1)):
+        E = code << 1
+        if E != ground_mask(n):
+            seen[_assert_cover_matches_scan(E, n, *flats)] += 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_codim2_cover_seeded(n):
+    rng = random.Random(f"codim2-cover:{n}")
+    seen = {True: 0, False: 0}
+    flats = _flat_members(n, n - 1), _flat_members(n, n - 2)
+    for density in (0.6, 0.75, 0.85, 0.9, 0.95):
+        for _ in range(4 if n < 9 else 2):
+            E = _seeded_mask(n, density, rng.getrandbits(32))
+            # and a codim-2 flat moved by a random map, with points around it
+            F = closure(_random_images(n, rng)[: n - 2], n).members
+            for mask in (E, F | E & rng.getrandbits(1 << n)):
+                if mask != ground_mask(n):
+                    seen[_assert_cover_matches_scan(mask, n, *flats)] += 1
+                    if n <= 7:
+                        M = BinaryMatroid(n, mask)
+                        assert clique_number(M) == _clique_number_no_cover(M), hex(mask)
+    assert min(seen.values()) > 0, seen
+
+
+#: (ground set, omega, clique nodes, clique nodes with no cover test) of
+#: the three co-triangle-free n = 8 inputs of the benchmark's analyze
+#: pool.  The codim-2 cover test finds a 6-flat inside each with no node;
+#: the search with no cover test, `_clique_search_no_cover`, takes the
+#: last column, and without the hyperplane bound too it took 21 550,
+#: 20 575 and 45 953 nodes
 FROZEN_BOUNDED_NODES = [
-    (0xFBBFEF77DBBFAF7EFDFDF7EFAFDAF6EFFEEFFDF8FEE7FFFE6FFEBABF7FFEDBFE, 6, 3368),
-    (0xA67FFDBEFBD75FE9FEFF5FFFBFDFFFFF77A8FE65DDFFEBDFFFFAFBD6FFFFFEFE, 6, 1273),
-    (0x5BF9EDFFFAFFF7FEDFBFF7DD7BFFFF6EFFEE7FF7FFFFBBF7EFFFFFEFFFDAFFBC, 6, 5838),
+    (0xFBBFEF77DBBFAF7EFDFDF7EFAFDAF6EFFEEFFDF8FEE7FFFE6FFEBABF7FFEDBFE, 6, 0, 3368),
+    (0xA67FFDBEFBD75FE9FEFF5FFFBFDFFFFF77A8FE65DDFFEBDFFFFAFBD6FFFFFEFE, 6, 0, 1273),
+    (0x5BF9EDFFFAFFF7FEDFBFF7DD7BFFFF6EFFEE7FF7FFFFBBF7EFFFFFEFFFDAFFBC, 6, 0, 5838),
 ]
 
 
 @pytest.mark.parametrize(
-    "mask,omega,nodes", FROZEN_BOUNDED_NODES, ids=["ctf8-0", "ctf8-1", "ctf8-2"]
+    "mask,omega,nodes,walk_nodes", FROZEN_BOUNDED_NODES, ids=["ctf8-0", "ctf8-1", "ctf8-2"]
 )
-def test_bounded_search_nodes_frozen(mask, omega, nodes):
+def test_bounded_search_nodes_frozen(mask, omega, nodes, walk_nodes):
     M = BinaryMatroid(8, mask)
     assert not matroid._holds_hyperplane(mask, 8)  # so the search stops at 6
-    with pytest.raises(BudgetExceeded):
-        clique_number(M, budget=nodes - 1)
+    assert matroid._clique_search(mask, 8, None)[:2] == (omega, nodes)
     assert clique_number(M, budget=nodes) == omega
+    with pytest.raises(BudgetExceeded):
+        _clique_search_no_cover(M, budget=walk_nodes - 1)
+    assert _clique_search_no_cover(M, budget=walk_nodes) == (omega, walk_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +1112,20 @@ def _clique_number_uncoloured(M, budget=None):
     return _clique_search_uncoloured(M, budget)[0]
 
 
-def _clique_search_uncoloured(M, budget=None):
-    """`_clique_number_uncoloured`, and the nodes its search took."""
+def _clique_number_no_cover(M, budget=None):
+    """The clique search with no proof from above: the hyperplane and colour
+    bounds only lower `top`, and the search runs to find a flat there."""
+    return _clique_search_no_cover(M, budget)[0]
+
+
+def _clique_search_no_cover(M, budget=None):
+    """`_clique_number_no_cover`, and the nodes its search took."""
+    return _clique_search_uncoloured(M, budget, coloured=True)
+
+
+def _clique_search_uncoloured(M, budget=None, coloured=False):
+    """`_clique_number_uncoloured`, and the nodes its search took; with
+    `coloured`, the root colour bound lowers `top` too."""
     E, n = M.mask, M.n
     if E == 0:
         return 0, 0
@@ -1046,6 +1135,9 @@ def _clique_search_uncoloured(M, budget=None):
     halves = gf2._half_masks(n)
     table = TranslateTable(E, n)
     trans, get = table.entries, table.get
+    if coloured:
+        colours = len(matroid._colour_classes(E, table, -1, (1 << top) - 1))
+        top = min(top, (colours + 1).bit_length() - 1)
     best = 1
     nodes = 0
 

@@ -38,6 +38,7 @@ from binmatroid.census import random_even_plane_mask, sample_claw_free_mask
 from binmatroid.gf2 import (
     TranslateTable,
     bits_list,
+    closure_mask,
     full_flat,
     ground_mask,
     iter_bits,
@@ -534,9 +535,51 @@ def _quadric(n):
     return BinaryMatroid(n, mask)
 
 
+def _anchor_spans_without_probes(table):
+    """The anchor walk with no point probes and no early exit on the defect
+    union: a fixpoint gives up only once its span meets the bad-anchor
+    bitset.  Each growth step reads `structure.xor_translate`."""
+    n = table.n
+    E = table.entries[0]
+    full_span = ground_mask(n) | 1
+    bad = 0
+    for a in range(1, 1 << n):
+        span, processed = 1 | (1 << a), 1
+        while span != full_span and span & ~processed and not span & bad:
+            fresh = span & ~processed
+            processed = span
+            need = 0
+            for b in iter_bits(fresh):
+                need |= E ^ table.get(b)
+            rest = need & ~span
+            while rest and not span & bad:
+                low = rest & -rest
+                span |= structure.xor_translate(span, low.bit_length() - 1, n)
+                rest &= ~span
+        if span == full_span or span & bad:
+            bad |= 1 << a
+        else:
+            yield span
+
+
+def _decomposer_without_probes(M):
+    """`find_decomposer` over `_anchor_spans_without_probes`."""
+    best = None
+    for span in _anchor_spans_without_probes(TranslateTable(M.mask, M.n)):
+        F = closure_mask(span & ~1, M.n)
+        if best is None or (F.dim, F.basis) < (best.dim, best.basis):
+            best = F
+            if best.dim == 1:
+                break
+    return best
+
+
 def test_decomposer_growth_steps_frozen(monkeypatch):
     # each growth step of a fixpoint span is one translate of the span;
-    # the 4 095 anchors of the quadric at n = 12 take 45 045 steps unpruned
+    # the 4 095 anchors of the quadric at n = 12 take 45 045 steps
+    # unpruned, 4 120 with the bad-anchor bitset alone, and 31 once bad
+    # anchors serve as point probes and a fixpoint stops when its defect
+    # union meets the bitset
     steps = []
 
     def counting(mask, a, n):
@@ -546,10 +589,50 @@ def test_decomposer_growth_steps_frozen(monkeypatch):
     monkeypatch.setattr(structure, "xor_translate", counting)
     M = _quadric(12)
     assert find_decomposer(M) is None
-    assert len(steps) == 4120
+    assert len(steps) == 31
     steps.clear()
     assert not has_decomposer_mask(M.mask, 12)
+    assert len(steps) == 31
+    steps.clear()
+    assert _decomposer_without_probes(M) is None
     assert len(steps) == 4120
+
+
+def _elliptic_quadric(n):
+    """The quadric plus x1 + x2; like the quadric, it has no decomposer at
+    even n, and at odd n the last coordinate is free."""
+    return BinaryMatroid(n, _quadric(n).mask ^ ground_mask(n) & ~_hyperplane_mask(n))
+
+
+def _hyperplane_mask(n):
+    """Points with x1 + x2 = 0."""
+    return sum(1 << v for v in range(1, 1 << n) if not ((v ^ (v >> 1)) & 1))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_probed_decomposer_search_matches_walk_without_probes(n):
+    # the probes and the early exit only drop anchors the walk without
+    # them drops too, so both find the same flat, and yield the same spans
+    rng = random.Random(f"probed:{n}")
+    inputs = [
+        apply_linear_map(Q, _random_gl(n, rng))
+        for Q in (_quadric(n), _elliptic_quadric(n))
+    ]
+    for a in (1, n // 2, n - 1):
+        inputs.append(apply_linear_map(pg_sum(a, n - a), _random_gl(n, rng)))
+    inputs += _mapped_lift_joins(n, {9: 6, 10: 4, 11: 3, 12: 2}[n], 2)
+    found = 0
+    for M in inputs:
+        want = _decomposer_without_probes(M)
+        assert find_decomposer(M) == want, hex(M.mask)
+        assert has_decomposer_mask(M.mask, n) == (want is not None), hex(M.mask)
+        found += want is not None
+        if n <= 10:
+            table = TranslateTable(M.mask, n)
+            assert list(structure._anchor_spans(table)) == list(
+                _anchor_spans_without_probes(table)
+            ), hex(M.mask)
+    assert 0 < found < len(inputs)
 
 
 def _assert_fold_matches(M, tree):
