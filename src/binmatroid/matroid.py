@@ -296,12 +296,6 @@ def _clique_search(
     return best, nodes, flat
 
 
-def _holds_hyperplane(E: int, n: int) -> bool:
-    """Whether a ground set other than G holds a hyperplane: whether its
-    complement has a `_hyperplane_functional`."""
-    return _hyperplane_functional(ground_mask(n) & ~E, n) != 0
-
-
 def _hyperplane_functional(C: int, n: int) -> int:
     """A functional w with w(c) = 1 for every point c of the nonempty set
     C, or 0 when there is none.

@@ -40,7 +40,7 @@ def plane_array(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def planes_through_point(n: int) -> tuple[np.ndarray, ...]:
     """For each point value, the masks of the planes containing it: the
-    plane oracle for `census._claw_through`."""
+    plane oracle for `census._claw_through_table`."""
     per_point: list[list[int]] = [[] for _ in range(1 << n)]
     for pm in flat_members(n, 3):
         for p in iter_bits(pm):

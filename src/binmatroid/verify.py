@@ -70,9 +70,13 @@ def _structure_outcome(mask: int, n: int) -> Optional[str]:
     return None
 
 
-def _n_max_fields(requested: int, cap: int) -> dict:
+def _n_max_fields(requested: int, cap: int, low: int = 0) -> dict:
     """Report fields of an exhaustive range clamped at `cap`: `n_max` is the
-    range actually checked, and `n_max_requested` is added when it differs."""
+    range actually checked, and `n_max_requested` is added when it differs.
+    A range starting at `low` would check nothing below it, so such an
+    n_max is a ValueError."""
+    if requested < low:
+        raise ValueError(f"n_max must be at least {low}, got {requested}")
     effective = min(requested, cap)
     if effective == requested:
         return {"n_max": effective}
@@ -193,9 +197,7 @@ def verify_density(n_max: int = 4) -> dict:
     """No full-rank claw-free ground set is smaller than the floor, and one
     attains it (exhaustive); the equality classes at r = 3, 4.  The range
     starts at r = 1, so an n_max below 1 would check nothing."""
-    if n_max < 1:
-        raise ValueError(f"density n_max must be at least 1, got {n_max}")
-    fields = _n_max_fields(n_max, 4)
+    fields = _n_max_fields(n_max, 4, low=1)
     n_max = fields["n_max"]
     results = {}
     checked = 0
@@ -785,9 +787,7 @@ def verify_cftf(n_max: int = 4) -> dict:
     """Full-rank claw-free triangle-free ground sets are exactly the
     order-1 Bose-Burton geometries.  The range starts at n = 1, so an
     n_max below 1 would check nothing."""
-    if n_max < 1:
-        raise ValueError(f"cftf n_max must be at least 1, got {n_max}")
-    fields = _n_max_fields(n_max, 4)
+    fields = _n_max_fields(n_max, 4, low=1)
     n_max = fields["n_max"]
     checked = 0
     # dimension 0 is degenerate: the empty matroid is full-rank, claw-free

@@ -9,7 +9,7 @@ import pytest
 from binmatroid import BinaryMatroid, canonical_form, find_claw
 from binmatroid import gf2, tables
 from binmatroid.census import (
-    _claw_through,
+    _claw_through_table,
     _greedy_claw_free,
     canon_table,
     even_plane_basis,
@@ -24,7 +24,7 @@ from binmatroid.census import (
     sampled_census,
     transform_mask,
 )
-from binmatroid.gf2 import flats_of_dim, ground_mask, xor_translate
+from binmatroid.gf2 import TranslateTable, flats_of_dim, ground_mask, xor_translate
 from binmatroid.recognize import is_even_plane
 from binmatroid.tables import claw_free_masks_list
 
@@ -165,6 +165,11 @@ def test_claw_free_sampler_is_claw_free():
             assert find_claw(BinaryMatroid(n, sample_claw_free_mask(n, rng))) is None
 
 
+def _claw_through(mask, p, n):
+    """`_claw_through_table` over a fresh translate table of E."""
+    return _claw_through_table(mask, p, TranslateTable(mask, n))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_claw_through_matches_planes_through_point(n):
     # E uniform, sampled claw-free, or claw-free with one point flipped
@@ -204,7 +209,7 @@ def test_claw_through_matches_find_claw(n, count):
 
 
 def _claw_through_translating(mask, p, n):
-    """`_claw_through` as a walk with no table: one translate of
+    """`_claw_through_table` as a walk with no table: one translate of
     B = G \\ (E ∪ (E + p)) per point of A = E \\ (E + p)."""
     T = xor_translate(mask, p, n)
     rest = mask & ~T

@@ -367,7 +367,7 @@ def test_n_max_below_the_first_dimension_is_a_usage_error(suite):
     # both ranges start at n = 1, so --n-max 0 would pass on no case
     code, out, err = run_cli(["verify", suite, "--n-max", "0"])
     assert code == 1 and out == ""
-    assert "usage error" in err and suite in err
+    assert "usage error" in err and "n_max must be at least 1" in err
     code, out, _ = run_cli(["verify", suite, "--n-max", "1"])
     assert code == 0 and json.loads(out)["checked"] > 0
 

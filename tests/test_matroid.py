@@ -916,6 +916,12 @@ def test_search_budget_hooks():
 # ---------------------------------------------------------------------------
 
 
+def _holds_hyperplane(E, n):
+    """Whether a ground set other than G holds a hyperplane: whether its
+    complement has a `_hyperplane_functional`."""
+    return matroid._hyperplane_functional(gf2.ground_mask(n) & ~E, n) != 0
+
+
 def _hyperplane_scan(M):
     return any(H.members & ~M.mask == 0 for H in flats_of_dim(M.n, M.n - 1))
 
@@ -979,7 +985,7 @@ def test_hyperplane_bound_exhaustive(n):
         assert clique_number(M) == omega, hex(M.mask)
         if 0 < M.mask != ground_mask(n):
             holds = any(H & ~M.mask == 0 for H in hyperplanes)
-            assert matroid._holds_hyperplane(M.mask, n) == holds, hex(M.mask)
+            assert _holds_hyperplane(M.mask, n) == holds, hex(M.mask)
             assert omega == n - 1 if holds else omega <= n - 2
         if n <= 3 or code % 61 == 0:
             # the oracles of the seeded test, against the definition
@@ -1005,7 +1011,7 @@ def test_hyperplane_bound_seeded(n):
     for mask in dense:
         M = BinaryMatroid(n, mask)
         assert clique_number(M) == _omega_top_down(M), hex(mask)
-        holds = matroid._holds_hyperplane(mask, n)
+        holds = _holds_hyperplane(mask, n)
         assert holds == _hyperplane_scan(M), hex(mask)
         tops.add(holds)
     assert tops == {False, True}
@@ -1014,7 +1020,7 @@ def test_hyperplane_bound_seeded(n):
     for mask in sparse:
         M = apply_linear_map(BinaryMatroid(n, mask), _random_images(n, rng))
         assert clique_number(M) == _omega_by_levels(M), hex(M.mask)
-        assert matroid._holds_hyperplane(M.mask, n) == _hyperplane_scan(M), hex(M.mask)
+        assert _holds_hyperplane(M.mask, n) == _hyperplane_scan(M), hex(M.mask)
 
 
 def _assert_flat_inside(basis, E, n, dim):
@@ -1093,7 +1099,7 @@ FROZEN_BOUNDED_NODES = [
 )
 def test_bounded_search_nodes_frozen(mask, omega, nodes, walk_nodes):
     M = BinaryMatroid(8, mask)
-    assert not matroid._holds_hyperplane(mask, 8)  # so the search stops at 6
+    assert not _holds_hyperplane(mask, 8)  # so the search stops at 6
     assert matroid._clique_search(mask, 8, None)[:2] == (omega, nodes)
     assert clique_number(M, budget=nodes) == omega
     with pytest.raises(BudgetExceeded):
@@ -1131,7 +1137,7 @@ def _clique_search_uncoloured(M, budget=None, coloured=False):
         return 0, 0
     if E == ground_mask(n):
         return n, 0
-    top = n - 1 if matroid._holds_hyperplane(E, n) else n - 2
+    top = n - 1 if _holds_hyperplane(E, n) else n - 2
     halves = gf2._half_masks(n)
     table = TranslateTable(E, n)
     trans, get = table.entries, table.get
