@@ -19,10 +19,9 @@ from .gf2 import (
     _half_masks,
     echelon_basis,
     ground_mask,
-    iter_bits,
     xor_translate,
 )
-from .matroid import BinaryMatroid, canonical_form, linear_map_table, seq_key
+from .matroid import BinaryMatroid, canonical_form, linear_map_table, seq_key, transform_mask
 from .construct import lift_join
 from .recognize import classify, claw_free_any
 from .matroid import is_full_rank
@@ -48,13 +47,6 @@ def gl_generators(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(linear_map_table(imgs, n)) for imgs in (cycle, swap, shear)
     )
-
-
-def transform_mask(mask: int, table: tuple[int, ...]) -> int:
-    out = 0
-    for v in iter_bits(mask):
-        out |= 1 << table[v]
-    return out
 
 
 def orbit_of(mask: int, n: int) -> set[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .gf2 import (
     Flat,
@@ -22,6 +22,7 @@ from .gf2 import (
     flats_of_dim,
     ground_mask,
     iter_bits,
+    mask_of,
     span_from_basis,
     translates,
     xor_translate,
@@ -52,10 +53,7 @@ class BinaryMatroid:
 
     @classmethod
     def from_points(cls, points: Iterable[int], n: int) -> "BinaryMatroid":
-        m = 0
-        for p in points:
-            m |= 1 << p
-        return cls(n, m)
+        return cls(n, mask_of(points))
 
     @property
     def size(self) -> int:
@@ -85,10 +83,8 @@ def restrict(M: BinaryMatroid, flat: Flat) -> BinaryMatroid:
     The re-embedding uses the flat's canonical coordinate map, so equal
     inputs give bit-identical outputs.
     """
-    # points[w] is flat.from_local(w), doubled out over the basis
-    points = [0]
-    for b in flat.basis:
-        points += [v ^ b for v in points]
+    # points[w] is flat.from_local(w)
+    points = linear_map_table(flat.basis, flat.dim)
     bits = bin(M.mask & flat.members)[:1:-1].ljust(1 << M.n, "0")
     return BinaryMatroid(flat.dim, int("".join([bits[v] for v in reversed(points)]), 2))
 
@@ -521,25 +517,26 @@ def seq_key(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> v) & 1 for v in range(1, 1 << n))
 
 
-def linear_map_table(images: list[int], n: int) -> list[int]:
-    """Point-image table of the linear map sending basis vector i to images[i]."""
-    size = 1 << n
-    table = [0] * size
+def linear_map_table(images: Sequence[int], n: int) -> list[int]:
+    """Point-image table of the linear map sending basis vector i to images[i],
+    doubled out one basis vector at a time."""
+    table = [0]
     for i in range(n):
-        step = 1 << i
-        img = images[i]
-        for v in range(step, step << 1):
-            table[v] = table[v - step] ^ img
+        table += [v ^ images[i] for v in table]
     return table
+
+
+def transform_mask(mask: int, table: Sequence[int]) -> int:
+    """Image of a point bitset under a point-image table."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= 1 << table[v]
+    return out
 
 
 def apply_linear_map(M: BinaryMatroid, images: list[int]) -> BinaryMatroid:
     """Image of the ground set under the linear map given by basis images."""
-    table = linear_map_table(images, M.n)
-    out = 0
-    for v in iter_bits(M.mask):
-        out |= 1 << table[v]
-    return BinaryMatroid(M.n, out)
+    return BinaryMatroid(M.n, transform_mask(M.mask, linear_map_table(images, M.n)))
 
 
 #: canonical masks kept by `_canonical_mask`, least recently used evicted first

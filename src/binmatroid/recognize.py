@@ -71,7 +71,7 @@ def claw_free_any(mask: int, n: int) -> bool:
 
 
 def is_claw_free(M: BinaryMatroid) -> bool:
-    """Fast plane-pattern route for small n; see matroid.find_claw for witnesses."""
+    """Claw-freeness by `claw_free_any`; see matroid.find_claw for witnesses."""
     return claw_free_any(M.mask, M.n)
 
 

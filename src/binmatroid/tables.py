@@ -6,9 +6,9 @@ are materialised once per dimension up to PLANE_TABLE_MAX.  For one set,
 `claw_free_on` intersects the planes with E in numpy and looks the 3-point
 hits up in the set of lines (three points of a plane are a basis unless
 they are a line); `pg_sum_forbidden_mask` does the same for the PG-sum
-forbidden restrictions.  For whole-subset sweeps at n <= 4, each plane's seven
-membership bits are classified through small lookup tables.  The
-even-plane test needs no planes: it is a degree test.
+forbidden restrictions.  The whole-subset sweeps at n <= 4 apply the same
+rule one plane at a time to every ground set.  The even-plane test needs
+no planes: it is a degree test.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def pg_sum_forbidden_mask(mask: int, n: int) -> bool:
 
 
 def claw_free_mask(mask: int, n: int) -> bool:
-    """Claw-freeness via plane patterns: no plane meets E in a basis."""
+    """Claw-freeness: no plane meets E in three points off a line."""
     return n < 3 or claw_free_on(plane_array(n), mask)
 
 
@@ -127,69 +127,34 @@ def even_plane_mask(mask: int, n: int) -> bool:
     return not anf & ~_low_degree_monomials(n)
 
 
-# ---------------------------------------------------------------------------
-# Whole-sweep tables for n <= 4: one bool per ground set
-# ---------------------------------------------------------------------------
-#
-# Ground sets are indexed by code k, mask = k << 1 (bit 0 is never used).
-# For each plane the seven membership bits are gathered into a 7-bit local
-# pattern; linearity makes zero-sums local, so each pattern classifies the
-# restriction to that plane outright.
-
-_XORV = np.zeros(128, dtype=np.uint8)
-_POP = np.zeros(128, dtype=np.uint8)
-for _b in range(128):
-    _POP[_b] = bin(_b).count("1")
-    acc = 0
-    for _i in range(7):
-        if (_b >> _i) & 1:
-            acc ^= _i + 1
-    _XORV[_b] = acc
-
-#: pattern is a claw: three points, independent
-_PAT_CLAW = (_POP == 3) & (_XORV != 0)
-#: pattern shows the restriction is one of the four non-PG-sum witnesses
-_PAT_PG_BAD = (
-    ((_POP == 3) & (_XORV != 0))
-    | ((_POP == 4) & (_XORV == 0))
-    | (_POP == 5)
-    | (_POP == 6)
-)
-
-
-def _local_patterns(n: int, codes: np.ndarray) -> list[np.ndarray]:
-    """Per-plane 7-bit local patterns for every ground-set code."""
-    out = []
-    for pm in flat_members(n, 3):
-        lm = np.zeros(len(codes), dtype=np.uint8)
-        for i, p in enumerate(iter_bits(pm)):
-            lm |= ((codes >> np.uint32(p - 1)) & np.uint32(1)).astype(np.uint8) << np.uint8(i)
-        out.append(lm)
-    return out
-
-
 @lru_cache(maxsize=None)
 def sweep_tables(n: int) -> dict[str, np.ndarray]:
     """Per-ground-set property columns over all subsets, for n <= 4.
 
     Keys: claw_free, anticlaw_free, pg_sum_forbidden_route (no restriction
     to a plane is one of the four non-PG-sum witnesses).  Index by code k
-    where mask = k << 1.  Below n = 3 there are no planes and every column
-    is all True.
+    where mask = k << 1.  Each plane meets every ground set at once and its
+    hits are judged as in `claw_free_on` and `pg_sum_forbidden_mask`,
+    against the plane's own seven lines.  Below n = 3 there are no planes
+    and every column is all True.
     """
     if n > 4:
         raise ValueError("whole-subset sweeps are supported only for n <= 4")
-    ncodes = 1 << ((1 << n) - 1)
-    codes = np.arange(ncodes, dtype=np.uint32)
-    claw_free = np.ones(ncodes, dtype=bool)
-    pg_ok = np.ones(ncodes, dtype=bool)
-    if n >= 3:
-        for lm in _local_patterns(n, codes):
-            claw_free &= ~_PAT_CLAW[lm]
-            pg_ok &= ~_PAT_PG_BAD[lm]
+    masks = np.arange(ground_codes(n), dtype=np.uint64) << np.uint64(1)
+    claw_free = np.ones(len(masks), dtype=bool)
+    pg_ok = claw_free.copy()
+    all_lines = np.array(list(_lines()), dtype=np.uint64)
+    for plane in plane_array(n) if n >= 3 else ():
+        lines = all_lines[all_lines & ~plane == 0]
+        inter = masks & plane
+        count = np.bitwise_count(inter)
+        claw_free &= (count != 3) | np.isin(inter, lines)
+        # a claw is a witness too, and only a 4-point hit leaves a line as its
+        # complement in the plane
+        pg_ok &= claw_free & (count != 5) & (count != 6) & ~np.isin(plane ^ inter, lines)
     return {
         "claw_free": claw_free,
-        # anticlaw-free E is claw-free G \ E, whose code is (ncodes - 1) ^ k
+        # anticlaw-free E is claw-free G \ E, whose code is the last code ^ k
         "anticlaw_free": claw_free[::-1].copy(),
         "pg_sum_forbidden_route": pg_ok,
     }

@@ -8,6 +8,7 @@ deterministic for a fixed seed; loops run sequentially in a fixed order.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -252,10 +253,6 @@ _PAIR_DIMS = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4]  # weighted toward small factors
 _TRIPLE_DIMS = [0, 1, 1, 2, 2, 2, 3, 3]
 
 
-def _random_matroid(n: int, rng: random.Random) -> BinaryMatroid:
-    return BinaryMatroid(n, rng.getrandbits((1 << n) - 1) << 1 if n else 0)
-
-
 def _random_flat_of_dim(n: int, d: int, rng: random.Random) -> Flat:
     if d == 0:
         return closure_mask(0, n)
@@ -270,14 +267,9 @@ def _random_flat(n: int, rng: random.Random) -> Flat:
     return _random_flat_of_dim(n, rng.randint(0, n), rng)
 
 
-def _random_claw_free(n: int, rng: random.Random) -> BinaryMatroid:
-    pool = tables.claw_free_masks_list(n)
-    return BinaryMatroid(n, pool[rng.randrange(len(pool))])
-
-
 def _random_i4_free(n: int, rng: random.Random) -> BinaryMatroid:
     while True:
-        M = _random_matroid(n, rng)
+        M = BinaryMatroid(n, census.sample_uniform_mask(n, rng))
         if induced_independence_number(M) <= 3:
             return M
 
@@ -294,14 +286,14 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
             checked += 1
             # associativity, bitwise
             da, db, dc = (rng.choice(_TRIPLE_DIMS) for _ in range(3))
-            A, B, C = (_random_matroid(d, rng) for d in (da, db, dc))
+            A, B, C = (BinaryMatroid(d, census.sample_uniform_mask(d, rng)) for d in (da, db, dc))
             left = lift_join(lift_join(A, B), C)
             right = lift_join(A, lift_join(B, C))
             if left != right:
                 ledger.add({"check": "associativity", "i": i}, checked)
             # complement homomorphism, bitwise
             d1, d2 = rng.choice(_PAIR_DIMS), rng.choice(_PAIR_DIMS)
-            M1, M2 = _random_matroid(d1, rng), _random_matroid(d2, rng)
+            M1, M2 = (BinaryMatroid(d, census.sample_uniform_mask(d, rng)) for d in (d1, d2))
             M = lift_join(M1, M2)
             if complement(M) != lift_join(complement(M1), complement(M2)):
                 ledger.add({"check": "complement", "i": i}, checked)
@@ -332,13 +324,15 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
             if restrict(M, combined) != lift_join(restrict(M1, F1), restrict(M2, F2)):
                 ledger.add({"check": "restriction", "i": i}, checked)
             # claw-free closure
-            c1 = _random_claw_free(rng.choice(_PAIR_DIMS), rng)
-            c2 = _random_claw_free(rng.choice(_PAIR_DIMS), rng)
+            d = rng.choice(_PAIR_DIMS)
+            c1 = BinaryMatroid(d, census.sample_claw_free_mask(d, rng))
+            d = rng.choice(_PAIR_DIMS)
+            c2 = BinaryMatroid(d, census.sample_claw_free_mask(d, rng))
             cj = lift_join(c1, c2)
             if not claw_free_any(cj.mask, cj.n):
                 ledger.add({"check": "claw_free_closure", "i": i}, checked)
             # partial lift-join bounds on sigma and omega
-            P1, P2 = _random_matroid(d1, rng), _random_matroid(d2, rng)
+            P1, P2 = (BinaryMatroid(d, census.sample_uniform_mask(d, rng)) for d in (d1, d2))
             G1, G2 = _random_flat(d1, rng), _random_flat(d2, rng)
             PM = partial_lift_join(P1, G1, P2, G2)
             s1, s2 = induced_independence_number(P1), induced_independence_number(P2)
@@ -577,12 +571,12 @@ def verify_rlj(samples: int = 2_000, seed: int = 0) -> dict:
         for n in (4, 5):
             proper_flats = [F for d in range(1, n) for F in flats_of_dim(n, d)]
             for _ in range(samples):
-                M = _random_matroid(n, rng)
+                M = BinaryMatroid(n, census.sample_uniform_mask(n, rng))
                 check_one(M, proper_flats[rng.randrange(len(proper_flats))])
 
         for _ in range(5 * samples):
             n = rng.randint(1, 6)
-            M = _random_matroid(n, rng)
+            M = BinaryMatroid(n, census.sample_uniform_mask(n, rng))
             tree = decompose(M)
             rebuilt = reconstruct(tree)
             recon_checked += 1
@@ -834,21 +828,21 @@ def verify_chibound(n_max: int = 5) -> dict:
 # ---------------------------------------------------------------------------
 
 
-#: suite name -> (suite, the keywords that take run_suite's n_max, samples
-#: and seed, or None where the suite takes no such argument)
+#: suite name -> suite; `suite_keywords` reads from its signature which of
+#: run_suite's n_max, samples and seed it takes
 _SUITES = {
-    "structure": (verify_structure, ("n_max", "samples", "seed")),
-    "density": (verify_density, ("n_max", None, None)),
-    "ljparams": (verify_ljparams, (None, "samples", "seed")),
-    "pgsum": (verify_pgsum, ("n_max", "samples", "seed")),
-    "target": (verify_target, ("n_max", "samples", "seed")),
-    "rlj": (verify_rlj, (None, "samples", "seed")),
-    "coset": (verify_coset, ("n_max", "samples", "seed")),
-    "tiny": (verify_tiny, (None, None, None)),
-    "semidouble": (verify_semidouble, ("n_max", None, None)),
-    "bbt": (verify_bbt, ("n_max", None, None)),
-    "cftf": (verify_cftf, ("n_max", None, None)),
-    "chibound": (verify_chibound, ("n_max", None, None)),
+    "structure": verify_structure,
+    "density": verify_density,
+    "ljparams": verify_ljparams,
+    "pgsum": verify_pgsum,
+    "target": verify_target,
+    "rlj": verify_rlj,
+    "coset": verify_coset,
+    "tiny": verify_tiny,
+    "semidouble": verify_semidouble,
+    "bbt": verify_bbt,
+    "cftf": verify_cftf,
+    "chibound": verify_chibound,
 }
 
 SUITE_NAMES = tuple(_SUITES)
@@ -858,15 +852,14 @@ def suite_keywords(name: str) -> tuple[str, ...]:
     """Which of n_max, samples and seed the named suite takes."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return tuple(kw for kw in _SUITES[name][1] if kw)
+    params = inspect.signature(_SUITES[name]).parameters
+    return tuple(kw for kw in ("n_max", "samples", "seed") if kw in params)
 
 
 def run_suite(
     name: str, n_max: Optional[int] = None, seed: Optional[int] = None, samples: Optional[int] = None
 ) -> dict:
     """Run a named suite; an argument left as None keeps the suite's default."""
-    if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}")
-    suite, keywords = _SUITES[name]
-    given = zip(keywords, (n_max, samples, seed))
-    return suite(**{kw: value for kw, value in given if kw and value is not None})
+    given = {"n_max": n_max, "samples": samples, "seed": seed}
+    takes = suite_keywords(name)
+    return _SUITES[name](**{kw: given[kw] for kw in takes if given[kw] is not None})

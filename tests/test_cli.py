@@ -420,26 +420,30 @@ def test_run_suite_honours_zero_samples():
 
 
 def test_run_suite_fills_only_the_arguments_a_suite_takes(monkeypatch):
-    import inspect
-
     from binmatroid import verify
 
     assert verify.SUITE_NAMES == (
         "structure", "density", "ljparams", "pgsum", "target", "rlj",
         "coset", "tiny", "semidouble", "bbt", "cftf", "chibound",
     )
-    for suite, keywords in verify._SUITES.values():
-        params = inspect.signature(suite).parameters
-        assert all(kw in params for kw in keywords if kw), suite.__name__
+    every = ("n_max", "samples", "seed")
+    assert [verify.suite_keywords(name) for name in verify.SUITE_NAMES] == [
+        every, ("n_max",), ("samples", "seed"), every, every, ("samples", "seed"),
+        every, (), ("n_max",), ("n_max",), ("n_max",), ("n_max",),
+    ]
     calls = []
 
-    def record(**kwargs):
-        calls.append(kwargs)
-        return {"passed": True}
+    def stub(suite):
+        # keeps the suite's signature, which run_suite reads
+        @functools.wraps(suite)
+        def record(**kwargs):
+            calls.append(kwargs)
+            return {"passed": True}
 
-    for name in verify.SUITE_NAMES:
-        suite, keywords = verify._SUITES[name]
-        monkeypatch.setitem(verify._SUITES, name, (record, keywords))
+        return record
+
+    for name, suite in list(verify._SUITES.items()):
+        monkeypatch.setitem(verify._SUITES, name, stub(suite))
     verify.run_suite("rlj", n_max=3, seed=5, samples=7)
     verify.run_suite("structure")
     verify.run_suite("structure", n_max=6, samples=0)
@@ -479,6 +483,36 @@ def test_pgsum_sampled_stream_frozen(monkeypatch):
     assert seen[:3] == [(0, 0), (5, 647892278), (5, 207388624)]
     digest = hashlib.sha256(repr(seen).encode()).hexdigest()
     assert digest == "1ec6d8af77a423f6cd55cca5f3b89c74d0356436126c298cc2ada26d2adbe38a"
+
+
+#: suite -> (samples, the number of ground sets verify builds at seed 3, and a
+#: digest of their (n, mask) sequence): the uniform, claw-free and sigma <= 3
+#: draws of ljparams, and the exhaustive and uniform sets of rlj; recorded
+#: while verify still kept its own samplers
+FROZEN_LIFT_JOIN_STREAMS = {
+    "ljparams": (20, 184, "d3b5e78c6b7dc6322d5d144331ba6edde3d05e005746380f1890492a60e989c7"),
+    "rlj": (6, 178, "4a7b9f0667b8d517c6ba49cfc857209b72af8201130ad667858b89ca41430900"),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(FROZEN_LIFT_JOIN_STREAMS))
+def test_lift_join_sampled_streams_frozen(monkeypatch, suite):
+    import hashlib
+
+    from binmatroid import verify
+
+    samples, count, digest = FROZEN_LIFT_JOIN_STREAMS[suite]
+    seen = []
+    build = verify.BinaryMatroid
+
+    def record(n, mask):
+        seen.append((n, mask))
+        return build(n, mask)
+
+    monkeypatch.setattr(verify, "BinaryMatroid", record)
+    assert verify.run_suite(suite, samples=samples, seed=3)["passed"]
+    assert len(seen) == count
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
 
 #: (n, samples, seed) -> outcome counts and a digest of the sampled masks,

@@ -525,7 +525,8 @@ def test_pruned_decomposer_search_seeded(n):
 
 
 def _quadric(n):
-    """Points where x1x2 + x3x4 + ... is 1: full-rank and indecomposable."""
+    """Points where x1x2 + x3x4 + ... is 1: full-rank for n >= 4, and with
+    no decomposer only at even n; at odd n the last coordinate is free."""
     mask = 0
     for v in range(1, 1 << n):
         q = 0
@@ -622,8 +623,10 @@ def test_probed_decomposer_search_matches_walk_without_probes(n):
         inputs.append(apply_linear_map(pg_sum(a, n - a), _random_gl(n, rng)))
     inputs += _mapped_lift_joins(n, {9: 6, 10: 4, 11: 3, 12: 2}[n], 2)
     found = 0
-    for M in inputs:
+    for i, M in enumerate(inputs):
         want = _decomposer_without_probes(M)
+        if i < 2:  # the two quadrics
+            assert (want is None) == (n % 2 == 0), hex(M.mask)
         assert find_decomposer(M) == want, hex(M.mask)
         assert has_decomposer_mask(M.mask, n) == (want is not None), hex(M.mask)
         found += want is not None
