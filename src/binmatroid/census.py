@@ -17,14 +17,14 @@ from . import tables
 from .gf2 import (
     TranslateTable,
     _half_masks,
+    check_dim,
     echelon_basis,
     ground_mask,
     xor_translate,
 )
-from .matroid import BinaryMatroid, canonical_form, linear_map_table, seq_key, transform_mask
+from .matroid import BinaryMatroid, canonical_form, is_full_rank, linear_map_table, seq_key, transform_mask
 from .construct import lift_join
 from .recognize import classify, claw_free_any
-from .matroid import is_full_rank
 from .structure import has_decomposer
 
 
@@ -320,6 +320,7 @@ def _census_from_reps(
 
 def exhaustive_census(n: int, filter_claw_free: bool = False) -> dict:
     """Canonical-form-deduplicated census over every ground set (n <= 4)."""
+    check_dim(n)
     if n > 4:
         raise ValueError("exhaustive enumeration is capped at n = 4")
     table = canon_table(n)
@@ -340,6 +341,7 @@ def sampled_census(
 ) -> dict:
     """Seeded sampled census; representatives are canonical forms for
     n <= 6 and raw masks beyond."""
+    check_dim(n)
     rng = random.Random(seed)
     seen: set[int] = set()
     for _ in range(samples):

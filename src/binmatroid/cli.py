@@ -205,13 +205,14 @@ def cmd_decompose(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.mode == "exhaustive":
-        if args.n > 4:
-            raise UsageError("exhaustive enumeration requires --n at most 4")
+        for option in ("samples", "seed"):
+            if getattr(args, option) is not None:
+                raise UsageError(f"exhaustive enumeration takes no --{option}")
         record = census.exhaustive_census(args.n, args.filter == "claw_free")
     else:
-        record = census.sampled_census(
-            args.n, args.samples, args.seed, args.filter == "claw_free"
-        )
+        samples = 1000 if args.samples is None else args.samples
+        seed = 0 if args.seed is None else args.seed
+        record = census.sampled_census(args.n, samples, seed, args.filter == "claw_free")
     _emit(record)
     return 0
 
@@ -335,8 +336,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="census of ground sets up to isomorphism")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), required=True)
-    p.add_argument("--samples", type=_count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_count, default=None, help="default 1000")
+    p.add_argument("--seed", type=int, default=None, help="default 0")
     p.add_argument("--filter", choices=("claw_free", "all"), default="all")
     p.set_defaults(fn=cmd_enumerate)
 

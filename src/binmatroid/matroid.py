@@ -164,16 +164,15 @@ def find_anticlaw(M: BinaryMatroid) -> Optional[Flat]:
 _TABLE_SPAN = 4
 
 
-def _colour_classes(C: int, table: TranslateTable, flip: int, limit: int) -> list[int]:
+def _colour_classes(C: int, table: TranslateTable, limit: int) -> list[int]:
     """Greedy colour classes of the points of C, lowest point first.
 
-    Two points q, r of C may share a class iff r lies in (E + q) ^ flip,
-    where E is the table's bitset: with flip = 0 a class holds no pair
-    whose sum lies outside E, with flip = -1 none whose sum lies in E.
-    A clique of the graph joining the other pairs has at most one point
-    in each class.  After `limit` classes the points still uncoloured
-    form one last entry, so the result has at most limit + 1 entries.
-    Each point reads one translate, from the table and not copied.
+    No two points of a class sum into the table's set X: a point r joins
+    the class of q only when r lies outside X + q.  A clique of the graph
+    joining the pairs that sum into X has at most one point in each
+    class.  After `limit` classes the points still uncoloured form one
+    last entry, so the result has at most limit + 1 entries.  Each point
+    reads one translate, from the table and not copied.
     """
     trans, get = table.entries, table.get
     classes = []
@@ -188,7 +187,7 @@ def _colour_classes(C: int, table: TranslateTable, flip: int, limit: int) -> lis
             cls |= low
             free ^= low
             q = low.bit_length() - 1
-            free &= (trans[q] or get(q)) ^ flip
+            free &= ~(trans[q] or get(q))
         C ^= cls
         classes.append(cls)
     return classes
@@ -217,15 +216,16 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     that none exists and lowers `top` to n - 3 before the search.
     README, "Bounds in the leaf searches", has the proofs.
     """
-    return _clique_search(M.mask, M.n, budget)[0]
+    return _clique_search(TranslateTable(M.mask, M.n), budget)[0]
 
 
 def _clique_search(
-    E: int, n: int, budget: Optional[int]
+    table: TranslateTable, budget: Optional[int]
 ) -> tuple[int, int, list[int]]:
-    """`clique_number` of (n, E), the nodes its search took, and a basis of
-    the largest flat it found inside E, recorded whenever the best improves
-    or read off the functionals of a proof from above."""
+    """`clique_number` of the table's set E, the nodes its search took, and
+    a basis of the largest flat it found inside E, recorded whenever the
+    best improves or read off the functionals of a proof from above."""
+    E, n = table.entries[0], table.n
     if E == 0:
         return 0, 0, []
     if E == ground_mask(n):
@@ -235,9 +235,8 @@ def _clique_search(
         return n - 1, 0, _annihilator([w], n)
     top = n - 2
     halves = _half_masks(n)
-    table = TranslateTable(E, n)
     trans, get = table.entries, table.get
-    colours = len(_colour_classes(E, table, -1, (1 << top) - 1))
+    colours = len(_colour_classes(E, table, (1 << top) - 1))
     top = min(top, (colours + 1).bit_length() - 1)
     if top == n - 2 > 1:
         cover = _codim2_flat(E, n)
@@ -377,24 +376,25 @@ def independence_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
 def induced_independence_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     """Largest size of an independent J ⊆ E whose closure meets E only in J.
 
-    Branch and bound; two bitsets are propagated per node: Z (points
-    whose whole coset over the span S of the chosen points avoids E) and
-    the candidate set C.  While S is small, Z+p is the complement of the
-    union of the translates E+(s+p), read from one table; deeper, Z is
-    translated by p.  Any two points q, r of such a J have q + r outside
-    E, so the rest of J is a clique of the graph on C joining those
-    pairs: each node colours C greedily in that graph and expands its
-    points in falling colour order, pruning once the chosen points plus
-    the colour cannot beat the best size found.  The search stops at
-    min(n, alpha + 1): the nonzero even sums of J are a (|J| - 1)-flat
-    avoiding E.  Before it runs, the cosets of the flat the alpha search
-    found are tested for such a J of size alpha + 1 (`_coset_witness`).
-    `budget` caps the nodes of this search and of the alpha search
-    together.  README, "Bounds in the leaf searches", has the proofs.
+    Branch and bound over the table of T = G \\ E that the alpha search
+    filled; two bitsets are propagated per node: Z (points whose whole
+    coset over the span S of the chosen points lies in T) and the
+    candidate set C.  While S is small, Z+p is the meet of the translates
+    T+(s+p), read from the table; deeper, Z is translated by p.  Any two
+    points q, r of such a J have q + r in T, so the rest of J is a clique
+    of the graph on C joining those pairs: each node colours C greedily
+    in that graph and expands its points in falling colour order, pruning
+    once the chosen points plus the colour cannot beat the best size
+    found.  The search stops at min(n, alpha + 1): the nonzero even sums
+    of J are a (|J| - 1)-flat inside T.  Before it runs, the cosets of
+    the flat the alpha search found are tested for such a J of size
+    alpha + 1 (`_coset_witness`).  `budget` caps the nodes of this search
+    and of the alpha search together.  README, "Bounds in the leaf
+    searches", has the proofs.
     """
-    E, n = M.mask, M.n
-    alpha, nodes, flat = _clique_search(ground_mask(n) & ~E, n, budget)
-    return _sigma_search(E, n, alpha, budget, nodes, flat)
+    table = TranslateTable(ground_mask(M.n) & ~M.mask, M.n)
+    alpha, nodes, flat = _clique_search(table, budget)
+    return _sigma_search(table, alpha, budget, nodes, flat)
 
 
 def _coset_witness(E: int, n: int, flat: list[int]) -> bool:
@@ -419,25 +419,22 @@ def _coset_witness(E: int, n: int, flat: list[int]) -> bool:
 
 
 def _sigma_search(
-    E: int,
-    n: int,
+    table: TranslateTable,
     alpha: int,
     budget: Optional[int] = None,
     nodes: int = 0,
     flat: Optional[list[int]] = None,
 ) -> int:
-    """`induced_independence_number` of (n, E), given its alpha; `nodes`
-    counts those already spent against `budget`.  `flat`, the basis of an
-    alpha-flat avoiding E, lets a coset of it answer alpha + 1 with no
-    search; without it the search runs in full."""
-    if E == 0:
-        return 0
+    """`induced_independence_number` of E = G \\ T, T the table's set, given
+    its alpha; `nodes` counts those already spent against `budget`.
+    `flat`, the basis of an alpha-flat inside T, lets a coset of it answer
+    alpha + 1 with no search; without it the search runs in full."""
+    n = table.n
+    trans, get = table.entries, table.get
+    E = ground_mask(n) & ~trans[0]
     cap = min(n, alpha + 1)
     if flat is not None and _coset_witness(E, n, flat):
         return cap
-    full = (1 << (1 << n)) - 1
-    table = TranslateTable(E, n)
-    trans, get = table.entries, table.get
     best = 0
 
     def dfs(Z: int, C: int, size: int, S: Optional[list[int]]) -> None:
@@ -449,7 +446,7 @@ def _sigma_search(
         grow = S is not None and len(S) < _TABLE_SPAN
         # colours above cap - size bound nothing: those points come last
         # out of `_colour_classes`, and are expanded first
-        classes = _colour_classes(C, table, 0, cap - size)
+        classes = _colour_classes(C, table, cap - size)
         rest = C
         for k in range(len(classes), 0, -1):
             cls = classes[k - 1]
@@ -468,27 +465,27 @@ def _sigma_search(
                 if S is None:
                     shifted = xor_translate(Z, p, n)
                 else:
-                    hit = 0
+                    shifted = -1
                     for s in S:
                         s ^= p
-                        hit |= trans[s] or get(s)
-                    shifted = full & ~hit
+                        shifted &= trans[s] or get(s)
                 child_S = S + [s ^ p for s in S] if grow else None
                 dfs(Z & shifted, rest & shifted, size + 1, child_S)
 
-    dfs(full & ~E, E, 0, [0])
+    dfs(trans[0], E, 0, [0])
     return best
 
 
 def invariants(M: BinaryMatroid) -> InvariantRecord:
-    """All basic invariants in one record."""
+    """All basic invariants in one record; alpha and sigma share T's table."""
     omega = clique_number(M)
-    alpha = clique_number(complement(M))
+    table = TranslateTable(ground_mask(M.n) & ~M.mask, M.n)
+    alpha = _clique_search(table, None)[0]
     return InvariantRecord(
         omega=omega,
         chi=M.n - alpha,
         alpha=alpha,
-        sigma=_sigma_search(M.mask, M.n, alpha),
+        sigma=_sigma_search(table, alpha),
         full_rank=is_full_rank(M),
     )
 

@@ -46,12 +46,21 @@ from .matroid import (
     _clique_search,
     _sigma_search,
     clique_number,
+    find_claw,
     is_full_rank,
     linear_map_table,
     rank_mask,
     restrict,
 )
-from .recognize import ClassFlags, _classify, classify, pg_sum_witness_mask
+from .recognize import (
+    ClassFlags,
+    _classify,
+    classify,
+    is_complement_triangle_free,
+    is_even_plane,
+    is_strict_pg_sum,
+    pg_sum_witness_mask,
+)
 
 
 class StructureTheoremViolation(RuntimeError):
@@ -70,23 +79,17 @@ def defect_set(M: BinaryMatroid, a: int) -> int:
     return (E ^ xor_translate(E, a, M.n)) & ~1 & ~(1 << a)
 
 
-def minimal_decomposer_containing(
-    M: BinaryMatroid, a: int, translates: Optional[TranslateTable] = None
-) -> Optional[Flat]:
+def minimal_decomposer_containing(M: BinaryMatroid, a: int) -> Optional[Flat]:
     """Fixpoint flat through a, or None if the closure blows up to G.
 
     Start from cl({a}) and repeatedly absorb the defect sets of all
     members; a stable proper flat has no mixed cosets, and any decomposer
-    containing a contains the fixpoint.  `translates`, a table of M's
-    ground set, lets callers trying many anchors share one table.
+    containing a contains the fixpoint.  Callers trying many anchors read
+    `_fixpoint_span` over one shared table instead.
     """
     if not 1 <= a < (1 << M.n):
         raise ValueError(f"anchor {a} out of range")
-    if translates is None:
-        translates = TranslateTable(M.mask, M.n)
-    elif translates.n != M.n or translates.entries[0] != M.mask:
-        raise ValueError("translate table of another ground set")
-    span = _fixpoint_span(translates, a)
+    span = _fixpoint_span(TranslateTable(M.mask, M.n), a)
     if span is None:
         return None
     return closure_mask(span & ~1, M.n)
@@ -352,9 +355,10 @@ def _leaf_invariants(leaf: Leaf) -> InvariantRecord:
     - sigma is alpha + 1 when a coset of the flat the alpha search found
       meets E in alpha + 1 independent points (`matroid._coset_witness`).
 
-    The sigma search stops at alpha + 1 and takes alpha from here rather
-    than searching for it again.  README, "Invariants at the leaves", has
-    the proofs; `invariants` is the oracle.
+    The sigma search stops at alpha + 1 and takes alpha, and its table of
+    the complement, from the alpha search rather than searching again.
+    README, "Invariants at the leaves", has the proofs; `invariants` is
+    the oracle.
     """
     M, tags = leaf.matroid, leaf.tags
     E, n = M.mask, M.n
@@ -369,7 +373,6 @@ def _leaf_invariants(leaf: Leaf) -> InvariantRecord:
         omega = high
     else:
         omega = clique_number(M)
-    flat = None
     if tags.complement_triangle_free:
         alpha = 0 if E == ground_mask(n) else 1
     elif tags.strict_pg_sum:
@@ -377,11 +380,13 @@ def _leaf_invariants(leaf: Leaf) -> InvariantRecord:
     elif tags.even_plane:
         alpha = _dickson_alpha(E, n)
     else:
-        alpha, _, flat = _clique_search(ground_mask(n) & ~E, n, None)
+        table = TranslateTable(ground_mask(n) & ~E, n)
+        alpha, _, flat = _clique_search(table, None)
     if tags.claw_free:
         sigma = 0 if E == 0 else 1 if is_flat(E, n) else 2
     else:
-        sigma = _sigma_search(E, n, alpha, flat=flat)
+        # a leaf with a claw is in no basic class: the alpha search built T's table
+        sigma = _sigma_search(table, alpha, flat=flat)
     return InvariantRecord(
         omega=omega, chi=n - alpha, alpha=alpha, sigma=sigma, full_rank=is_full_rank(M)
     )
@@ -449,13 +454,6 @@ class StructureReport:
 
 def verify_structure_theorem(M: BinaryMatroid) -> StructureReport:
     """Evaluate all four outcomes for a claw-free matroid."""
-    from .matroid import find_claw
-    from .recognize import (
-        is_complement_triangle_free,
-        is_even_plane,
-        is_strict_pg_sum,
-    )
-
     if find_claw(M) is not None:
         raise ValueError("matroid has a claw; the structure outcomes do not apply")
     return StructureReport(

@@ -27,6 +27,8 @@ from .gf2 import (
     MAX_DIM,
     Flat,
     closure_mask,
+    complementary_flat,
+    cosets,
     flats_of_dim,
     ground_mask,
     iter_bits,
@@ -38,6 +40,7 @@ from .matroid import (
     complement,
     has_induced_restriction,
     induced_independence_number,
+    linear_map_table,
     rank_mask,
     restrict,
 )
@@ -53,8 +56,11 @@ from .recognize import (
 from .structure import (
     PartitionInstance,
     check_coset_confinement,
+    decompose,
     has_decomposer_mask,
     is_decomposer,
+    reconstruct,
+    tree_point_map,
 )
 
 
@@ -527,10 +533,6 @@ def verify_rlj(samples: int = 2_000, seed: int = 0) -> dict:
     abstract join is coincidentally isomorphic to M, so the equivalence
     is stated with the in-place ground set, exactly as the lemma reads.
     """
-    from .gf2 import complementary_flat
-    from .matroid import linear_map_table
-    from .structure import decompose, reconstruct, tree_point_map
-
     rng = random.Random(seed)
     ledger = _Ledger()
     checked = recon_checked = recon_exact = 0
@@ -606,8 +608,6 @@ def verify_rlj(samples: int = 2_000, seed: int = 0) -> dict:
 def _structured_partition(n: int, rng: random.Random) -> PartitionInstance:
     """Partition built from a flat and whole cosets; hypothesis holds by
     construction (triangles through the flat meet any coset 0 or 2 times)."""
-    from .gf2 import cosets as flat_cosets
-
     d = rng.randint(1, max(1, n - 1))
     W = _random_flat_of_dim(n, d, rng)
     keep = rng.uniform(0.2, 0.9)
@@ -618,7 +618,7 @@ def _structured_partition(n: int, rng: random.Random) -> PartitionInstance:
     q_mask = W.members & ~p_mask
     r_mask = 0
     r1_mask = 0
-    for cos in flat_cosets(W):
+    for cos in cosets(W):
         if rng.random() < 0.5:
             q_mask |= cos
         else:

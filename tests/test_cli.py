@@ -377,6 +377,30 @@ def test_zero_samples_stay_legal_for_enumerate():
     assert code == 0 and json.loads(out)["samples"] == 0
 
 
+@pytest.mark.parametrize("mode", ["sample", "exhaustive"])
+@pytest.mark.parametrize("n", ["-1", "17"])
+def test_enumerate_dimension_out_of_range_is_a_usage_error(n, mode):
+    code, out, err = run_cli(["enumerate", "--n", n, "--mode", mode])
+    assert code == 1 and out == ""
+    assert "usage error" in err and "[0, 16]" in err
+
+
+@pytest.mark.parametrize("option,value", [("--samples", "5"), ("--seed", "3")])
+def test_exhaustive_enumeration_refuses_sample_options(option, value):
+    code, out, err = run_cli(["enumerate", "--n", "2", "--mode", "exhaustive", option, value])
+    assert code == 1 and out == ""
+    assert "usage error" in err and option in err
+
+
+def test_sample_enumeration_defaults():
+    # with --samples and --seed left out, sample mode draws 1000 at seed 0
+    code, out, _ = run_cli(["enumerate", "--n", "3", "--mode", "sample"])
+    rec = json.loads(out)
+    assert code == 0 and (rec["samples"], rec["seed"]) == (1000, 0)
+    explicit = ["enumerate", "--n", "3", "--mode", "sample", "--samples", "1000", "--seed", "0"]
+    assert run_cli(explicit)[1] == out
+
+
 @pytest.mark.parametrize(
     "argv,option",
     [

@@ -60,3 +60,25 @@ def test_every_verify_suite_is_registered():
     ]
     for suite in (verify.verify_structure, verify.verify_structure_sampled):
         assert "_structure_sampled" in suite.__code__.co_names
+
+
+def test_no_function_imports_from_the_package():
+    """Package imports sit at module level, where the benchmark's tracer
+    rebinds them; no module here needs a function-local import to break
+    an import cycle."""
+    package = Path(binmatroid.__file__).parent
+    local = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] if node.level == 0 else ["binmatroid"]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(m.split(".")[0] == "binmatroid" for m in modules):
+                    local.append(f"{path.stem}.{fn.name}")
+    assert local == []

@@ -372,7 +372,7 @@ def _sigma_no_witness(M, budget=None):
     in full under the same budget."""
     E, n = M.mask, M.n
     alpha, nodes = _clique_search_no_cover(complement(M), budget)
-    return matroid._sigma_search(E, n, alpha, budget, nodes)
+    return matroid._sigma_search(TranslateTable(ground_mask(n) & ~E, n), alpha, budget, nodes)
 
 
 @pytest.mark.parametrize(
@@ -406,11 +406,12 @@ def test_coset_witness_matches_sigma_search(n):
         for _ in range(3 if n < 9 else 1):
             E = _seeded_mask(n, density, rng.getrandbits(32))
             for S in (E, ground_mask(n) & ~E):
-                dim, _, flat = matroid._clique_search(S, n, None)
+                table = TranslateTable(S, n)
+                dim, _, flat = matroid._clique_search(table, None)
                 assert len(flat) == dim == closure(flat, n).dim, hex(S)
                 assert gf2.span_from_basis(flat, n) & ~S == 1, hex(S)
-            want = matroid._sigma_search(E, n, dim)
-            assert matroid._sigma_search(E, n, dim, flat=flat) == want, hex(E)
+            want = matroid._sigma_search(table, dim)
+            assert matroid._sigma_search(table, dim, flat=flat) == want, hex(E)
             if E and matroid._coset_witness(E, n, flat):
                 hits += 1
                 assert want == dim + 1, hex(E)
@@ -1100,7 +1101,7 @@ FROZEN_BOUNDED_NODES = [
 def test_bounded_search_nodes_frozen(mask, omega, nodes, walk_nodes):
     M = BinaryMatroid(8, mask)
     assert not _holds_hyperplane(mask, 8)  # so the search stops at 6
-    assert matroid._clique_search(mask, 8, None)[:2] == (omega, nodes)
+    assert matroid._clique_search(TranslateTable(mask, 8), None)[:2] == (omega, nodes)
     assert clique_number(M, budget=nodes) == omega
     with pytest.raises(BudgetExceeded):
         _clique_search_no_cover(M, budget=walk_nodes - 1)
@@ -1142,7 +1143,7 @@ def _clique_search_uncoloured(M, budget=None, coloured=False):
     table = TranslateTable(E, n)
     trans, get = table.entries, table.get
     if coloured:
-        colours = len(matroid._colour_classes(E, table, -1, (1 << top) - 1))
+        colours = len(matroid._colour_classes(E, table, (1 << top) - 1))
         top = min(top, (colours + 1).bit_length() - 1)
     best = 1
     nodes = 0
@@ -1228,10 +1229,91 @@ def _sigma_ascending(M, budget=None):
     return best
 
 
-def _colours(E, n, flip):
-    """Classes of the greedy colouring of all of E: flip = -1 for the
-    clique search's graph (q + r in E), 0 for the sigma search's."""
-    return len(matroid._colour_classes(E, TranslateTable(E, n), flip, 1 << n))
+def _sigma_search_over_E(E, n, alpha):
+    """The sigma dfs over E's own table, as the oracle of the search over
+    the complement's: Z+p is the complement of the union of the
+    translates E+(s+p), and two points q, r of C share a colour class
+    only when q + r lies in E.  Returns sigma and the nodes it took."""
+    if E == 0:
+        return 0, 0
+    cap = min(n, alpha + 1)
+    full = (1 << (1 << n)) - 1
+    table = TranslateTable(E, n)
+    trans, get = table.entries, table.get
+    best = nodes = 0
+
+    def colour_classes(C, limit):
+        classes = []
+        while C:
+            if len(classes) == limit:
+                classes.append(C)
+                break
+            cls, free = 0, C
+            while free:
+                low = free & -free
+                cls |= low
+                free ^= low
+                q = low.bit_length() - 1
+                free &= trans[q] or get(q)
+            C ^= cls
+            classes.append(cls)
+        return classes
+
+    def dfs(Z, C, size, S):
+        nonlocal best, nodes
+        best = max(best, size)
+        if best == cap or size + C.bit_count() <= best:
+            return
+        grow = S is not None and len(S) < matroid._TABLE_SPAN
+        classes = colour_classes(C, cap - size)
+        rest = C
+        for k in range(len(classes), 0, -1):
+            cls = classes[k - 1]
+            while cls:
+                if size + k <= best or best == cap:
+                    return
+                low = cls & -cls
+                cls ^= low
+                rest ^= low
+                p = low.bit_length() - 1
+                nodes += 1
+                if S is None:
+                    shifted = xor_translate(Z, p, n)
+                else:
+                    hit = 0
+                    for s in S:
+                        s ^= p
+                        hit |= trans[s] or get(s)
+                    shifted = full & ~hit
+                child_S = S + [s ^ p for s in S] if grow else None
+                dfs(Z & shifted, rest & shifted, size + 1, child_S)
+
+    dfs(full & ~E, E, 0, [0])
+    return best, nodes
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_sigma_search_over_the_complement_matches_search_over_E(n):
+    # the search over T's table takes the same value in the same nodes
+    # as the search over E's: the two validity sets differ only on the
+    # span of the chosen points, which holds no candidate
+    rng = random.Random(f"sigma-over-complement:{n}")
+    for density in (0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95):
+        E = _seeded_mask(n, density, rng.getrandbits(32))
+        table = TranslateTable(ground_mask(n) & ~E, n)
+        alpha = matroid._clique_search(table, None)[0]
+        sigma, nodes = _sigma_search_over_E(E, n, alpha)
+        assert matroid._sigma_search(table, alpha, budget=nodes) == sigma, hex(E)
+        if nodes:
+            with pytest.raises(BudgetExceeded):
+                matroid._sigma_search(table, alpha, budget=nodes - 1)
+
+
+def _colours(E, X, n):
+    """Classes of the greedy colouring of all of E in the graph joining the
+    pairs that sum into X: X = E for the clique search's graph, X = G \\ E
+    for the sigma search's."""
+    return len(matroid._colour_classes(E, TranslateTable(X, n), 1 << n))
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
@@ -1272,8 +1354,8 @@ def test_leaf_bounds_exhaustive(n):
         omega, sigma = omegas[code], sigmas[code]
         alpha = omegas[(ground & ~E) >> 1]
         assert sigma <= alpha + 1, hex(E)
-        assert (1 << omega) - 1 <= _colours(E, n, -1), hex(E)
-        assert sigma <= _colours(E, n, 0), hex(E)
+        assert (1 << omega) - 1 <= _colours(E, E, n), hex(E)
+        assert sigma <= _colours(E, ground & ~E, n), hex(E)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -1286,24 +1368,26 @@ def test_leaf_bounds_seeded(n):
             omega, alpha = clique_number(M), clique_number(D)
             sigma = induced_independence_number(M)
             assert sigma <= alpha + 1, hex(M.mask)
-            assert (1 << omega) - 1 <= _colours(M.mask, n, -1), hex(M.mask)
-            assert (1 << alpha) - 1 <= _colours(D.mask, n, -1), hex(M.mask)
-            assert sigma <= _colours(M.mask, n, 0), hex(M.mask)
+            assert (1 << omega) - 1 <= _colours(M.mask, M.mask, n), hex(M.mask)
+            assert (1 << alpha) - 1 <= _colours(D.mask, D.mask, n), hex(M.mask)
+            assert sigma <= _colours(M.mask, D.mask, n), hex(M.mask)
 
 
 def test_colour_classes_are_independent_and_stop_at_the_limit():
     rng = random.Random("colour-classes")
     for n in (3, 5, 7):
         E = _seeded_mask(n, 0.5, rng.getrandbits(32))
-        table = TranslateTable(E, n)
-        for flip, joined in ((-1, lambda s: (E >> s) & 1), (0, lambda s: not (E >> s) & 1)):
-            classes = matroid._colour_classes(E, table, flip, 1 << n)
+        # the clique search colours E over E's table, the sigma search
+        # over the complement's
+        for X in (E, ground_mask(n) & ~E):
+            table = TranslateTable(X, n)
+            classes = matroid._colour_classes(E, table, 1 << n)
             assert sum(classes) == E and sum(c.bit_count() for c in classes) == E.bit_count()
             for cls in classes:
                 pts = list(iter_bits(cls))
-                assert not any(joined(q ^ r) for q, r in itertools.combinations(pts, 2))
+                assert not any((X >> (q ^ r)) & 1 for q, r in itertools.combinations(pts, 2))
             limit = len(classes) - 1
-            capped = matroid._colour_classes(E, table, flip, limit)
+            capped = matroid._colour_classes(E, table, limit)
             assert capped[:limit] == classes[:limit]
             assert capped[limit:] == [classes[limit]]
 
@@ -1326,7 +1410,8 @@ def test_rank_mask_matches_echelon_basis():
 
 
 def test_sigma_table_stays_under_its_bound(monkeypatch):
-    # the colourings read E+q for most q in E, and a table that kept
+    # the alpha and sigma searches share one table of the complement T;
+    # the colourings read T+q for most q in E, and a table that kept
     # them all would hold up to 2^14 translates of 2 KiB (32 MiB)
     made = []
 
@@ -1345,16 +1430,14 @@ def test_sigma_table_stays_under_its_bound(monkeypatch):
     M = BinaryMatroid(n, ground_mask(n) & ~(flat | _seeded_mask(n, 0.01, 14)))
     with pytest.raises(BudgetExceeded):
         induced_independence_number(M, budget=5000)
-    alpha_table, table = made
-    assert alpha_table.entries[0] == ground_mask(n) & ~M.mask
-    assert table.entries[0] == M.mask
-    for t in made:
-        stored = [u for u, e in enumerate(t.entries) if e]
-        assert (len(stored) - 1) * (1 << n) // 8 <= gf2.TRANSLATE_TABLE_BYTES
-    assert table.room == 0  # the bound was reached, so it was exercised
+    (table,) = made
+    T = ground_mask(n) & ~M.mask
+    assert table.entries[0] == T
     stored = [u for u, e in enumerate(table.entries) if e]
+    assert (len(stored) - 1) * (1 << n) // 8 <= gf2.TRANSLATE_TABLE_BYTES
+    assert table.room == 0  # the bound was reached, so it was exercised
     for u in stored[:: len(stored) // 50]:
-        assert table.entries[u] == gf2.xor_translate(M.mask, u, n)
+        assert table.entries[u] == gf2.xor_translate(T, u, n)
 
 
 def test_is_isomorphic_examples():

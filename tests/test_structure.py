@@ -176,15 +176,6 @@ def test_find_decomposer_table_stays_under_its_bound(monkeypatch):
         assert table.entries[u] == gf2.xor_translate(M.mask, u, n)
 
 
-def test_minimal_decomposer_rejects_another_sets_table():
-    M, other = c4(), independent_matroid(3)
-    shared = minimal_decomposer_containing(M, 3, TranslateTable(M.mask, M.n))
-    assert shared == minimal_decomposer_containing(M, 3)
-    for table in (TranslateTable(other.mask, 3), TranslateTable(M.mask, 4)):
-        with pytest.raises(ValueError):
-            minimal_decomposer_containing(M, 3, table)
-
-
 def test_singleton_decomposer_matches_translate_conditions():
     # the least a with a + E = E or a + (E ∪ {0}) = E ∪ {0}, on every set
     # at n <= 4; up to n = 3 these are checked to be exactly the one-point
@@ -434,7 +425,8 @@ def _unpruned_decomposer(M):
     best = None
     table = TranslateTable(M.mask, M.n)
     for a in range(1, 1 << M.n):
-        F = minimal_decomposer_containing(M, a, table)
+        span = structure._fixpoint_span(table, a)
+        F = None if span is None else closure_mask(span & ~1, M.n)
         if F is not None and (best is None or (F.dim, F.basis) < (best.dim, best.basis)):
             best = F
             if best.dim == 1:
@@ -729,9 +721,9 @@ def test_leaf_invariants_search_alpha_once(n, monkeypatch):
     searched = []
     search = matroid._clique_search
 
-    def counted(E, dim, budget):
-        searched.append(E)
-        return search(E, dim, budget)
+    def counted(table, budget):
+        searched.append(table.entries[0])
+        return search(table, budget)
 
     monkeypatch.setattr(matroid, "_clique_search", counted)
     monkeypatch.setattr(structure, "_clique_search", counted)
@@ -750,8 +742,41 @@ def test_leaf_invariants_search_alpha_once(n, monkeypatch):
         assert searched == []
 
 
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_leaf_alpha_and_sigma_share_one_table(n, monkeypatch):
+    # a leaf in no basic class builds one translate table for its alpha
+    # and sigma searches, the table of T = G \\ E; the omega search reads
+    # E's own table, and no search builds another
+    made = []
+
+    class Recording(TranslateTable):
+        __slots__ = ()
+
+        def __init__(self, mask, n):
+            super().__init__(mask, n)
+            made.append(mask)
+
+    rng = random.Random(f"leaf-one-table:{n}")
+    while True:
+        M = BinaryMatroid(n, rng.getrandbits(1 << n) & ground_mask(n))
+        T = ground_mask(n) & ~M.mask
+        flat = matroid._clique_search(TranslateTable(T, n), None)[2]
+        if not matroid._coset_witness(M.mask, n, flat):
+            break  # so the sigma search runs its dfs
+    tags = classify(M)
+    assert not tags.claw_free
+    want = invariants(M)
+    monkeypatch.setattr(matroid, "TranslateTable", Recording)
+    monkeypatch.setattr(structure, "TranslateTable", Recording)
+    assert structure._leaf_invariants(Leaf(M, tags)) == want
+    assert made == [M.mask, T]
+    made.clear()
+    assert matroid.induced_independence_number(M) == want.sigma
+    assert made == [T]
+
+
 def _alpha_search(mask, n):
-    return matroid._clique_search(ground_mask(n) & ~mask, n, None)[0]
+    return matroid._clique_search(TranslateTable(ground_mask(n) & ~mask, n), None)[0]
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
@@ -788,5 +813,5 @@ def test_pg_sum_leaf_identities(n):
             assert tags.strict_pg_sum and tags.even_plane == (n < 4 or (n, a) == (4, 2))
             rec = structure._leaf_invariants(Leaf(M, tags))
             assert (rec.omega, rec.alpha) == (n - a, a), hex(M.mask)
-            assert rec.omega == matroid._clique_search(M.mask, n, None)[0], hex(M.mask)
+            assert rec.omega == matroid.clique_number(M), hex(M.mask)
             assert rec.alpha == _alpha_search(M.mask, n), hex(M.mask)
