@@ -22,7 +22,15 @@ from .gf2 import (
     ground_mask,
     xor_translate,
 )
-from .matroid import BinaryMatroid, canonical_form, is_full_rank, linear_map_table, seq_key, transform_mask
+from .matroid import (
+    BinaryMatroid,
+    _claw_pair,
+    canonical_form,
+    is_full_rank,
+    linear_map_table,
+    seq_key,
+    transform_mask,
+)
 from .construct import lift_join
 from .recognize import classify, claw_free_any
 from .structure import has_decomposer
@@ -140,31 +148,10 @@ def even_plane_classes(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _claw_through_table(E: int, p: int, table: TranslateTable) -> bool:
-    """Whether E + {p} has a claw through p, for a point p outside E,
-    given a translate table of E.
-
-    With A = E \\ (E + p) and B = G \\ (E ∪ (E + p)), the claws through
-    p are the triples {p, x, y} with x, y in A and x + y in B (README,
-    "Identities instead of plane searches").  x + y lies in B iff y lies
-    in neither E + x nor E + (p + x), so each point x of A meets the
-    points of A after it with two table entries.
-    """
-    T, get = table.entries, table.get
-    rest = E & ~(T[p] or get(p))
-    while rest & (rest - 1):  # a pair of points of A is left
-        low = rest & -rest
-        rest ^= low
-        x = low.bit_length() - 1
-        if rest & ~((T[x] or get(x)) | (T[p ^ x] or get(p ^ x))):
-            return True
-    return False
-
-
 def _greedy_claw_free(n: int, rng: random.Random) -> int:
-    """Random insertion order, random keep rate; a drawn point is kept
+    """Random insertion order, random keep rate; a drawn point p is kept
     unless it completes a claw.  E stays claw-free, so such a claw runs
-    through the new point, and `_claw_through_table` decides it from a
+    through p, and `matroid._claw_pair` finds it in E \\ (E + p) from a
     translate table of E.  When a point q joins E, q + u joins E + u.
 
     Up to n = 13 every translate fits in the table, and all of them are
@@ -182,7 +169,7 @@ def _greedy_claw_free(n: int, rng: random.Random) -> int:
     for p in order:
         if rng.random() > keep:
             continue
-        if not _claw_through_table(E, p, table):
+        if _claw_pair(E & ~(T[p] or table.get(p)), p, table) is None:
             E |= 1 << p
             if every:
                 T[:] = [t | 1 << (p ^ u) for u, t in enumerate(T)]
@@ -276,8 +263,11 @@ CLASS_KEYS = (
 
 
 def _census_from_reps(
-    n: int, reps: list[int], filter_claw_free: bool, extra: dict
+    n: int, reps: Iterable[int], filter_claw_free: bool, extra: dict
 ) -> dict:
+    """The census record of a set of class representatives, which it
+    walks in `seq_key` order."""
+    reps = sorted(reps, key=lambda m: seq_key(m, n) if n else 0)
     by_class = {k: 0 for k in CLASS_KEYS}
     claw_free_count = 0
     min_density: Optional[int] = None
@@ -315,6 +305,7 @@ def _census_from_reps(
         "minimizer_witnesses": witnesses,
     }
     record.update(extra)
+    record["filter"] = "claw_free" if filter_claw_free else "all"
     return record
 
 
@@ -325,15 +316,10 @@ def exhaustive_census(n: int, filter_claw_free: bool = False) -> dict:
         raise ValueError("exhaustive enumeration is capped at n = 4")
     table = canon_table(n)
     if filter_claw_free:
-        reps = sorted(
-            {table[m] for m in tables.claw_free_masks_list(n)},
-            key=lambda m: seq_key(m, n) if n else 0,
-        )
+        reps = {table[m] for m in tables.claw_free_masks_list(n)}
     else:
-        reps = sorted(set(table.values()), key=lambda m: seq_key(m, n) if n else 0)
-    return _census_from_reps(
-        n, reps, filter_claw_free, {"mode": "exhaustive", "filter": "claw_free" if filter_claw_free else "all"}
-    )
+        reps = set(table.values())
+    return _census_from_reps(n, reps, filter_claw_free, {"mode": "exhaustive"})
 
 
 def sampled_census(
@@ -356,15 +342,6 @@ def sampled_census(
         if n <= 6:
             mask = canonical_form(BinaryMatroid(n, mask)).mask
         seen.add(mask)
-    reps = sorted(seen, key=lambda m: seq_key(m, n) if n else 0)
     return _census_from_reps(
-        n,
-        reps,
-        filter_claw_free,
-        {
-            "mode": "sample",
-            "samples": samples,
-            "seed": seed,
-            "filter": "claw_free" if filter_claw_free else "all",
-        },
+        n, seen, filter_claw_free, {"mode": "sample", "samples": samples, "seed": seed}
     )

@@ -22,7 +22,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from . import census, construct, verify
-from .gf2 import closure, empty_flat
+from .gf2 import MAX_DIM, closure, empty_flat
 from .matroid import BinaryMatroid
 from .recognize import ClassFlags
 from .structure import (
@@ -30,7 +30,6 @@ from .structure import (
     Leaf,
     StructureTheoremViolation,
     decompose,
-    find_decomposer,
     fold_invariants,
     tree_flags,
 )
@@ -66,8 +65,8 @@ def parse_matroid(text: str) -> BinaryMatroid:
         n = int(dim_tokens[1])
     except ValueError:
         raise _fail(dim_no, dim_line, dim_tokens[1], "dimension is not an integer") from None
-    if not 0 <= n <= 16:
-        raise _fail(dim_no, dim_line, dim_tokens[1], "dimension must be in [0, 16]")
+    if not 0 <= n <= MAX_DIM:
+        raise _fail(dim_no, dim_line, dim_tokens[1], f"dimension must be in [0, {MAX_DIM}]")
     pts_tokens = pts_line.split()
     if not pts_tokens or pts_tokens[0] != "points":
         raise _fail(pts_no, pts_line, pts_tokens[0] if pts_tokens else "", "expected 'points ...'")
@@ -131,33 +130,25 @@ def classify(M: BinaryMatroid) -> ClassFlags:
     return tree_flags(M, _maximal_tree(M))
 
 
-def report_json(M: BinaryMatroid, tree=None, stop_at_basic: bool = False) -> dict:
-    """The analyze report, plus the tree when one is given.
+def report_json(M: BinaryMatroid, tree=None) -> dict:
+    """The analyze report, plus `tree` printed when one is given.
 
-    The invariants are folded up `tree` when given, else up the maximal
-    decomposition of M, which is then not printed.  The flags come from
-    `classify(M)`, so that one call is where every report's flags come
-    from (the benchmark's fault-injection test in perfbench/tests patches
-    it); it reads the same maximal tree through `_maximal_tree`, which is
-    emptied when the report returns or raises.  The decomposer is the
-    root flat of a join root.  A leaf root of a maximal decomposition has
-    none; a leaf cut off at a basic class leaves it to `find_decomposer`.
+    Every field comes off M's maximal decomposition tree, built once
+    through `_maximal_tree` and emptied when the report returns or
+    raises: the flags through `classify(M)`, so that one call is where
+    every report's flags come from (the benchmark's fault-injection test
+    in perfbench/tests patches it), the invariants folded up the tree,
+    and the decomposer as the flat of a join root (a leaf root has none).
     Raises StructureTheoremViolation as `decompose` does.
     """
     try:
-        root = _maximal_tree(M) if tree is None else tree
-        if isinstance(root, Join):
-            dec = root.flat
-        elif stop_at_basic:
-            dec = find_decomposer(M)
-        else:
-            dec = None
+        root = _maximal_tree(M)
         return {
             "dim": M.n,
             "points": M.points(),
             "flags": asdict(classify(M)),
             "invariants": asdict(fold_invariants(root)),
-            "decomposer": list(dec.basis) if dec is not None else None,
+            "decomposer": list(root.flat.basis) if isinstance(root, Join) else None,
             "tree": tree_to_json(tree) if tree is not None else None,
         }
     finally:
@@ -195,11 +186,7 @@ def cmd_decompose(args) -> int:
     M = parse_matroid(_read_input(args.file))
     stop = args.stop_at_basic
     return _emit_report(
-        lambda: report_json(
-            M,
-            tree=decompose(M, stop_at_basic=True) if stop else _maximal_tree(M),
-            stop_at_basic=stop,
-        )
+        lambda: report_json(M, decompose(M, stop_at_basic=True) if stop else _maximal_tree(M))
     )
 
 

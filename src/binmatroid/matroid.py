@@ -121,28 +121,42 @@ def is_full_rank(M: BinaryMatroid) -> bool:
     return rank_mask(M.mask, M.n) == M.n
 
 
+def _claw_pair(A: int, p: int, table: TranslateTable) -> Optional[tuple[int, int]]:
+    """The first y in A with a z > y in A outside E + y and E + (p + y),
+    E the table's set, and the bitset of those z; None if no y has one.
+
+    For A inside E \\ (E + p) such pairs y < z are exactly the claws
+    {p, y, z} of E ∪ {p} through p, whether p is in E or not (README,
+    "Identities instead of plane searches").  Each y reads two table
+    entries.  The sampler only tests the result for None, so the lowest
+    z is left to `find_claw`.
+    """
+    T, get = table.entries, table.get
+    while A & (A - 1):  # a pair of points of A is left
+        low = A & -A
+        A ^= low
+        y = low.bit_length() - 1
+        zs = A & ~((T[y] or get(y)) | (T[p ^ y] or get(p ^ y)))
+        if zs:
+            return (y, zs)
+    return None
+
+
 def find_claw(M: BinaryMatroid) -> Optional[tuple[int, int, int]]:
     """First independent triple x,y,z in E whose pairwise and triple sums
     all avoid E, in lexicographic order; None if the matroid is claw-free.
 
-    For each x, A is the set of points of E above x that lie outside
-    E + x, so every pair whose sum lands in E is dropped at once.  Walking
-    y up through A, the valid third points are the rest of A outside
-    E + y and E + (x+y), read from the translate table (README,
-    "Identities instead of plane searches").
+    For each x, the points of E above x outside E + x go to `_claw_pair`,
+    so every pair whose sum lands in E is dropped at once.
     """
     E = M.mask
     table = TranslateTable(E, M.n)
     trans, get = table.entries, table.get
     for x in iter_bits(E):
-        A = E & ~(trans[x] or get(x)) & ~((2 << x) - 1)
-        while A:
-            low = A & -A
-            A ^= low
-            y = low.bit_length() - 1
-            zs = A & ~(trans[y] or get(y)) & ~(trans[x ^ y] or get(x ^ y))
-            if zs:
-                return (x, y, (zs & -zs).bit_length() - 1)
+        pair = _claw_pair(E & ~(trans[x] or get(x)) & ~((2 << x) - 1), x, table)
+        if pair is not None:
+            y, zs = pair
+            return (x, y, (zs & -zs).bit_length() - 1)
     return None
 
 

@@ -46,7 +46,6 @@ from .matroid import (
     _clique_search,
     _sigma_search,
     clique_number,
-    find_claw,
     is_full_rank,
     linear_map_table,
     rank_mask,
@@ -56,6 +55,7 @@ from .recognize import (
     ClassFlags,
     _classify,
     classify,
+    claw_free_any,
     is_complement_triangle_free,
     is_even_plane,
     is_strict_pg_sum,
@@ -454,7 +454,7 @@ class StructureReport:
 
 def verify_structure_theorem(M: BinaryMatroid) -> StructureReport:
     """Evaluate all four outcomes for a claw-free matroid."""
-    if find_claw(M) is not None:
+    if not claw_free_any(M.mask, M.n):
         raise ValueError("matroid has a claw; the structure outcomes do not apply")
     return StructureReport(
         even_plane=is_even_plane(M),

@@ -38,11 +38,13 @@ from .matroid import (
     BinaryMatroid,
     clique_number,
     complement,
+    critical_number,
     has_induced_restriction,
     induced_independence_number,
     linear_map_table,
     rank_mask,
     restrict,
+    transform_mask,
 )
 from .recognize import (
     claw_free_any,
@@ -307,10 +309,7 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
             w1, w2 = clique_number(M1), clique_number(M2)
             if clique_number(M) != w1 + w2:
                 ledger.add({"check": "omega_additive", "i": i}, checked)
-            a1 = clique_number(complement(M1))
-            a2 = clique_number(complement(M2))
-            chi = M.n - clique_number(complement(M))
-            if chi != (M1.n - a1) + (M2.n - a2):
+            if critical_number(M) != critical_number(M1) + critical_number(M2):
                 ledger.add({"check": "chi_additive", "i": i}, checked)
             # sigma and full rank through the join, as `structure.fold_invariants`
             # reads them
@@ -421,7 +420,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
                         continue
                     M = BinaryMatroid(n, fm1 | fm2)
                     chi_checked += 1
-                    if M.n - clique_number(complement(M)) != clique_number(M):
+                    if critical_number(M) != clique_number(M):
                         ledger.add(
                             {"n": n, "chi_neq_omega": M.points()},
                             checked + sampled + chi_checked,
@@ -430,7 +429,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
             for d2 in range(6 - d1):
                 M = pg_sum(d1, d2)
                 chi_checked += 1
-                if M.n - clique_number(complement(M)) != clique_number(M):
+                if critical_number(M) != clique_number(M):
                     ledger.add(
                         {"pg_sum": (d1, d2), "chi_neq_omega": True},
                         checked + sampled + chi_checked,
@@ -458,7 +457,7 @@ def _random_gl_image(mask: int, n: int, rng: random.Random) -> int:
     if not gens:
         return mask
     for _ in range(8):
-        mask = census.transform_mask(mask, gens[rng.randrange(len(gens))])
+        mask = transform_mask(mask, gens[rng.randrange(len(gens))])
     return mask
 
 
@@ -556,7 +555,7 @@ def verify_rlj(samples: int = 2_000, seed: int = 0) -> dict:
             inverse = [0] * (1 << M.n)
             for y, v in enumerate(table):
                 inverse[v] = y
-            if census.transform_mask(M.mask, inverse) != joined.mask:
+            if transform_mask(M.mask, inverse) != joined.mask:
                 ledger.add(
                     {"n": M.n, "points": M.points(), "flat": F.points(), "reason": "join image"},
                     checked,
@@ -582,7 +581,7 @@ def verify_rlj(samples: int = 2_000, seed: int = 0) -> dict:
             tree = decompose(M)
             rebuilt = reconstruct(tree)
             recon_checked += 1
-            image = census.transform_mask(M.mask, tree_point_map(tree))
+            image = transform_mask(M.mask, tree_point_map(tree))
             if image != rebuilt.mask or rebuilt.n != M.n:
                 violation = {"check": "reconstruct", "n": n, "points": M.points()}
                 ledger.add(violation, checked + recon_checked)
@@ -764,7 +763,7 @@ def verify_bbt(n_max: int = 4) -> dict:
                 M = BinaryMatroid(n, mask)
                 checked += 1
                 w = clique_number(M)
-                chi = n - clique_number(complement(M))
+                chi = critical_number(M)
                 if w > chi:
                     ledger.add({"n": n, "points": M.points(), "reason": "omega>chi"}, checked)
                     continue
@@ -809,7 +808,7 @@ def verify_chibound(n_max: int = 5) -> dict:
     reps: list[BinaryMatroid] = []
     for n in range(n_max + 1):
         reps += [BinaryMatroid(n, m) for m in census.even_plane_classes(n)]
-    chi = {M: M.n - clique_number(complement(M)) for M in reps}
+    chi = {M: critical_number(M) for M in reps}
     pairs = 0
     with _Ledger() as ledger:
         for M in reps:

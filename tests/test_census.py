@@ -9,7 +9,6 @@ import pytest
 from binmatroid import BinaryMatroid, canonical_form, find_claw
 from binmatroid import gf2, tables
 from binmatroid.census import (
-    _claw_through_table,
     _greedy_claw_free,
     canon_table,
     even_plane_basis,
@@ -25,6 +24,7 @@ from binmatroid.census import (
     transform_mask,
 )
 from binmatroid.gf2 import TranslateTable, flats_of_dim, ground_mask, xor_translate
+from binmatroid.matroid import _claw_pair
 from binmatroid.recognize import is_even_plane
 from binmatroid.tables import claw_free_masks_list
 
@@ -166,16 +166,19 @@ def test_claw_free_sampler_is_claw_free():
 
 
 def _claw_through(mask, p, n):
-    """`_claw_through_table` over a fresh translate table of E."""
-    return _claw_through_table(mask, p, TranslateTable(mask, n))
+    """Whether E ∪ {p} has a claw through p: `matroid._claw_pair` on
+    E \\ (E + p) over a fresh translate table of E."""
+    table = TranslateTable(mask, n)
+    return _claw_pair(mask & ~table.get(p), p, table) is not None
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_claw_through_matches_planes_through_point(n):
-    # E uniform, sampled claw-free, or claw-free with one point flipped
+    # E uniform, sampled claw-free, or claw-free with one point flipped;
+    # p is drawn outside E and, as `find_claw` passes it, inside E
     per_point = tables.planes_through_point(n)
     rng = random.Random(f"through:{n}")
-    seen = {True: 0, False: 0}
+    seen = {(inside, want): 0 for inside in (False, True) for want in (False, True)}
     for i in range(600):
         if i % 3 == 0:
             mask = sample_uniform_mask(n, rng)
@@ -183,13 +186,14 @@ def test_claw_through_matches_planes_through_point(n):
             mask = sample_claw_free_mask(n, rng)
             if i % 3 == 2:
                 mask ^= 1 << rng.randrange(1, 1 << n)
-        outside = [p for p in range(1, 1 << n) if not (mask >> p) & 1]
-        if not outside:
-            continue
-        p = rng.choice(outside)
-        want = not tables.claw_free_on(per_point[p], mask | (1 << p))
-        assert _claw_through(mask, p, n) == want, (n, mask, p)
-        seen[want] += 1
+        for inside in (False, True):
+            side = [p for p in range(1, 1 << n) if (mask >> p) & 1 == inside]
+            if not side:
+                continue
+            p = rng.choice(side)
+            want = not tables.claw_free_on(per_point[p], mask | (1 << p))
+            assert _claw_through(mask, p, n) == want, (n, mask, p)
+            seen[inside, want] += 1
     assert min(seen.values()) >= 60, seen
 
 
@@ -209,7 +213,7 @@ def test_claw_through_matches_find_claw(n, count):
 
 
 def _claw_through_translating(mask, p, n):
-    """`_claw_through_table` as a walk with no table: one translate of
+    """`_claw_through` as a walk with no table: one translate of
     B = G \\ (E ∪ (E + p)) per point of A = E \\ (E + p)."""
     T = xor_translate(mask, p, n)
     rest = mask & ~T

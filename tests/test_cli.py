@@ -10,7 +10,6 @@ import pytest
 
 from binmatroid.cli import MatroidParseError, format_matroid, main, parse_matroid
 from binmatroid import BinaryMatroid, c4, pg_sum
-from binmatroid.structure import Join, find_decomposer as find
 from binmatroid.construct import lift_join
 
 
@@ -181,27 +180,44 @@ def test_decompose_stop_at_basic_flag():
 
 
 def test_decompose_report_reuses_the_root_decomposer(monkeypatch):
-    # the report's decomposer comes from the tree; only a leaf cut off at
-    # a basic class needs its own search
-    from binmatroid import cli, independent_matroid
+    # the report's decomposer is the flat of the maximal tree's join root,
+    # so no report searches for a decomposer outside `structure.decompose`
+    from binmatroid import cli, independent_matroid, structure
 
+    real_decompose, real_find = structure.decompose, structure.find_decomposer
+    depth = [0]
+    outside = []
+
+    def decompose(M, stop_at_basic=False):
+        depth[0] += 1
+        try:
+            return real_decompose(M, stop_at_basic)
+        finally:
+            depth[0] -= 1
+
+    def find_decomposer(M):
+        if depth[0] == 0:
+            outside.append(M)
+        return real_find(M)
+
+    monkeypatch.setattr(structure, "decompose", decompose)
+    monkeypatch.setattr(cli, "decompose", decompose)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "binmatroid" and getattr(module, "find_decomposer", None) is real_find:
+            monkeypatch.setattr(module, "find_decomposer", find_decomposer)
     claw = independent_matroid(3)
     inputs = [c4(), pg_sum(2, 3), claw, lift_join(claw, c4()), BinaryMatroid(4, 0)]
     for M in inputs:
         text = format_matroid(M)
         _, out, _ = run_cli(["analyze"], stdin=text)
         analyzed = json.loads(out)
+        assert outside == [], M
         for flags in ([], ["--stop-at-basic"]):
-            searches = []
-            monkeypatch.setattr(
-                cli, "find_decomposer", lambda M: searches.append(M) or find(M)
-            )
             _, out, _ = run_cli(["decompose", *flags], stdin=text)
-            monkeypatch.undo()
             rep = json.loads(out)
-            tree = rep.pop("tree")
+            rep.pop("tree")
             assert rep == {k: v for k, v in analyzed.items() if k != "tree"}
-            assert len(searches) == (1 if flags and "leaf" in tree else 0)
+            assert outside == [], (flags, M)
 
 
 def test_reports_match_the_direct_searches():
@@ -769,7 +785,7 @@ INJECTED_FAULTS = {
     # every full-rank claw-free set reads as triangle-free
     "cftf": ("triangle_free_mask", lambda mask, n: True, "checked"),
     # every critical number reads as dim + 8
-    "chibound": ("clique_number", lambda M: -8, "pairs"),
+    "chibound": ("critical_number", lambda M: M.n + 8, "pairs"),
     "tiny": ("is_decomposer", lambda M, F: False, "checked"),
 }
 

@@ -3,6 +3,7 @@ stale export behind."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import binmatroid
@@ -82,3 +83,18 @@ def test_no_function_imports_from_the_package():
                 if any(m.split(".")[0] == "binmatroid" for m in modules):
                     local.append(f"{path.stem}.{fn.name}")
     assert local == []
+
+
+def test_sources_parse_at_the_python_floor():
+    """Every module parses under the oldest Python that `requires-python`
+    in pyproject.toml admits (read with a regex: Python 3.10 has no
+    tomllib)."""
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', pyproject, re.M)
+    assert floor is not None
+    version = (int(floor[1]), int(floor[2]))
+    package = Path(binmatroid.__file__).parent
+    paths = sorted(package.glob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
