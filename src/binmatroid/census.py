@@ -23,6 +23,7 @@ from .gf2 import (
     xor_translate,
 )
 from .matroid import (
+    MAX_CANONICAL_DIM,
     BinaryMatroid,
     _claw_pair,
     canonical_form,
@@ -92,8 +93,10 @@ def orbit_split(masks: Iterable[int], n: int) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def canon_table(n: int) -> dict[int, int]:
     """Canonical representative for every ground set, n <= 4."""
-    if n > 4:
-        raise ValueError("whole-space canonical tables are kept only for n <= 4")
+    if n > tables.SWEEP_MAX:
+        raise ValueError(
+            f"whole-space canonical tables are kept only for n <= {tables.SWEEP_MAX}"
+        )
     return orbit_split(range(0, 1 << (1 << n), 2), n)
 
 
@@ -199,7 +202,7 @@ def sample_claw_free_mask(n: int, rng: random.Random) -> int:
     members, complements of triangle-free sets, dimension extension, and
     plain rejection.  Below n = 5 it draws from the list of all claw-free
     sets; from n = 5 on, one mixture serves every dimension."""
-    if n <= 4:
+    if n <= tables.SWEEP_MAX:
         pool = tables.claw_free_masks_list(n)
         return pool[rng.randrange(len(pool))]
     roll = rng.random()
@@ -312,8 +315,8 @@ def _census_from_reps(
 def exhaustive_census(n: int, filter_claw_free: bool = False) -> dict:
     """Canonical-form-deduplicated census over every ground set (n <= 4)."""
     check_dim(n)
-    if n > 4:
-        raise ValueError("exhaustive enumeration is capped at n = 4")
+    if n > tables.SWEEP_MAX:
+        raise ValueError(f"exhaustive enumeration is capped at n = {tables.SWEEP_MAX}")
     table = canon_table(n)
     if filter_claw_free:
         reps = {table[m] for m in tables.claw_free_masks_list(n)}
@@ -339,7 +342,7 @@ def sampled_census(
             )
         else:
             mask = sample_uniform_mask(n, rng)
-        if n <= 6:
+        if n <= MAX_CANONICAL_DIM:
             mask = canonical_form(BinaryMatroid(n, mask)).mask
         seen.add(mask)
     return _census_from_reps(

@@ -217,17 +217,18 @@ def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     the meet of the translates E+(s+p), read from one table; deeper, V
     is translated by p.  A capacity bound prunes branches that cannot
     beat the best dimension found, and the search stops once it reaches
-    its root bound `top`.  Three proofs from above come first.  When E
-    holds a hyperplane, omega = n - 1 with no search
-    (`_hyperplane_functional`).  Otherwise omega <= n - 2, and the
+    its root bound `top`.  Three proofs from above come first, two of
+    them by `_cover`: m functionals cover T = G \\ E exactly when E holds
+    a flat of dimension n - m.  When E holds a hyperplane (m = 1),
+    omega = n - 1 with no search.  Otherwise omega <= n - 2, and the
     colour bound may lower that: a k-flat inside E is a (2^k - 1)-clique
     of the graph on E joining q and r when q + r lies in E, so
     k <= log2(c + 1) for the c classes of one greedy colouring of that
     graph at the root; the colouring stops once c + 1 reaches 2^top,
     past which it cannot lower the bound.  When the bound is still
-    n - 2, the cover test `_codim2_flat` either finds a flat of that
-    dimension inside E, and omega = n - 2 with no search, or proves
-    that none exists and lowers `top` to n - 3 before the search.
+    n - 2, the cover at m = 2 either finds a flat of that dimension
+    inside E, and omega = n - 2 with no search, or proves that none
+    exists and lowers `top` to n - 3 before the search.
     README, "Bounds in the leaf searches", has the proofs.
     """
     return _clique_search(TranslateTable(M.mask, M.n), budget)[0]
@@ -244,18 +245,19 @@ def _clique_search(
         return 0, 0, []
     if E == ground_mask(n):
         return n, 0, [1 << i for i in range(n)]
-    w = _hyperplane_functional(ground_mask(n) & ~E, n)
-    if w:
-        return n - 1, 0, _annihilator([w], n)
+    T = ground_mask(n) & ~E
+    cover = _cover(T, 1, n)
+    if cover is not None:
+        return n - 1, 0, _annihilator(cover, n)
     top = n - 2
     halves = _half_masks(n)
     trans, get = table.entries, table.get
     colours = len(_colour_classes(E, table, (1 << top) - 1))
     top = min(top, (colours + 1).bit_length() - 1)
     if top == n - 2 > 1:
-        cover = _codim2_flat(E, n)
+        cover = _cover(T, 2, n)
         if cover is not None:
-            return top, 0, cover
+            return top, 0, _annihilator(cover, n)
         top -= 1
     best = 1
     flat = [(E & -E).bit_length() - 1]
@@ -305,47 +307,34 @@ def _clique_search(
     return best, nodes, flat
 
 
-def _hyperplane_functional(C: int, n: int) -> int:
-    """A functional w with w(c) = 1 for every point c of the nonempty set
-    C, or 0 when there is none.
+def _cover(T: int, m: int, n: int) -> Optional[list[int]]:
+    """m functionals such that every point of the nonempty set T is 1
+    under one of them, or None; no m - 1 functionals may cover T.  The
+    cover is then independent, and the meet of its kernels, less 0, is
+    a flat of dimension n - m that misses T.
 
-    Such a w exists iff C lies in an affine hyperplane, iff 0 is outside
-    the affine hull of C, that is iff c0 is outside span{c + c0 : c in C}
-    for any c0 in C; then ker w holds that span and not c0.  The span
-    grows from the lowest point of C whose sum with c0 lies outside it,
-    at most n - 1 steps of two translates each.  With C the complement
-    of E, the points of ker w other than 0 form a hyperplane inside E.
+    m = 1 is the hull test: some w is 1 on all of T iff t0 is outside
+    span{t + t0 : t in T}, grown from the lowest point of T whose sum
+    with t0 lies outside it (at most n - 1 steps of two translates
+    each); then w vanishes on the span and is 1 at t0.  For m > 1, with
+    t0 the lowest point of T, a cover has a member u with u(t0) = 1 and
+    the others cover T ∩ ker u, so the recursion runs on T ∩ ker u with
+    m - 1 for the 2^(n-1) functionals u with u(t0) = 1, in Gray-code
+    order so that each step updates T ∩ {u = 1} by one xor.  README,
+    "Bounds in the leaf searches", has the proofs.
     """
-    c0 = (C & -C).bit_length() - 1
-    span = 1
-    taken = []
-    while not (span >> c0) & 1:
-        out = C & ~xor_translate(span, c0, n)
-        if not out:
-            return next(w for w in _annihilator(taken, n) if (w & c0).bit_count() & 1)
-        b = ((out & -out).bit_length() - 1) ^ c0
-        taken.append(b)
-        span |= xor_translate(span, b, n)
-    return 0
-
-
-def _codim2_flat(E: int, n: int) -> Optional[list[int]]:
-    """A basis of a flat of dimension n - 2 inside E, or None when there is
-    none; E must hold no hyperplane.
-
-    Let T = G \\ E and t0 its lowest point.  If ker u ∩ ker w, less 0, lies
-    inside E, then T misses it; t0 lies outside it, so one of the
-    functionals u, w, u + w that vanish on it is 1 at t0; call it u.
-    Then T ∩ ker u lies in {w = 1}, and conversely a functional w with
-    T ∩ ker u in {w = 1} puts ker u ∩ ker w, less 0, inside E (w is
-    neither 0 nor u, since E holds no hyperplane and so T ∩ ker u is not
-    empty).  So the test runs `_hyperplane_functional` on T ∩ ker u for
-    the 2^(n-1) functionals u with u(t0) = 1, walked in Gray-code order
-    so that each step updates T ∩ {u = 1} by one xor.  README, "Bounds
-    in the leaf searches".
-    """
-    T = ground_mask(n) & ~E
     t0 = (T & -T).bit_length() - 1
+    if m == 1:
+        span = 1
+        taken = []
+        while not (span >> t0) & 1:
+            out = T & ~xor_translate(span, t0, n)
+            if not out:
+                return [next(w for w in _annihilator(taken, n) if (w & t0).bit_count() & 1)]
+            b = ((out & -out).bit_length() - 1) ^ t0
+            taken.append(b)
+            span |= xor_translate(span, b, n)
+        return None
     odd_parts = [T & ~h for h in _half_masks(n)]  # points of T with bit i set
     u = odd = 0  # odd is T ∩ {u = 1}
     for k in range(1, 1 << n):
@@ -353,9 +342,9 @@ def _codim2_flat(E: int, n: int) -> Optional[list[int]]:
         u ^= 1 << i
         odd ^= odd_parts[i]
         if (u & t0).bit_count() & 1:
-            w = _hyperplane_functional(T ^ odd, n)
-            if w:
-                return _annihilator([u, w], n)
+            rest = _cover(T ^ odd, m - 1, n)
+            if rest is not None:
+                return [u] + rest
     return None
 
 

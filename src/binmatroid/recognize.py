@@ -152,10 +152,9 @@ def is_strict_pg_sum(M: BinaryMatroid) -> bool:
 def is_bose_burton(M: BinaryMatroid) -> Optional[int]:
     """The order t if the complement of the ground set is a flat, else None."""
     rest = ground_mask(M.n) & ~M.mask
-    flat = closure_mask(rest, M.n)
-    if flat.members != rest:
+    if not is_flat(rest, M.n):
         return None
-    return M.n - flat.dim
+    return M.n - rest.bit_count().bit_length()
 
 
 def is_target(M: BinaryMatroid) -> Optional[list[Flat]]:

@@ -21,6 +21,8 @@ from .gf2 import _half_masks, flats_of_dim, ground_mask, iter_bits
 
 #: plane lists are materialised only up to this dimension
 PLANE_TABLE_MAX = 6
+#: whole-subset sweeps and tables over every ground set stop here
+SWEEP_MAX = 4
 
 
 @lru_cache(maxsize=None)
@@ -138,8 +140,8 @@ def sweep_tables(n: int) -> dict[str, np.ndarray]:
     against the plane's own seven lines.  Below n = 3 there are no planes
     and every column is all True.
     """
-    if n > 4:
-        raise ValueError("whole-subset sweeps are supported only for n <= 4")
+    if n > SWEEP_MAX:
+        raise ValueError(f"whole-subset sweeps are supported only for n <= {SWEEP_MAX}")
     masks = np.arange(ground_codes(n), dtype=np.uint64) << np.uint64(1)
     claw_free = np.ones(len(masks), dtype=bool)
     pg_ok = claw_free.copy()
@@ -174,6 +176,7 @@ def ground_codes(n: int) -> int:
 
 __all__ = [
     "PLANE_TABLE_MAX",
+    "SWEEP_MAX",
     "flat_members",
     "plane_array",
     "planes_through_point",

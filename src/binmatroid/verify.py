@@ -138,7 +138,7 @@ def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> d
     `samples` seeded claw-free sets at each n = 5, 6, the parts merged.
     The parts share one ledger, so the merged report stops at the
     violation that takes their combined list past the cap."""
-    top = min(n_max, 4)
+    top = min(n_max, tables.SWEEP_MAX)
     cases = ((n, mask) for n in range(top + 1) for mask in tables.claw_free_masks_list(n))
     report = {"suite": "structure", "mode": "exhaustive", "n_max": top}
     ledger = _Ledger()
@@ -206,7 +206,7 @@ def verify_density(n_max: int = 4) -> dict:
     """No full-rank claw-free ground set is smaller than the floor, and one
     attains it (exhaustive); the equality classes at r = 3, 4.  The range
     starts at r = 1, so an n_max below 1 would check nothing."""
-    fields = _n_max_fields(n_max, 4, low=1)
+    fields = _n_max_fields(n_max, tables.SWEEP_MAX, low=1)
     n_max = fields["n_max"]
     results = {}
     checked = 0
@@ -383,7 +383,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     """Direct and forbidden-restriction recognizers agree (exhaustive at
     n <= n_max, sampled at n = 5); PG-sums have equal clique and critical
     numbers."""
-    fields = _n_max_fields(n_max, 4)
+    fields = _n_max_fields(n_max, tables.SWEEP_MAX)
     rng = random.Random(seed)
     checked = sampled = chi_checked = 0
     with _Ledger() as ledger:
@@ -470,7 +470,7 @@ def _random_target_mask(n: int, rng: random.Random) -> int:
 def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     """Target recognizer agrees with claw-free + anticlaw-free, exhaustive
     at n <= n_max and sampled at n = 5."""
-    fields = _n_max_fields(n_max, 4)
+    fields = _n_max_fields(n_max, tables.SWEEP_MAX)
     rng = random.Random(seed)
     checked = sampled = 0
     with _Ledger() as ledger:
@@ -718,7 +718,7 @@ def verify_semidouble(n_max: int = 4) -> dict:
     """Doubling and semidoubling preserve the even-plane property, as does
     symmetric difference with a hyperplane complement; all even-plane
     ground sets at n <= n_max."""
-    fields = _n_max_fields(n_max, 4)
+    fields = _n_max_fields(n_max, tables.SWEEP_MAX)
     n_max = fields["n_max"]
     checked = 0
     with _Ledger() as ledger:
@@ -753,7 +753,7 @@ def verify_semidouble(n_max: int = 4) -> dict:
 def verify_bbt(n_max: int = 4) -> dict:
     """Flat-avoidance density bound: |E| <= 2^n - 2^(n-w) with w the clique
     number, equality only for Bose-Burton geometries; plus w <= chi."""
-    fields = _n_max_fields(n_max, 4)
+    fields = _n_max_fields(n_max, tables.SWEEP_MAX)
     n_max = fields["n_max"]
     checked = 0
     with _Ledger() as ledger:
@@ -780,7 +780,7 @@ def verify_cftf(n_max: int = 4) -> dict:
     """Full-rank claw-free triangle-free ground sets are exactly the
     order-1 Bose-Burton geometries.  The range starts at n = 1, so an
     n_max below 1 would check nothing."""
-    fields = _n_max_fields(n_max, 4, low=1)
+    fields = _n_max_fields(n_max, tables.SWEEP_MAX, low=1)
     n_max = fields["n_max"]
     checked = 0
     # dimension 0 is degenerate: the empty matroid is full-rank, claw-free

@@ -2,6 +2,7 @@
 stale export behind."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -98,3 +99,21 @@ def test_sources_parse_at_the_python_floor():
     assert len(paths) > 5
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=version)
+
+
+def test_docs_name_only_what_exists():
+    """Every backticked `module.name` in the README and in the package's
+    docstrings and comments, with `module` one of the package's modules,
+    resolves, so a removed function cannot stay named in the prose."""
+    package = Path(binmatroid.__file__).parent
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    reference = re.compile(r"`(%s)\.(\w+)" % "|".join(modules))
+    paths = [Path(__file__).parents[1] / "README.md", *sorted(package.glob("*.py"))]
+    found, missing = 0, []
+    for path in paths:
+        for module, name in reference.findall(path.read_text()):
+            found += 1
+            if not hasattr(importlib.import_module(f"binmatroid.{module}"), name):
+                missing.append(f"{path.name}: {module}.{name}")
+    assert found > 40
+    assert missing == []

@@ -918,9 +918,9 @@ def test_search_budget_hooks():
 
 
 def _holds_hyperplane(E, n):
-    """Whether a ground set other than G holds a hyperplane: whether its
-    complement has a `_hyperplane_functional`."""
-    return matroid._hyperplane_functional(gf2.ground_mask(n) & ~E, n) != 0
+    """Whether a ground set other than G holds a hyperplane: whether one
+    functional covers its complement."""
+    return matroid._cover(gf2.ground_mask(n) & ~E, 1, n) is not None
 
 
 def _hyperplane_scan(M):
@@ -977,7 +977,8 @@ def _random_quadric(n, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_hyperplane_bound_exhaustive(n):
     # E holds a hyperplane iff 0 is outside the affine hull of G \ E, and
-    # the clique search stops at n - 1 or n - 2 accordingly
+    # the clique search stops at n - 1 or n - 2 accordingly; more generally
+    # the least m with a cover of G \ E by m functionals is n - omega
     omegas, _ = _definition_tables(n)
     hyperplanes = [H.members for H in flats_of_dim(n, n - 1)]
     for code in range(1 << ((1 << n) - 1)):
@@ -988,6 +989,8 @@ def test_hyperplane_bound_exhaustive(n):
             holds = any(H & ~M.mask == 0 for H in hyperplanes)
             assert _holds_hyperplane(M.mask, n) == holds, hex(M.mask)
             assert omega == n - 1 if holds else omega <= n - 2
+        if M.mask != ground_mask(n):
+            _assert_least_cover(M.mask, n, int(omega))
         if n <= 3 or code % 61 == 0:
             # the oracles of the seeded test, against the definition
             assert _omega_top_down(M) == _omega_by_levels(M) == omega, hex(M.mask)
@@ -1034,19 +1037,20 @@ def _flat_members(n, d):
 
 
 def _assert_cover_matches_scan(E, n, hyperplanes, codim2):
-    """The cover test and the hyperplane functional against a scan of the
-    flats given as bitsets; True when E holds a codim-2 flat and no
+    """The covers by one and two functionals against a scan of the flats
+    given as bitsets; True when E holds a codim-2 flat and no
     hyperplane."""
-    w = matroid._hyperplane_functional(ground_mask(n) & ~E, n)
-    assert bool(w) == any(H & ~E == 0 for H in hyperplanes), hex(E)
-    if w:
-        _assert_flat_inside(matroid._annihilator([w], n), E, n, n - 1)
+    T = ground_mask(n) & ~E
+    w = matroid._cover(T, 1, n)
+    assert (w is not None) == any(H & ~E == 0 for H in hyperplanes), hex(E)
+    if w is not None:
+        _assert_flat_inside(matroid._annihilator(w, n), E, n, n - 1)
         return False
-    cover = matroid._codim2_flat(E, n)
+    cover = matroid._cover(T, 2, n)
     holds = any(F & ~E == 0 for F in codim2)
     assert (cover is not None) == holds, hex(E)
     if holds:
-        _assert_flat_inside(cover, E, n, n - 2)
+        _assert_flat_inside(matroid._annihilator(cover, n), E, n, n - 2)
     return holds
 
 
@@ -1080,6 +1084,35 @@ def test_codim2_cover_seeded(n):
                         M = BinaryMatroid(n, mask)
                         assert clique_number(M) == _clique_number_no_cover(M), hex(mask)
     assert min(seen.values()) > 0, seen
+
+
+def _assert_least_cover(E, n, omega):
+    """Climbing m from 1, the first cover of T = G \\ E comes at
+    m = n - omega, and the meet of its kernels is an omega-flat inside E."""
+    T = ground_mask(n) & ~E
+    m, cover = next(
+        (m, cover) for m in range(1, n + 1) if (cover := matroid._cover(T, m, n))
+    )
+    assert (m, len(cover)) == (n - omega, m), hex(E)
+    _assert_flat_inside(matroid._annihilator(cover, n), E, n, omega)
+
+
+@pytest.mark.parametrize("n,count", [(5, 570), (6, 76)])
+def test_cover_at_every_codimension_seeded(n, count):
+    # omega from a scan of the flats, largest dimension first; the empty
+    # set, the one with omega = 0, costs 2^((n-1)(n-2)) hull tests at
+    # m = n - 1 and is left to `test_hyperplane_bound_exhaustive`
+    rng = random.Random(f"cover-codim:{n}")
+    flats = {d: _flat_members(n, d) for d in range(1, n)}
+    seen = set()
+    for k in range(count):
+        E = _seeded_mask(n, (k % 19 + 1) / 20, rng.getrandbits(32))
+        if E in (0, ground_mask(n)):
+            continue
+        omega = next(d for d in range(n - 1, 0, -1) if any(F & ~E == 0 for F in flats[d]))
+        _assert_least_cover(E, n, omega)
+        seen.add(n - omega)
+    assert seen == set(range(1, n)), seen
 
 
 #: (ground set, omega, clique nodes, clique nodes with no cover test) of
