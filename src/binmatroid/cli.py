@@ -100,8 +100,11 @@ def format_matroid(M: BinaryMatroid) -> str:
 def _read_input(path: Optional[str]) -> str:
     if path is None or path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def tree_to_json(node) -> dict:

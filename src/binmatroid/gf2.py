@@ -329,18 +329,8 @@ def complementary_flat(flat: Flat) -> Flat:
 
 def is_independent(points: Iterable[int]) -> bool:
     """Whether the given vectors are linearly independent over F_2."""
-    pivots: dict[int, int] = {}
-    for v in points:
-        while v:
-            p = v.bit_length() - 1
-            if p in pivots:
-                v ^= pivots[p]
-            else:
-                pivots[p] = v
-                break
-        else:
-            return False
-    return True
+    pts = list(points)
+    return len(echelon_basis(pts)) == len(pts)
 
 
 def flats_of_dim(n: int, d: int) -> Iterator[Flat]:

@@ -83,6 +83,8 @@ def restrict(M: BinaryMatroid, flat: Flat) -> BinaryMatroid:
     The re-embedding uses the flat's canonical coordinate map, so equal
     inputs give bit-identical outputs.
     """
+    if flat.n != M.n:
+        raise ValueError("flat lives in a different ambient space")
     # points[w] is flat.from_local(w)
     points = linear_map_table(flat.basis, flat.dim)
     bits = bin(M.mask & flat.members)[:1:-1].ljust(1 << M.n, "0")

@@ -8,8 +8,8 @@ that witness and the target chain rest on one fact: a flat over F_2 is
 never the union of two proper subflats, so the PG-sum growth needs one
 anchor and the target descent is forced.  The forbidden-restriction
 scan over planes (`tables.pg_sum_forbidden_mask`, n <= 6) is kept as an
-independent PG-sum route, and the verification suites cross-check the
-two.
+independent PG-sum route; `verify.verify_pgsum` runs both on every ground
+set at n <= 4 and on samples at n = 5.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ are materialised once per dimension up to PLANE_TABLE_MAX.  For one set,
 `claw_free_on` intersects the planes with E in numpy and looks the 3-point
 hits up in the set of lines (three points of a plane are a basis unless
 they are a line); `pg_sum_forbidden_mask` does the same for the PG-sum
-forbidden restrictions.  The whole-subset sweeps at n <= 4 apply the same
-rule one plane at a time to every ground set.  The even-plane test needs
-no planes: it is a degree test.
+forbidden restrictions.  The whole-subset sweep at n <= 4 applies the
+claw rule one plane at a time to every ground set, only to list the
+claw-free sets; every other question about a set goes to the one-set
+kernels.  The even-plane test needs no planes: it is a degree test.
 """
 
 from __future__ import annotations
@@ -130,43 +131,31 @@ def even_plane_mask(mask: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def sweep_tables(n: int) -> dict[str, np.ndarray]:
-    """Per-ground-set property columns over all subsets, for n <= 4.
+def sweep_tables(n: int) -> np.ndarray:
+    """The claw-free column over every ground set at n <= 4, which
+    `claw_free_masks_list` reads.
 
-    Keys: claw_free, anticlaw_free, pg_sum_forbidden_route (no restriction
-    to a plane is one of the four non-PG-sum witnesses).  Index by code k
-    where mask = k << 1.  Each plane meets every ground set at once and its
-    hits are judged as in `claw_free_on` and `pg_sum_forbidden_mask`,
-    against the plane's own seven lines.  Below n = 3 there are no planes
-    and every column is all True.
+    Index by code k where mask = k << 1.  Each plane meets every ground set
+    at once and its 3-point hits are judged as in `claw_free_on`, against
+    the plane's own seven lines.  Below n = 3 there are no planes and the
+    column is all True.
     """
     if n > SWEEP_MAX:
         raise ValueError(f"whole-subset sweeps are supported only for n <= {SWEEP_MAX}")
     masks = np.arange(ground_codes(n), dtype=np.uint64) << np.uint64(1)
     claw_free = np.ones(len(masks), dtype=bool)
-    pg_ok = claw_free.copy()
     all_lines = np.array(list(_lines()), dtype=np.uint64)
     for plane in plane_array(n) if n >= 3 else ():
         lines = all_lines[all_lines & ~plane == 0]
         inter = masks & plane
-        count = np.bitwise_count(inter)
-        claw_free &= (count != 3) | np.isin(inter, lines)
-        # a claw is a witness too, and only a 4-point hit leaves a line as its
-        # complement in the plane
-        pg_ok &= claw_free & (count != 5) & (count != 6) & ~np.isin(plane ^ inter, lines)
-    return {
-        "claw_free": claw_free,
-        # anticlaw-free E is claw-free G \ E, whose code is the last code ^ k
-        "anticlaw_free": claw_free[::-1].copy(),
-        "pg_sum_forbidden_route": pg_ok,
-    }
+        claw_free &= (np.bitwise_count(inter) != 3) | np.isin(inter, lines)
+    return claw_free
 
 
 @lru_cache(maxsize=None)
 def claw_free_masks_list(n: int) -> tuple[int, ...]:
     """All claw-free ground-set masks at dimension n <= 4, ascending."""
-    table = sweep_tables(n)["claw_free"]
-    return tuple(int(k) << 1 for k in np.flatnonzero(table))
+    return tuple(int(k) << 1 for k in np.flatnonzero(sweep_tables(n)))
 
 
 def ground_codes(n: int) -> int:

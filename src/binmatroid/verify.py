@@ -379,21 +379,24 @@ def _random_disjoint_flat_pair(n: int, rng: random.Random) -> Optional[tuple[int
     return None
 
 
+def _pg_sum_routes_agree(mask: int, n: int) -> bool:
+    return (pg_sum_witness_mask(mask, n) is not None) == pg_sum_forbidden_mask(mask, n)
+
+
 def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
-    """Direct and forbidden-restriction recognizers agree (exhaustive at
-    n <= n_max, sampled at n = 5); PG-sums have equal clique and critical
-    numbers."""
+    """The direct recognizer `pg_sum_witness_mask` agrees with the
+    forbidden-restriction route `pg_sum_forbidden_mask` on every ground set
+    at n <= n_max and on samples at n = 5; PG-sums have equal clique and
+    critical numbers."""
     fields = _n_max_fields(n_max, tables.SWEEP_MAX)
     rng = random.Random(seed)
     checked = sampled = chi_checked = 0
     with _Ledger() as ledger:
         for n in range(fields["n_max"] + 1):
-            forbidden_col = tables.sweep_tables(n)["pg_sum_forbidden_route"]
             for code in range(tables.ground_codes(n)):
                 checked += 1
                 mask = code << 1
-                direct = pg_sum_witness_mask(mask, n) is not None
-                if direct != bool(forbidden_col[code]):
+                if not _pg_sum_routes_agree(mask, n):
                     ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
 
         n = 5
@@ -408,7 +411,7 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
                     for _ in range(rng.randint(1, 2)):
                         mask ^= 1 << rng.randint(1, (1 << n) - 1)
             sampled += 1
-            if (pg_sum_witness_mask(mask, n) is not None) != pg_sum_forbidden_mask(mask, n):
+            if not _pg_sum_routes_agree(mask, n):
                 ledger.add({"n": n, "points": list(iter_bits(mask))}, checked + sampled)
 
         # perfection: chi equals omega on PG-sums
@@ -467,21 +470,26 @@ def _random_target_mask(n: int, rng: random.Random) -> int:
     return _random_gl_image(target(n, dims).mask, n, rng)
 
 
+def _target_agrees(mask: int, n: int) -> bool:
+    """`is_target` holds exactly when E and its complement are claw-free."""
+    lhs = is_target(BinaryMatroid(n, mask)) is not None
+    return lhs == (claw_free_any(mask, n) and claw_free_any(ground_mask(n) & ~mask, n))
+
+
 def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
-    """Target recognizer agrees with claw-free + anticlaw-free, exhaustive
-    at n <= n_max and sampled at n = 5."""
+    """The target recognizer agrees with claw-free + anticlaw-free, both
+    decided by `claw_free_any`, on every ground set at n <= n_max and on
+    samples at n = 5."""
     fields = _n_max_fields(n_max, tables.SWEEP_MAX)
     rng = random.Random(seed)
     checked = sampled = 0
     with _Ledger() as ledger:
         for n in range(fields["n_max"] + 1):
-            sweep = tables.sweep_tables(n)
-            both = sweep["claw_free"] & sweep["anticlaw_free"]
             for code in range(tables.ground_codes(n)):
                 checked += 1
-                M = BinaryMatroid(n, code << 1)
-                if (is_target(M) is not None) != bool(both[code]):
-                    ledger.add({"n": n, "points": M.points()}, checked)
+                mask = code << 1
+                if not _target_agrees(mask, n):
+                    ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
 
         n = 5
         for i in range(samples):
@@ -497,9 +505,7 @@ def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict
             else:
                 mask = census.sample_claw_free_mask(n, rng)
             sampled += 1
-            lhs = is_target(BinaryMatroid(n, mask)) is not None
-            rhs = claw_free_any(mask, n) and claw_free_any(ground_mask(n) & ~mask, n)
-            if lhs != rhs:
+            if not _target_agrees(mask, n):
                 ledger.add({"n": n, "points": list(iter_bits(mask))}, checked + sampled)
 
     return {
@@ -778,8 +784,9 @@ def verify_bbt(n_max: int = 4) -> dict:
 
 def verify_cftf(n_max: int = 4) -> dict:
     """Full-rank claw-free triangle-free ground sets are exactly the
-    order-1 Bose-Burton geometries.  The range starts at n = 1, so an
-    n_max below 1 would check nothing."""
+    order-1 Bose-Burton geometries, every ground set at n <= n_max, with
+    claw-freeness decided by `claw_free_any`.  The range starts at n = 1,
+    so an n_max below 1 would check nothing."""
     fields = _n_max_fields(n_max, tables.SWEEP_MAX, low=1)
     n_max = fields["n_max"]
     checked = 0
@@ -787,13 +794,12 @@ def verify_cftf(n_max: int = 4) -> dict:
     # and triangle-free, but no flat can have dimension -1
     with _Ledger() as ledger:
         for n in range(1, n_max + 1):
-            claw_col = tables.sweep_tables(n)["claw_free"]
             for code in range(tables.ground_codes(n)):
                 mask = code << 1
                 if rank_mask(mask, n) != n:
                     continue
                 checked += 1
-                lhs = bool(claw_col[code]) and triangle_free_mask(mask, n)
+                lhs = triangle_free_mask(mask, n) and claw_free_any(mask, n)
                 rhs = is_bose_burton(BinaryMatroid(n, mask)) == 1
                 if lhs != rhs:
                     ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)

@@ -350,6 +350,16 @@ def test_enumerate_sample_deterministic():
     assert out1 == out2
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["gen", "doubling"]])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_input_is_a_usage_error(tmp_path, command, target):
+    path = str(tmp_path / "absent.txt") if target == "missing" else str(tmp_path)
+    code, out, err = run_cli(command + [path])
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and f"cannot read {path}" in err
+    assert "Traceback" not in err
+
+
 def test_verify_unknown_suite_is_usage_error():
     code, _, _ = run_cli(["verify", "bogus"])
     assert code == 1
@@ -661,14 +671,32 @@ def test_pgsum_cap_stops_the_later_phases(monkeypatch):
     assert rep["stopped_at"] == rep["checked"] == verify.MAX_VIOLATIONS + 1
     assert rep["sampled"] == rep["chi_checked"] == 0
 
-    # a fault only the sampled phase sees stops it, and the chi phase is skipped
+    # a fault at n = 5 only, which the sampled phase alone sees, stops it,
+    # and the chi phase is skipped
     monkeypatch.undo()
     witness = verify.pg_sum_witness_mask
-    monkeypatch.setattr(verify, "pg_sum_forbidden_mask", lambda mask, n: witness(mask, n) is None)
+    monkeypatch.setattr(
+        verify, "pg_sum_forbidden_mask", lambda mask, n: (witness(mask, n) is None) == (n == 5)
+    )
     rep = verify.verify_pgsum(n_max=2, samples=50)
     assert len(rep["violations"]) == rep["sampled"] == verify.MAX_VIOLATIONS + 1
     assert rep["stopped_at"] == rep["checked"] + rep["sampled"]
     assert rep["chi_checked"] == 0
+
+
+def test_exhaustive_halves_run_the_shipped_recognizers(monkeypatch):
+    from binmatroid import verify
+
+    # faults that fire only at n <= 4, where the sampled halves never look
+    forbidden, claw_free = verify.pg_sum_forbidden_mask, verify.claw_free_any
+    monkeypatch.setattr(verify, "pg_sum_forbidden_mask", lambda mask, n: forbidden(mask, n) != (n <= 4))
+    monkeypatch.setattr(verify, "claw_free_any", lambda mask, n: claw_free(mask, n) != (n <= 4))
+    for rep in (
+        verify.verify_pgsum(n_max=4, samples=0),
+        verify.verify_target(n_max=4, samples=0),
+        verify.verify_cftf(4),
+    ):
+        assert rep["violations"] and not rep["passed"], rep["suite"]
 
 
 def test_rlj_cap_stops_the_flat_checks(monkeypatch):

@@ -1,5 +1,6 @@
 """Vector-space layer: spans, flats, cosets, coordinate maps."""
 
+import itertools
 import random
 
 import pytest
@@ -134,6 +135,31 @@ def test_is_independent():
     assert not is_independent([1, 2, 3])
     assert is_independent([])
     assert not is_independent([5, 5])
+
+
+def _independent_by_pivots(points):
+    """Reference: reduce each vector by the pivots so far; a zero remainder
+    is a dependence."""
+    pivots = {}
+    for v in points:
+        while v:
+            p = v.bit_length() - 1
+            if p in pivots:
+                v ^= pivots[p]
+            else:
+                pivots[p] = v
+                break
+        else:
+            return False
+    return True
+
+
+def test_is_independent_matches_the_pivot_loop():
+    # every tuple of up to four vectors of F_2^3, zero and repeats included
+    tuples = [t for k in range(5) for t in itertools.product(range(8), repeat=k)]
+    assert len(tuples) == 4681
+    for t in tuples:
+        assert is_independent(iter(t)) == _independent_by_pivots(t), t
 
 
 def test_coordinate_map_examples():

@@ -212,7 +212,6 @@ def test_claw_plane_loop_matches_find_claw(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_anticlaw_identity_exhaustive(n):
     planes = _planes(n) if n >= 3 else []
-    col = tables.sweep_tables(n)["anticlaw_free"] if n >= 3 else None
     for code in range(tables.ground_codes(n)):
         mask = code << 1
         want = _anticlaw_free_oracle(mask, planes)
@@ -220,8 +219,14 @@ def test_anticlaw_identity_exhaustive(n):
         assert tables.anticlaw_free_mask(mask, n) == want, (n, mask)
         assert is_anticlaw_free(M) == want
         assert (find_anticlaw(M) is None) == want
-        if col is not None:
-            assert bool(col[code]) == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_sweep_column_is_the_claw_kernel(n):
+    col = tables.sweep_tables(n)
+    assert col.dtype == bool and len(col) == tables.ground_codes(n)
+    for code in range(tables.ground_codes(n)):
+        assert bool(col[code]) == tables.claw_free_mask(code << 1, n), (n, code)
 
 
 def _anticlaw_candidates(n, rng, count):
@@ -330,11 +335,9 @@ def _pg_sum_forbidden_oracle(mask, n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_pg_sum_forbidden_kernel_exhaustive(n):
-    col = tables.sweep_tables(n)["pg_sum_forbidden_route"]
     for code in range(tables.ground_codes(n)):
         mask = code << 1
-        want = _pg_sum_forbidden_oracle(mask, n)
-        assert pg_sum_forbidden_mask(mask, n) == want == bool(col[code]), (n, mask)
+        assert pg_sum_forbidden_mask(mask, n) == _pg_sum_forbidden_oracle(mask, n), (n, mask)
 
 
 @pytest.mark.parametrize("n,count", [(5, 1500), (6, 600)])

@@ -68,6 +68,13 @@ def test_restrict_examples():
     assert restrict(M, empty_flat(3)) == BinaryMatroid(0, 0)
 
 
+def test_restrict_rejects_a_flat_of_another_space():
+    with pytest.raises(ValueError, match="different ambient space"):
+        restrict(BinaryMatroid(3, 0xFE), closure([8, 1], 4))
+    with pytest.raises(ValueError, match="different ambient space"):
+        restrict(BinaryMatroid(4, 0xFFFE), closure([1, 2], 3))
+
+
 def test_restrict_matches_local_coordinates():
     rng = random.Random("restrict")
     for n in range(0, 10):
