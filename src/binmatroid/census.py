@@ -328,8 +328,8 @@ def exhaustive_census(n: int, filter_claw_free: bool = False) -> dict:
 def sampled_census(
     n: int, samples: int, seed: int, filter_claw_free: bool = False
 ) -> dict:
-    """Seeded sampled census; representatives are canonical forms for
-    n <= 6 and raw masks beyond."""
+    """Seeded sampled census of canonical forms for n <= 6, and of raw
+    masks beyond, where the record adds "dedupe": "raw_mask"."""
     check_dim(n)
     rng = random.Random(seed)
     seen: set[int] = set()
@@ -345,6 +345,7 @@ def sampled_census(
         if n <= MAX_CANONICAL_DIM:
             mask = canonical_form(BinaryMatroid(n, mask)).mask
         seen.add(mask)
-    return _census_from_reps(
-        n, seen, filter_claw_free, {"mode": "sample", "samples": samples, "seed": seed}
-    )
+    extra = {"mode": "sample", "samples": samples, "seed": seed}
+    if n > MAX_CANONICAL_DIM:
+        extra["dedupe"] = "raw_mask"
+    return _census_from_reps(n, seen, filter_claw_free, extra)

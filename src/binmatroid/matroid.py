@@ -536,11 +536,6 @@ def transform_mask(mask: int, table: Sequence[int]) -> int:
     return out
 
 
-def apply_linear_map(M: BinaryMatroid, images: list[int]) -> BinaryMatroid:
-    """Image of the ground set under the linear map given by basis images."""
-    return BinaryMatroid(M.n, transform_mask(M.mask, linear_map_table(images, M.n)))
-
-
 #: canonical masks kept by `_canonical_mask`, least recently used evicted first
 CANONICAL_CACHE_SIZE = 8192
 _canonical_cache: OrderedDict[tuple[int, int], int] = OrderedDict()

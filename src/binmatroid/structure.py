@@ -11,11 +11,12 @@ under "collect every point whose pair under some member of the flat is
 mixed".  The fixpoint is monotone, so it underlies every decomposer
 containing the anchor; an anchor whose span or defect union reaches a
 point in no decomposer is in none either.  `_anchor_spans` walks the
-anchors in order with the bitset of those in no decomposer and drops
-each anchor that reaches it; the first few such anchors also serve as
-point probes, which refute a later anchor a from E's membership at b
-and b + a alone, with no translate.  `find_decomposer` and
-`has_decomposer_mask` both read their spans from it.
+anchors in order with the bitset of those in no decomposer, and each
+anchor that fails refutes, with one translate, every anchor that would
+share a coset with it.  `has_decomposer_mask` reads its first span and
+`find_decomposer` the smallest span of its capped walk; `decompose`
+searches only right factors, since the left factor of a minimum
+decomposer has none.
 
 `tree_flags` and `fold_invariants` read class flags and invariants off a
 decomposition tree through the lift-join identities, so only the leaves
@@ -90,79 +91,77 @@ def minimal_decomposer_containing(M: BinaryMatroid, a: int) -> Optional[Flat]:
     if not 1 <= a < (1 << M.n):
         raise ValueError(f"anchor {a} out of range")
     span = _fixpoint_span(TranslateTable(M.mask, M.n), a)
-    if span is None:
-        return None
-    return closure_mask(span & ~1, M.n)
+    return None if span is None else closure_mask(span & ~1, M.n)
 
 
 def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     """Minimum-dimension decomposer, ties broken by lexicographic basis.
 
     None iff no proper nonempty flat decomposes M (equivalently, M is
-    not a lift-join of smaller matroids).  The fixpoint spans come from
-    `_anchor_spans`.
+    not a lift-join of smaller matroids).  It is the smallest span of the
+    capped walk of `_anchor_spans`.
     """
-    best: Optional[Flat] = None
-    for span in _anchor_spans(TranslateTable(M.mask, M.n)):
-        F = closure_mask(span & ~1, M.n)
-        if best is None or (F.dim, F.basis) < (best.dim, best.basis):
-            best = F
-            if best.dim == 1:
-                break  # later anchors cannot beat a first singleton
-    return best
+    table = TranslateTable(M.mask, M.n)
+    span = min(_anchor_spans(table, capped=True), key=int.bit_count, default=None)
+    return None if span is None else closure_mask(span & ~1, M.n)
 
 
-#: Anchors in no decomposer that `_anchor_spans` keeps as point probes.
-_PROBES = 4
-
-
-def _anchor_spans(table: TranslateTable) -> Iterator[int]:
+def _anchor_spans(table: TranslateTable, capped: bool = False) -> Iterator[int]:
     """The fixpoint span of each anchor, in anchor order, that stays proper.
 
-    An anchor whose span blows up to G lies in no decomposer, so it joins
-    the bad-anchor bitset, and a later anchor is dropped as soon as its
-    fixpoint reaches that bitset (see `_fixpoint_span`).  The first
-    `_PROBES` anchors that blow up become probes: a decomposer through a
-    holds every b with [b in E] != [b + a in E], since b and b + a share
-    a coset, so a probe b with that mismatch drops a with two lookups in
-    a membership string.  The string is built at the first bad anchor,
-    so a walk that yields before one pays nothing for the probes.
+    An anchor b whose span blows up lies in no decomposer, and neither
+    does any anchor a with [b in E] != [b + a in E], since b and b + a
+    would share a coset: that is E + b for b outside E and G \\ (E + b)
+    for b inside, read off the translate b's fixpoint stored.  All of
+    them join the bad-anchor bitset, which later fixpoints give up on
+    (see `_fixpoint_span`), and the walk skips to the next anchor outside
+    it.  When `capped`, each span yielded is smaller than the last: a
+    fixpoint also fails once it reaches the last span's dimension, and
+    the walk ends after a singleton.  README, "Anchors in no decomposer",
+    proves that the first span of the least dimension is the minimum
+    decomposer, so the capped walk still yields it.
     """
+    E = table.entries[0]
+    G = ground_mask(table.n)
     bad = 0
-    probes: list[int] = []
-    member = ""
-    for a in range(1, 1 << table.n):
-        if probes and any(member[b] != member[b ^ a] for b in probes):
-            bad |= 1 << a
-            continue
-        span = _fixpoint_span(table, a, bad)
-        if span is not None:
+    limit, todo = table.n, G
+    while todo and limit:
+        low = todo & -todo
+        todo ^= low
+        a = low.bit_length() - 1
+        span = _fixpoint_span(table, a, bad, limit)
+        if span:
             yield span
-            continue
-        bad |= 1 << a
-        if len(probes) < _PROBES:
-            if not probes:
-                # member[v] is "1" iff v lies in E, for every v in F_2^n
-                member = bin(table.entries[0] | 1 << (1 << table.n))[:2:-1]
-            probes.append(a)
+            if capped:
+                limit = span.bit_count().bit_length() - 2
+        else:
+            t = table.entries[a] or table.get(a)
+            refuted = G & ~t if E >> a & 1 else t
+            bad |= low | refuted
+            todo &= ~refuted
 
 
-def _fixpoint_span(table: TranslateTable, a: int, bad: int = 0) -> Optional[int]:
-    """Span mask of the anchor fixpoint, or None when it blows up to G.
+def _fixpoint_span(
+    table: TranslateTable, a: int, bad: int = 0, limit: Optional[int] = None
+) -> Optional[int]:
+    """Span mask of the anchor fixpoint, or None when it blows up to G or
+    grows past dimension `limit`.
 
     The defect set of a member b is E ^ (E+b), read from the translate
     table of the ground set E.  `bad` holds points known to lie in no
-    proper decomposer.  Every decomposer through a contains the growing
-    span and the union `need` of its members' defect sets, which the
-    span absorbs next, so the search gives up as soon as either meets
-    `bad`: `need` is tested after each member's defect set joins it.
-    The span absorbs the lowest point still outside it and is re-masked,
-    so one anchor costs at most n growth steps.
+    decomposer the caller still wants.  Every decomposer through a
+    contains the growing span and the union `need` of its members'
+    defect sets, which the span absorbs next, so the search gives up as
+    soon as either meets `bad`: `need` is tested after each member's
+    defect set joins it.  The span absorbs the lowest point still outside
+    it and is re-masked, one dimension per growth step, so one anchor
+    costs at most n steps.
     """
     n = table.n
     trans, get = table.entries, table.get
     E = trans[0]
     full_span = ground_mask(n) | 1
+    limit = n if limit is None else limit
     span = 1 | (1 << a)
     processed = 1
     while span != full_span:
@@ -179,7 +178,7 @@ def _fixpoint_span(table: TranslateTable, a: int, bad: int = 0) -> Optional[int]
         while rest:
             low = rest & -rest
             span |= xor_translate(span, low.bit_length() - 1, n)
-            if span & bad:
+            if span & bad or span.bit_count() > 1 << limit:
                 return None
             rest &= ~span
     return None
@@ -256,7 +255,8 @@ def decompose(M: BinaryMatroid, stop_at_basic: bool = False) -> DecompositionNod
     By default leaves are matroids with no decomposer (maximal
     factorisation); with stop_at_basic the recursion also stops when a
     factor lands in a basic class (even-plane, complement triangle-free,
-    or strict PG-sum).
+    or strict PG-sum).  In both modes the left factor of the minimum
+    decomposer is a leaf (README, "Anchors in no decomposer").
     """
     tags = None
     if stop_at_basic:
@@ -268,7 +268,7 @@ def decompose(M: BinaryMatroid, stop_at_basic: bool = False) -> DecompositionNod
         return _leaf(M, tags)
     J = complementary_flat(F)
     return Join(
-        left=decompose(restrict(M, F), stop_at_basic),
+        left=_leaf(restrict(M, F)),
         right=decompose(restrict(M, J), stop_at_basic),
         flat=F,
         cofactor=J,

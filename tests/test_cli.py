@@ -226,7 +226,7 @@ def test_reports_match_the_direct_searches():
     import random
 
     from binmatroid import classify, independent_matroid, invariants
-    from binmatroid.matroid import apply_linear_map
+    from linear_images import mapped
 
     rng = random.Random(6)
     claw = independent_matroid(3)
@@ -236,7 +236,7 @@ def test_reports_match_the_direct_searches():
         right = BinaryMatroid(n - 3, rng.getrandbits((1 << (n - 3)) - 1) << 1)
         images = [1 << i for i in range(n)]
         images[0] |= images[n - 1]  # an invertible map off the coordinates
-        inputs.append(apply_linear_map(lift_join(left, right), images))
+        inputs.append(mapped(lift_join(left, right), images))
     for M in inputs:
         for argv in (["analyze"], ["decompose"], ["decompose", "--stop-at-basic"]):
             code, out, _ = run_cli(argv, stdin=format_matroid(M))
@@ -348,6 +348,22 @@ def test_enumerate_sample_deterministic():
     _, out1, _ = run_cli(args)
     _, out2, _ = run_cli(args)
     assert out1 == out2
+
+
+def test_enumerate_beyond_canonical_forms_counts_distinct_sets():
+    # past MAX_CANONICAL_DIM the sample dedupes raw masks, and says so
+    import random
+
+    from binmatroid.census import sample_uniform_mask
+
+    args = ["enumerate", "--n", "7", "--mode", "sample", "--samples", "40", "--seed", "5"]
+    code, out, _ = run_cli(args)
+    rec = json.loads(out)
+    rng = random.Random(5)
+    assert code == 0 and rec["dedupe"] == "raw_mask"
+    assert rec["count_total"] == len({sample_uniform_mask(7, rng) for _ in range(40)})
+    _, out, _ = run_cli(["enumerate", "--n", "6", "--mode", "sample", "--samples", "5"])
+    assert "dedupe" not in json.loads(out)
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["gen", "doubling"]])

@@ -39,7 +39,8 @@ from binmatroid import (
 )
 from binmatroid import census, gf2, matroid, tables
 from binmatroid.gf2 import TranslateTable, iter_bits, mask_of, translates
-from binmatroid.matroid import apply_linear_map, linear_map_table, seq_key
+from binmatroid.matroid import linear_map_table, seq_key
+from linear_images import mapped, random_images
 
 
 def all_invertible_maps(n):
@@ -887,7 +888,7 @@ def test_canonical_form_invariant_under_random_maps():
             ]
             maps4 = [imgs for imgs in maps4 if is_independent(imgs)]
         imgs = maps4[rng.randrange(len(maps4))]
-        assert canonical_form(M) == canonical_form(apply_linear_map(M, imgs))
+        assert canonical_form(M) == canonical_form(mapped(M, imgs))
 
 
 def test_canonical_form_dimension_cap():
@@ -961,13 +962,6 @@ def _omega_by_levels(M):
         d += 1
 
 
-def _random_images(n, rng):
-    while True:
-        images = [rng.randrange(1, 1 << n) for _ in range(n)]
-        if closure(images, n).dim == n:
-            return images
-
-
 def _random_quadric(n, rng):
     """Nonzero points where a random quadratic form is 1, or where it is 0."""
     terms = [(i, j) for i in range(n) for j in range(i, n) if rng.random() < 0.5]
@@ -1009,7 +1003,7 @@ def test_hyperplane_bound_seeded(n):
     dense = []
     for _ in range(4):
         # a hyperplane moved by a random map, plus random points off it
-        H = closure(_random_images(n, rng)[: n - 1], n).members
+        H = closure(random_images(n, rng)[: n - 1], n).members
         dense.append(H | (rng.getrandbits(1 << n) & ground_mask(n)))
     for k in (1, 2, 3, n):
         # near-full: a few points taken out, with a line among them or not;
@@ -1029,7 +1023,7 @@ def test_hyperplane_bound_seeded(n):
     sparse = [_quadric_mask(n), ground_mask(n) & ~_quadric_mask(n, elliptic=True)]
     sparse += [_random_quadric(n, rng) for _ in range(2 if n == 8 else 6)]
     for mask in sparse:
-        M = apply_linear_map(BinaryMatroid(n, mask), _random_images(n, rng))
+        M = mapped(BinaryMatroid(n, mask), random_images(n, rng))
         assert clique_number(M) == _omega_by_levels(M), hex(M.mask)
         assert _holds_hyperplane(M.mask, n) == _hyperplane_scan(M), hex(M.mask)
 
@@ -1083,7 +1077,7 @@ def test_codim2_cover_seeded(n):
         for _ in range(4 if n < 9 else 2):
             E = _seeded_mask(n, density, rng.getrandbits(32))
             # and a codim-2 flat moved by a random map, with points around it
-            F = closure(_random_images(n, rng)[: n - 2], n).members
+            F = closure(random_images(n, rng)[: n - 2], n).members
             for mask in (E, F | E & rng.getrandbits(1 << n)):
                 if mask != ground_mask(n):
                     seen[_assert_cover_matches_scan(mask, n, *flats)] += 1
@@ -1366,9 +1360,9 @@ def test_bounded_searches_match_unbounded_searches(n):
         densities = (0.05, 0.2, 0.5, 0.8, 0.95)
     masks = [_seeded_mask(n, d, rng.getrandbits(32)) for d in densities]
     for _ in range(2):
-        images = _random_images(n, rng)
-        masks.append(apply_linear_map(BinaryMatroid(n, _random_quadric(n, rng)), images).mask)
-        H = closure(_random_images(n, rng)[: n - 1], n).members
+        images = random_images(n, rng)
+        masks.append(mapped(BinaryMatroid(n, _random_quadric(n, rng)), images).mask)
+        H = closure(random_images(n, rng)[: n - 1], n).members
         masks.append(H | (_seeded_mask(n, 0.3, rng.getrandbits(32)) & ground_mask(n)))
     tight = 0
     for mask in masks:

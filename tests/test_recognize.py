@@ -31,7 +31,6 @@ from binmatroid import (
 from binmatroid import census, recognize
 from binmatroid.census import even_plane_masks, random_even_plane_mask, sample_claw_free_mask
 from binmatroid.gf2 import (
-    closure,
     closure_mask,
     flats_of_dim,
     ground_mask,
@@ -39,8 +38,9 @@ from binmatroid.gf2 import (
     iter_bits,
     xor_translate,
 )
-from binmatroid.matroid import apply_linear_map, find_anticlaw, find_claw
+from binmatroid.matroid import find_anticlaw, find_claw
 from binmatroid.recognize import pg_sum_witness_mask
+from linear_images import mapped, random_images
 
 
 def test_triangle_free_examples():
@@ -215,7 +215,7 @@ def test_target_walk_matches_descent_seeded(n):
     masks = []
     for _ in range(20):
         dims = sorted(rng.randint(0, n) for _ in range(rng.randint(1, n + 1)))
-        masks.append(apply_linear_map(target(n, dims), _random_images(n, rng)).mask)
+        masks.append(mapped(target(n, dims), random_images(n, rng)).mask)
     masks += [m ^ (1 << rng.randrange(1, 1 << n)) for m in masks]
     masks += [sample_claw_free_mask(n, rng) for _ in range(10)]
     masks += [rng.getrandbits(1 << n) & ground_mask(n) for _ in range(10)]
@@ -270,20 +270,13 @@ def _per_point_witness(mask, n):
     return (span & ~1, rest) if is_flat(rest, n) else None
 
 
-def _random_images(n, rng):
-    while True:
-        images = [rng.randrange(1, 1 << n) for _ in range(n)]
-        if closure(images, n).dim == n:
-            return images
-
-
 def _flat_union(n, rng, strict):
     """Two disjoint flats, moved by a random linear map; when strict, both
     are nonempty and together span G."""
     d1 = rng.randint(1, n - 1) if strict else rng.randint(0, n)
     d2 = n - d1 if strict else rng.randint(0, n - d1)
     M = BinaryMatroid(n, pg_sum(d1, d2).mask) if d1 + d2 else BinaryMatroid(n, 0)
-    return apply_linear_map(M, _random_images(n, rng)).mask
+    return mapped(M, random_images(n, rng)).mask
 
 
 def _basic_and_claw_free_sets(n, count, seed):

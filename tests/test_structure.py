@@ -44,8 +44,8 @@ from binmatroid.gf2 import (
     iter_bits,
     xor_translate,
 )
-from binmatroid.matroid import apply_linear_map
 from binmatroid.structure import fold_invariants, has_decomposer_mask, tree_flags
+from linear_images import mapped, random_images
 
 
 def test_defect_set_examples():
@@ -152,9 +152,12 @@ def test_find_decomposer_matches_flat_scan(n):
 
 
 def test_find_decomposer_table_stays_under_its_bound(monkeypatch):
-    # every anchor a reads E+a, so at n = 14 a table that kept every entry
-    # would hold 2^14 translates of 2 KiB (32 MiB)
+    # every anchor the walk visits reads E+a, so at n = 14 a table that
+    # kept every entry would hold up to 2^14 translates of 2 KiB (32 MiB);
+    # refuted anchors leave about 1 000 reads on this set, so the bound is
+    # lowered to 256 entries to be reached
     made = []
+    monkeypatch.setattr(gf2, "TRANSLATE_TABLE_BYTES", 1 << 19)
 
     class Recording(TranslateTable):
         __slots__ = ()
@@ -434,14 +437,6 @@ def _unpruned_decomposer(M):
     return best
 
 
-def _random_gl(n, rng):
-    """Images of the unit vectors under a random invertible linear map."""
-    while True:
-        images = [rng.randrange(1, 1 << n) for _ in range(n)]
-        if closure(images, n).dim == n:
-            return images
-
-
 def _random_factor(d, rng):
     """Empty, full, claw-free or uniform ground set at dimension d."""
     r = rng.random()
@@ -465,7 +460,7 @@ def _random_lift_join(n, rng):
 def _mapped_lift_joins(n, count, seed):
     rng = random.Random(f"mapped-lift-join:{n}:{seed}")
     return [
-        apply_linear_map(_random_lift_join(n, rng), _random_gl(n, rng))
+        mapped(_random_lift_join(n, rng), random_images(n, rng))
         for _ in range(count)
     ]
 
@@ -555,11 +550,11 @@ def _anchor_spans_without_probes(table):
             yield span
 
 
-def _decomposer_without_probes(M):
-    """`find_decomposer` over `_anchor_spans_without_probes`."""
+def _least_flat(spans, n):
+    """The least (dim, basis) flat over spans, stopping at a singleton."""
     best = None
-    for span in _anchor_spans_without_probes(TranslateTable(M.mask, M.n)):
-        F = closure_mask(span & ~1, M.n)
+    for span in spans:
+        F = closure_mask(span & ~1, n)
         if best is None or (F.dim, F.basis) < (best.dim, best.basis):
             best = F
             if best.dim == 1:
@@ -567,12 +562,40 @@ def _decomposer_without_probes(M):
     return best
 
 
+def _decomposer_without_probes(M):
+    """The least flat over `_anchor_spans_without_probes`."""
+    return _least_flat(_anchor_spans_without_probes(TranslateTable(M.mask, M.n)), M.n)
+
+
+def _anchor_spans_four_probes(table):
+    """The anchor walk that keeps its first four anchors in no decomposer as
+    point probes: a later anchor a is dropped when some probe b has
+    [b in E] != [b + a in E], and every other anchor runs its fixpoint."""
+    bad = 0
+    probes = []
+    member = ""
+    for a in range(1, 1 << table.n):
+        if probes and any(member[b] != member[b ^ a] for b in probes):
+            bad |= 1 << a
+            continue
+        span = structure._fixpoint_span(table, a, bad)
+        if span is not None:
+            yield span
+            continue
+        bad |= 1 << a
+        if len(probes) < 4:
+            if not probes:
+                member = bin(table.entries[0] | 1 << (1 << table.n))[:2:-1]
+            probes.append(a)
+
+
 def test_decomposer_growth_steps_frozen(monkeypatch):
     # each growth step of a fixpoint span is one translate of the span;
     # the 4 095 anchors of the quadric at n = 12 take 45 045 steps
-    # unpruned, 4 120 with the bad-anchor bitset alone, and 31 once bad
+    # unpruned, 4 120 with the bad-anchor bitset alone, 31 once four bad
     # anchors serve as point probes and a fixpoint stops when its defect
-    # union meets the bitset
+    # union meets the bitset, and 11 once every bad anchor refutes the
+    # anchors it differs from
     steps = []
 
     def counting(mask, a, n):
@@ -582,13 +605,119 @@ def test_decomposer_growth_steps_frozen(monkeypatch):
     monkeypatch.setattr(structure, "xor_translate", counting)
     M = _quadric(12)
     assert find_decomposer(M) is None
-    assert len(steps) == 31
+    assert len(steps) == 11
     steps.clear()
     assert not has_decomposer_mask(M.mask, 12)
+    assert len(steps) == 11
+    steps.clear()
+    table = TranslateTable(M.mask, 12)
+    assert _least_flat(_anchor_spans_four_probes(table), 12) is None
     assert len(steps) == 31
     steps.clear()
     assert _decomposer_without_probes(M) is None
     assert len(steps) == 4120
+
+
+def _equal_factor_chain(n, d, rng):
+    """A lift-join chain of random factors of dimension d (one shorter
+    factor last when d does not divide n), so that its decomposers come in
+    several flats of one dimension."""
+    M = _random_factor(min(d, n), rng)
+    while M.n < n:
+        M = lift_join(M, _random_factor(min(d, n - M.n), rng))
+    return M
+
+
+def _refutation_inputs(n, rng):
+    """Uniform sets, claw-free samples, mapped lift-join trees and mapped
+    chains of equal-dimension factors at dimension n."""
+    count = {1: 2, 2: 6, 3: 10, 4: 12, 5: 12, 6: 10, 7: 8, 8: 6, 9: 4, 10: 3}[n]
+    out = []
+    for _ in range(count):
+        d = rng.randint(1, max(1, n // 2))
+        out += [
+            BinaryMatroid(n, rng.getrandbits((1 << n) - 1) << 1),
+            BinaryMatroid(n, sample_claw_free_mask(n, rng)),
+            mapped(_random_lift_join(n, rng), random_images(n, rng)),
+            mapped(_equal_factor_chain(n, d, rng), random_images(n, rng)),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_refuted_anchors_match_the_walk_without_probes(n):
+    # a bad anchor b refutes every a with [b in E] != [b + a in E], and
+    # the capped walk drops only spans no smaller than one it yielded, so
+    # every span, flat and answer is that of the walk without probes
+    rng = random.Random(f"refuted:{n}")
+    ties = 0
+    for M in _refutation_inputs(n, rng):
+        table = TranslateTable(M.mask, n)
+        spans = list(structure._anchor_spans(table))
+        assert spans == list(_anchor_spans_without_probes(table)), hex(M.mask)
+        want = _decomposer_without_probes(M)
+        assert find_decomposer(M) == want, hex(M.mask)
+        assert has_decomposer_mask(M.mask, n) == (want is not None), hex(M.mask)
+        capped = list(structure._anchor_spans(table, capped=True))
+        sizes = [span.bit_count() for span in capped]
+        assert set(capped) <= set(spans), hex(M.mask)
+        assert all(x > y for x, y in zip(sizes, sizes[1:])), hex(M.mask)
+        if want is not None:
+            least = {s for s in spans if s.bit_count() == 1 << want.dim}
+            # the first span of the least dimension has the least basis
+            assert capped[-1] == next(s for s in spans if s in least)
+            ties += len(least) > 1
+    if n >= 3:
+        assert ties > 0  # the cap met flats of equal dimension
+
+
+def _decompose_walking_both(M, stop_at_basic=False):
+    """`decompose` searching both factors of each join for a decomposer,
+    with `_decomposer_without_probes` as the search."""
+    tags = None
+    if stop_at_basic:
+        tags = classify(M)
+        if tags.even_plane or tags.complement_triangle_free or tags.strict_pg_sum:
+            return Leaf(M, tags)
+    F = _decomposer_without_probes(M)
+    if F is None:
+        return structure._leaf(M, tags)
+    J = complementary_flat(F)
+    return Join(
+        left=_decompose_walking_both(restrict(M, F), stop_at_basic),
+        right=_decompose_walking_both(restrict(M, J), stop_at_basic),
+        flat=F,
+        cofactor=J,
+    )
+
+
+def _joins(node):
+    if isinstance(node, Leaf):
+        return []
+    return [node] + _joins(node.left) + _joins(node.right)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_left_factor_of_a_minimum_decomposer_is_a_leaf(n):
+    # a decomposer of M|F would decompose M too and be smaller than F
+    rng = random.Random(f"left-leaf:{n}")
+    joins = 0
+    for M in _refutation_inputs(n, rng):
+        for stop_at_basic in (False, True):
+            try:
+                want = _decompose_walking_both(M, stop_at_basic)
+            except structure.StructureTheoremViolation:
+                with pytest.raises(structure.StructureTheoremViolation):
+                    decompose(M, stop_at_basic)
+                continue
+            tree = decompose(M, stop_at_basic)
+            assert tree == want, hex(M.mask)
+            for node in _joins(tree):
+                assert isinstance(node.left, Leaf)
+                assert _decomposer_without_probes(node.left.matroid) is None
+                joins += 1
+    if n >= 2:
+        assert joins > 0
 
 
 def _elliptic_quadric(n):
@@ -604,15 +733,16 @@ def _hyperplane_mask(n):
 
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_probed_decomposer_search_matches_walk_without_probes(n):
-    # the probes and the early exit only drop anchors the walk without
-    # them drops too, so both find the same flat, and yield the same spans
+    # refuted anchors and the early exit only drop anchors the walk
+    # without them drops too, so both find the same flat, and yield the
+    # same spans
     rng = random.Random(f"probed:{n}")
     inputs = [
-        apply_linear_map(Q, _random_gl(n, rng))
+        mapped(Q, random_images(n, rng))
         for Q in (_quadric(n), _elliptic_quadric(n))
     ]
     for a in (1, n // 2, n - 1):
-        inputs.append(apply_linear_map(pg_sum(a, n - a), _random_gl(n, rng)))
+        inputs.append(mapped(pg_sum(a, n - a), random_images(n, rng)))
     inputs += _mapped_lift_joins(n, {9: 6, 10: 4, 11: 3, 12: 2}[n], 2)
     found = 0
     for i, M in enumerate(inputs):
@@ -691,7 +821,7 @@ def _basic_sets(n, count, rng):
         masks += [
             random_even_plane_mask(n, rng),
             ground_mask(n) & ~census._greedy_triangle_free(n, rng),
-            apply_linear_map(BinaryMatroid(n, pg_sum(d1, d2).mask), _random_gl(n, rng)).mask,
+            mapped(BinaryMatroid(n, pg_sum(d1, d2).mask), random_images(n, rng)).mask,
             sample_claw_free_mask(n, rng),
         ]
     return [BinaryMatroid(n, mask) for mask in masks]
@@ -807,8 +937,8 @@ def test_pg_sum_leaf_identities(n):
     rng = random.Random(f"pg-sum-leaf:{n}")
     for a in range(1, n // 2 + 1):
         for _ in range(2):
-            images = _random_gl(n, rng)
-            M = apply_linear_map(BinaryMatroid(n, pg_sum(a, n - a).mask), images)
+            images = random_images(n, rng)
+            M = mapped(BinaryMatroid(n, pg_sum(a, n - a).mask), images)
             tags = classify(M)
             assert tags.strict_pg_sum and tags.even_plane == (n < 4 or (n, a) == (4, 2))
             rec = structure._leaf_invariants(Leaf(M, tags))
