@@ -13,10 +13,10 @@ containing the anchor; an anchor whose span or defect union reaches a
 point in no decomposer is in none either.  `_anchor_spans` walks the
 anchors in order with the bitset of those in no decomposer, and each
 anchor that fails refutes, with one translate, every anchor that would
-share a coset with it.  `has_decomposer_mask` reads its first span and
-`find_decomposer` the smallest span of its capped walk; `decompose`
-searches only right factors, since the left factor of a minimum
-decomposer has none.
+share a coset with it, and each span it yields is smaller than the last.
+`has_decomposer_mask` reads its first span and `find_decomposer` its
+last, the minimum decomposer; `decompose` searches only right factors,
+since the left factor of a minimum decomposer has none.
 
 `tree_flags` and `fold_invariants` read class flags and invariants off a
 decomposition tree through the lift-join identities, so only the leaves
@@ -91,23 +91,26 @@ def minimal_decomposer_containing(M: BinaryMatroid, a: int) -> Optional[Flat]:
     if not 1 <= a < (1 << M.n):
         raise ValueError(f"anchor {a} out of range")
     span = _fixpoint_span(TranslateTable(M.mask, M.n), a)
-    return None if span is None else closure_mask(span & ~1, M.n)
+    if span is None:
+        return None
+    return closure_mask(span & ~1, M.n)
 
 
 def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     """Minimum-dimension decomposer, ties broken by lexicographic basis.
 
     None iff no proper nonempty flat decomposes M (equivalently, M is
-    not a lift-join of smaller matroids).  It is the smallest span of the
-    capped walk of `_anchor_spans`.
+    not a lift-join of smaller matroids).  It is the smallest, and so
+    the last, span that `_anchor_spans` yields.
     """
     table = TranslateTable(M.mask, M.n)
-    span = min(_anchor_spans(table, capped=True), key=int.bit_count, default=None)
+    span = min(_anchor_spans(table), key=int.bit_count, default=None)
     return None if span is None else closure_mask(span & ~1, M.n)
 
 
-def _anchor_spans(table: TranslateTable, capped: bool = False) -> Iterator[int]:
-    """The fixpoint span of each anchor, in anchor order, that stays proper.
+def _anchor_spans(table: TranslateTable) -> Iterator[int]:
+    """The fixpoint span of each anchor, in anchor order, that stays proper
+    and is smaller than every span yielded before it.
 
     An anchor b whose span blows up lies in no decomposer, and neither
     does any anchor a with [b in E] != [b + a in E], since b and b + a
@@ -115,11 +118,11 @@ def _anchor_spans(table: TranslateTable, capped: bool = False) -> Iterator[int]:
     for b inside, read off the translate b's fixpoint stored.  All of
     them join the bad-anchor bitset, which later fixpoints give up on
     (see `_fixpoint_span`), and the walk skips to the next anchor outside
-    it.  When `capped`, each span yielded is smaller than the last: a
-    fixpoint also fails once it reaches the last span's dimension, and
-    the walk ends after a singleton.  README, "Anchors in no decomposer",
-    proves that the first span of the least dimension is the minimum
-    decomposer, so the capped walk still yields it.
+    it.  A fixpoint also fails once it reaches the last span's dimension,
+    and the walk ends after a singleton.  README, "Anchors in no
+    decomposer", proves that the first span of the least dimension is the
+    minimum decomposer, so the walk still yields it; the cap starts only
+    after the first span, so that span is the first proper one.
     """
     E = table.entries[0]
     G = ground_mask(table.n)
@@ -132,8 +135,7 @@ def _anchor_spans(table: TranslateTable, capped: bool = False) -> Iterator[int]:
         span = _fixpoint_span(table, a, bad, limit)
         if span:
             yield span
-            if capped:
-                limit = span.bit_count().bit_length() - 2
+            limit = span.bit_count().bit_length() - 2
         else:
             t = table.entries[a] or table.get(a)
             refuted = G & ~t if E >> a & 1 else t

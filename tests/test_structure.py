@@ -465,6 +465,39 @@ def _mapped_lift_joins(n, count, seed):
     ]
 
 
+def _equal_factor_chain(n, d, rng):
+    """A lift-join chain of random factors of dimension d (one shorter
+    factor last when d does not divide n), so that its decomposers come in
+    several flats of one dimension."""
+    M = _random_factor(min(d, n), rng)
+    while M.n < n:
+        M = lift_join(M, _random_factor(min(d, n - M.n), rng))
+    return M
+
+
+def _mapped_chains(n, count, seed):
+    rng = random.Random(f"mapped-chain:{n}:{seed}")
+    return [
+        mapped(_equal_factor_chain(n, rng.randint(1, n // 2), rng), random_images(n, rng))
+        for _ in range(count)
+    ]
+
+
+def _assert_anchor_walk(M):
+    """`_anchor_spans` yields the spans of the walk without probes that are
+    smaller than every span before them, so its sizes fall strictly and
+    its last span is the first one of the least dimension.  True when
+    that dimension has more than one span, a tie the cap meets."""
+    table = TranslateTable(M.mask, M.n)
+    spans = list(_anchor_spans_without_probes(table))
+    falling = []
+    for span in spans:
+        if not falling or span.bit_count() < falling[-1].bit_count():
+            falling.append(span)
+    assert list(structure._anchor_spans(table)) == falling, hex(M.mask)
+    return sum(span.bit_count() == falling[-1].bit_count() for span in spans) > 1
+
+
 def _pruned_spans(M):
     table = TranslateTable(M.mask, M.n)
     bad = 0
@@ -493,6 +526,7 @@ def test_pruned_decomposer_search_exhaustive(n):
         assert has_decomposer_mask(M.mask, n) == (want is not None)
         if n <= 3 or code % 7 == 0:
             assert _pruned_spans(M) == _unpruned_spans(M), hex(M.mask)
+            _assert_anchor_walk(M)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -500,15 +534,18 @@ def test_pruned_decomposer_search_seeded(n):
     rng = random.Random(f"pruned:{n}")
     count = {5: 60, 6: 40, 7: 16, 8: 8}[n]
     inputs = _decomposer_candidates(n, rng, count) + _mapped_lift_joins(n, count, 0)
-    found = 0
+    inputs += _mapped_chains(n, count // 2, 0)
+    found = ties = 0
     for M in inputs:
         want = _unpruned_decomposer(M)
         assert find_decomposer(M) == want, hex(M.mask)
         assert has_decomposer_mask(M.mask, n) == (want is not None)
         found += want is not None
+        ties += _assert_anchor_walk(M)
         if n <= 6:
             assert _pruned_spans(M) == _unpruned_spans(M), hex(M.mask)
     assert 0 < found < len(inputs)
+    assert ties > 0
 
 
 def _quadric(n):
@@ -618,17 +655,7 @@ def test_decomposer_growth_steps_frozen(monkeypatch):
     assert len(steps) == 4120
 
 
-def _equal_factor_chain(n, d, rng):
-    """A lift-join chain of random factors of dimension d (one shorter
-    factor last when d does not divide n), so that its decomposers come in
-    several flats of one dimension."""
-    M = _random_factor(min(d, n), rng)
-    while M.n < n:
-        M = lift_join(M, _random_factor(min(d, n - M.n), rng))
-    return M
-
-
-def _refutation_inputs(n, rng):
+def _seeded_inputs(n, rng):
     """Uniform sets, claw-free samples, mapped lift-join trees and mapped
     chains of equal-dimension factors at dimension n."""
     count = {1: 2, 2: 6, 3: 10, 4: 12, 5: 12, 6: 10, 7: 8, 8: 6, 9: 4, 10: 3}[n]
@@ -642,33 +669,6 @@ def _refutation_inputs(n, rng):
             mapped(_equal_factor_chain(n, d, rng), random_images(n, rng)),
         ]
     return out
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_refuted_anchors_match_the_walk_without_probes(n):
-    # a bad anchor b refutes every a with [b in E] != [b + a in E], and
-    # the capped walk drops only spans no smaller than one it yielded, so
-    # every span, flat and answer is that of the walk without probes
-    rng = random.Random(f"refuted:{n}")
-    ties = 0
-    for M in _refutation_inputs(n, rng):
-        table = TranslateTable(M.mask, n)
-        spans = list(structure._anchor_spans(table))
-        assert spans == list(_anchor_spans_without_probes(table)), hex(M.mask)
-        want = _decomposer_without_probes(M)
-        assert find_decomposer(M) == want, hex(M.mask)
-        assert has_decomposer_mask(M.mask, n) == (want is not None), hex(M.mask)
-        capped = list(structure._anchor_spans(table, capped=True))
-        sizes = [span.bit_count() for span in capped]
-        assert set(capped) <= set(spans), hex(M.mask)
-        assert all(x > y for x, y in zip(sizes, sizes[1:])), hex(M.mask)
-        if want is not None:
-            least = {s for s in spans if s.bit_count() == 1 << want.dim}
-            # the first span of the least dimension has the least basis
-            assert capped[-1] == next(s for s in spans if s in least)
-            ties += len(least) > 1
-    if n >= 3:
-        assert ties > 0  # the cap met flats of equal dimension
 
 
 def _decompose_walking_both(M, stop_at_basic=False):
@@ -702,7 +702,7 @@ def test_left_factor_of_a_minimum_decomposer_is_a_leaf(n):
     # a decomposer of M|F would decompose M too and be smaller than F
     rng = random.Random(f"left-leaf:{n}")
     joins = 0
-    for M in _refutation_inputs(n, rng):
+    for M in _seeded_inputs(n, rng):
         for stop_at_basic in (False, True):
             try:
                 want = _decompose_walking_both(M, stop_at_basic)
@@ -734,8 +734,8 @@ def _hyperplane_mask(n):
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_probed_decomposer_search_matches_walk_without_probes(n):
     # refuted anchors and the early exit only drop anchors the walk
-    # without them drops too, so both find the same flat, and yield the
-    # same spans
+    # without them drops too, and the cap only spans no smaller than one
+    # already yielded, so both find the same flat
     rng = random.Random(f"probed:{n}")
     inputs = [
         mapped(Q, random_images(n, rng))
@@ -744,7 +744,8 @@ def test_probed_decomposer_search_matches_walk_without_probes(n):
     for a in (1, n // 2, n - 1):
         inputs.append(mapped(pg_sum(a, n - a), random_images(n, rng)))
     inputs += _mapped_lift_joins(n, {9: 6, 10: 4, 11: 3, 12: 2}[n], 2)
-    found = 0
+    inputs += _mapped_chains(n, {9: 4, 10: 3, 11: 2, 12: 2}[n], 2)
+    found = ties = 0
     for i, M in enumerate(inputs):
         want = _decomposer_without_probes(M)
         if i < 2:  # the two quadrics
@@ -753,11 +754,9 @@ def test_probed_decomposer_search_matches_walk_without_probes(n):
         assert has_decomposer_mask(M.mask, n) == (want is not None), hex(M.mask)
         found += want is not None
         if n <= 10:
-            table = TranslateTable(M.mask, n)
-            assert list(structure._anchor_spans(table)) == list(
-                _anchor_spans_without_probes(table)
-            ), hex(M.mask)
+            ties += _assert_anchor_walk(M)
     assert 0 < found < len(inputs)
+    assert ties > 0 or n > 10
 
 
 def _assert_fold_matches(M, tree):
