@@ -184,14 +184,18 @@ def _greedy_claw_free(n: int, rng: random.Random) -> int:
 
 
 def _greedy_triangle_free(n: int, rng: random.Random) -> int:
+    """Points taken in a random order, each kept with a random probability
+    unless it closes a triangle of T: a point p does iff it is the sum of
+    two points of T, and those sums grow by T + p when p joins."""
     order = list(range(1, 1 << n))
     rng.shuffle(order)
     keep = rng.uniform(0.3, 1.0)
-    T = 0
+    T = sums = 0
     for p in order:
         if rng.random() > keep:
             continue
-        if T & xor_translate(T, p, n) == 0:
+        if not (sums >> p) & 1:
+            sums |= xor_translate(T, p, n)
             T |= 1 << p
     return T
 

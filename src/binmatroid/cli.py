@@ -17,8 +17,9 @@ import argparse
 import functools
 import json
 import logging
+import re
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from typing import Optional
 
 from . import census, construct, verify
@@ -44,9 +45,11 @@ class MatroidParseError(ValueError):
         self.col = col
 
 
-def _fail(line_no: int, line: str, token: str, message: str) -> MatroidParseError:
-    col = line.find(token) + 1 if token and token in line else 1
-    return MatroidParseError(line_no, col, message)
+def _fail(line_no: int, line: str, index: int, message: str) -> MatroidParseError:
+    """The error at the index-th token of `line.split()`, at that token's
+    own column."""
+    token = list(re.finditer(r"\S+", line))[index]
+    return MatroidParseError(line_no, token.start() + 1, message)
 
 
 def parse_matroid(text: str) -> BinaryMatroid:
@@ -60,30 +63,30 @@ def parse_matroid(text: str) -> BinaryMatroid:
     (dim_no, dim_line), (pts_no, pts_line) = content
     dim_tokens = dim_line.split()
     if len(dim_tokens) != 2 or dim_tokens[0] != "dim":
-        raise _fail(dim_no, dim_line, dim_tokens[0] if dim_tokens else "", "expected 'dim <n>'")
+        raise _fail(dim_no, dim_line, 0, "expected 'dim <n>'")
     try:
         n = int(dim_tokens[1])
     except ValueError:
-        raise _fail(dim_no, dim_line, dim_tokens[1], "dimension is not an integer") from None
+        raise _fail(dim_no, dim_line, 1, "dimension is not an integer") from None
     if not 0 <= n <= MAX_DIM:
-        raise _fail(dim_no, dim_line, dim_tokens[1], f"dimension must be in [0, {MAX_DIM}]")
+        raise _fail(dim_no, dim_line, 1, f"dimension must be in [0, {MAX_DIM}]")
     pts_tokens = pts_line.split()
     if not pts_tokens or pts_tokens[0] != "points":
-        raise _fail(pts_no, pts_line, pts_tokens[0] if pts_tokens else "", "expected 'points ...'")
+        raise _fail(pts_no, pts_line, 0, "expected 'points ...'")
     points: list[int] = []
     limit = 1 << n
-    for tok in pts_tokens[1:]:
+    for i, tok in enumerate(pts_tokens[1:], 1):
         try:
             v = int(tok)
         except ValueError:
-            raise _fail(pts_no, pts_line, tok, f"point {tok!r} is not an integer") from None
+            raise _fail(pts_no, pts_line, i, f"point {tok!r} is not an integer") from None
         if v == 0:
-            raise _fail(pts_no, pts_line, tok, "0 is not a point")
+            raise _fail(pts_no, pts_line, i, "0 is not a point")
         if not 0 < v < limit:
-            raise _fail(pts_no, pts_line, tok, f"point {v} out of range [1, {limit - 1}]")
+            raise _fail(pts_no, pts_line, i, f"point {v} out of range [1, {limit - 1}]")
         if points and v <= points[-1]:
             raise _fail(
-                pts_no, pts_line, tok,
+                pts_no, pts_line, i,
                 "points must be strictly increasing"
                 if v != points[-1] else f"duplicate point {v}",
             )
@@ -107,13 +110,20 @@ def _read_input(path: Optional[str]) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
+def _record(record) -> dict:
+    """The fields of a flat record (`ClassFlags`, `InvariantRecord`) as a
+    plain dict: its values are ints, bools and None, so `asdict`'s
+    recursive deep copy has nothing to copy."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def tree_to_json(node) -> dict:
     if isinstance(node, Leaf):
         return {
             "leaf": {
                 "dim": node.matroid.n,
                 "points": node.matroid.points(),
-                "tags": asdict(node.tags),
+                "tags": _record(node.tags),
             }
         }
     return {"join": [tree_to_json(node.left), tree_to_json(node.right)]}
@@ -149,8 +159,8 @@ def report_json(M: BinaryMatroid, tree=None) -> dict:
         return {
             "dim": M.n,
             "points": M.points(),
-            "flags": asdict(classify(M)),
-            "invariants": asdict(fold_invariants(root)),
+            "flags": _record(classify(M)),
+            "invariants": _record(fold_invariants(root)),
             "decomposer": list(root.flat.basis) if isinstance(root, Join) else None,
             "tree": tree_to_json(tree) if tree is not None else None,
         }
@@ -158,9 +168,71 @@ def report_json(M: BinaryMatroid, tree=None) -> dict:
         _maximal_tree.cache_clear()
 
 
+#: Encodes a str, or a float as json writes it ("NaN", "Infinity"), in C.
+_encode = json.JSONEncoder().encode
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it: a str, or a float, bool, None or int
+    turned into one."""
+    if isinstance(key, str):
+        return _encode(key)
+    if isinstance(key, float):
+        return _encode(_encode(key))
+    if key is True:
+        return '"true"'
+    if key is False:
+        return '"false"'
+    if key is None:
+        return '"null"'
+    if isinstance(key, int):
+        return f'"{int.__repr__(key)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(obj, newline: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte.
+
+    With an indent, json encodes in pure Python, chunk by chunk; this
+    writer takes json's type tests in json's order, sorts items as json
+    does, and leaves strings and floats to json's C encoder.  `newline`
+    is the line break and indent of obj's own level.
+    """
+    if isinstance(obj, str):
+        return _encode(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _encode(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            body = map(int.__repr__, obj)
+        else:
+            body = [_json_text(value, inner) for value in obj]
+        return f"[{inner}{(',' + inner).join(body)}{newline}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = [
+            f"{_key_text(key)}: {_json_text(value, inner)}" for key, value in sorted(obj.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(body)}{newline}}}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    """Write a report to stdout, in one write, as the bytes of
+    `json.dumps(obj, indent=2, sort_keys=True)` plus a newline."""
+    sys.stdout.write(_json_text(obj) + "\n")
 
 
 # ---------------------------------------------------------------------------

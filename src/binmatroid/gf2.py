@@ -168,6 +168,22 @@ def span_from_basis(basis: Iterable[int], n: int) -> int:
     return m
 
 
+def span_mask(mask: int, n: int) -> int:
+    """Bitset of the span of a point bitset, zero vector included (bit 0
+    of mask is ignored); it has 2^rank bits.
+
+    The span grows from the lowest point outside it, so it takes at most
+    n translates (none for the first point).
+    """
+    span = 1
+    rest = mask & ~1
+    while rest:
+        low = rest & -rest
+        span |= xor_translate(span, low.bit_length() - 1, n) if span != 1 else low
+        rest &= ~span
+    return span
+
+
 @dataclass(frozen=True)
 class Flat:
     """A linear subspace of F_2^n with canonical basis and membership bitset.

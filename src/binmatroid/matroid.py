@@ -24,6 +24,7 @@ from .gf2 import (
     iter_bits,
     mask_of,
     span_from_basis,
+    span_mask,
     translates,
     xor_translate,
     _half_masks,
@@ -97,20 +98,9 @@ def complement(M: BinaryMatroid) -> BinaryMatroid:
 
 
 def rank_mask(mask: int, n: int) -> int:
-    """Rank of a point bitset (bit 0 is ignored).
-
-    The span grows from the lowest point outside it, so it takes at most
-    n steps, as `gf2.closure_mask` does.
-    """
-    span = 1
-    dim = 0
-    rest = mask & ~1
-    while rest:
-        low = rest & -rest
-        span |= xor_translate(span, low.bit_length() - 1, n) if span != 1 else low
-        dim += 1
-        rest &= ~span
-    return dim
+    """Rank of a point bitset (bit 0 is ignored): the span of
+    `gf2.span_mask` has 2^rank bits."""
+    return span_mask(mask, n).bit_count().bit_length() - 1
 
 
 def rank(M: BinaryMatroid) -> int:

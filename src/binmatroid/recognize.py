@@ -20,10 +20,10 @@ from typing import Optional
 from .gf2 import (
     Flat,
     closure_mask,
-    full_flat,
     ground_mask,
     is_flat,
     iter_bits,
+    span_mask,
     xor_translate,
 )
 from .matroid import BinaryMatroid, find_claw, rank_mask
@@ -168,16 +168,20 @@ def is_target(M: BinaryMatroid) -> Optional[list[Flat]]:
     of plane searches").  Read upward, E is the union of the layers at
     even positions, so the bottom flat is dropped when the lowest layer
     avoids E, and the top one when the highest layer does.
+
+    The walk reads only member bitsets (`gf2.span_mask`); a `Flat` is
+    built for each flat of the chain it returns, and none for a
+    non-target.
     """
     E, n = M.mask, M.n
-    chain = [full_flat(n)]
+    chain = [ground_mask(n)]
     inside = []
-    while B := chain[-1].members:
-        F = closure_mask(B & ~E, n)
-        inside.append(F.members != B)
+    while B := chain[-1]:
+        F = span_mask(B & ~E, n) & ~1
+        inside.append(F != B)
         if not inside[-1]:
-            F = closure_mask(B & E, n)
-            if F.members == B:
+            F = span_mask(B & E, n) & ~1
+            if F == B:
                 return None
         chain.append(F)
     chain.reverse()
@@ -185,7 +189,7 @@ def is_target(M: BinaryMatroid) -> Optional[list[Flat]]:
         chain.pop(0)
     if len(chain) > 1 and not inside[0]:
         chain.pop()
-    return chain
+    return [closure_mask(B, n) for B in chain]
 
 
 def chi_bound(k: int, dim_n: int) -> int:

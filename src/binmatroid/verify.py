@@ -32,6 +32,7 @@ from .gf2 import (
     flats_of_dim,
     ground_mask,
     iter_bits,
+    span_mask,
     xor_translate,
 )
 from .matroid import (
@@ -261,14 +262,19 @@ _PAIR_DIMS = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3, 4]  # weighted toward small factors
 _TRIPLE_DIMS = [0, 1, 1, 2, 2, 2, 3, 3]
 
 
-def _random_flat_of_dim(n: int, d: int, rng: random.Random) -> Flat:
+def _random_flat_members(n: int, d: int, rng: random.Random) -> int:
+    """Members of a random d-flat: d points are drawn until they span one."""
     if d == 0:
-        return closure_mask(0, n)
+        return 0
     while True:
-        pts = {rng.randint(1, (1 << n) - 1) for _ in range(d)}
-        F = closure_mask(sum(1 << p for p in pts), n)
-        if F.dim == d:
-            return F
+        pts = sum(1 << p for p in {rng.randint(1, (1 << n) - 1) for _ in range(d)})
+        span = span_mask(pts, n)
+        if span.bit_count() == 1 << d:
+            return span & ~1
+
+
+def _random_flat_of_dim(n: int, d: int, rng: random.Random) -> Flat:
+    return closure_mask(_random_flat_members(n, d, rng), n)
 
 
 def _random_flat(n: int, rng: random.Random) -> Flat:
@@ -369,13 +375,12 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
 
 
 def _random_disjoint_flat_pair(n: int, rng: random.Random) -> Optional[tuple[int, int]]:
-    F1 = _random_flat(n, rng)
-    tries = 0
-    while tries < 20:
-        F2 = _random_flat(n, rng)
-        if F1.members & F2.members == 0:
-            return (F1.members, F2.members)
-        tries += 1
+    """Members of two disjoint random flats, or None after 20 misses."""
+    f1 = _random_flat_members(n, rng.randint(0, n), rng)
+    for _ in range(20):
+        f2 = _random_flat_members(n, rng.randint(0, n), rng)
+        if f1 & f2 == 0:
+            return (f1, f2)
     return None
 
 

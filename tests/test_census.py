@@ -10,6 +10,7 @@ from binmatroid import BinaryMatroid, canonical_form, find_claw
 from binmatroid import gf2, tables
 from binmatroid.census import (
     _greedy_claw_free,
+    _greedy_triangle_free,
     canon_table,
     even_plane_basis,
     even_plane_classes,
@@ -257,6 +258,34 @@ def test_greedy_claw_free_matches_translating_greedy(n, table_bytes, monkeypatch
         assert r1.getstate() == r2.getstate(), (n, seed)
         sizes.add(mask.bit_count())
     assert len(sizes) > 3
+
+
+def _greedy_triangle_free_translating(n, rng):
+    """`_greedy_triangle_free` with one translate of T per point tested."""
+    order = list(range(1, 1 << n))
+    rng.shuffle(order)
+    keep = rng.uniform(0.3, 1.0)
+    T = 0
+    for p in order:
+        if rng.random() > keep:
+            continue
+        if T & xor_translate(T, p, n) == 0:
+            T |= 1 << p
+    return T
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_greedy_triangle_free_matches_translating_greedy(n):
+    # p closes a triangle of T iff it is a sum of two points of T, so the
+    # kept sums decide each point as T & (T + p) does, on the same draws
+    sizes = set()
+    for seed in range(200):
+        r1, r2 = random.Random(f"tf:{n}:{seed}"), random.Random(f"tf:{n}:{seed}")
+        mask = _greedy_triangle_free(n, r1)
+        assert mask == _greedy_triangle_free_translating(n, r2), (n, seed)
+        assert r1.getstate() == r2.getstate(), (n, seed)
+        sizes.add(mask.bit_count())
+    assert len(sizes) > 1
 
 
 def test_claw_free_lists():

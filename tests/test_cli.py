@@ -1,8 +1,10 @@
 """Command-line surface: file format, reports, exit codes."""
 
+import collections
 import functools
 import io
 import json
+import random
 import sys
 from dataclasses import asdict
 
@@ -49,6 +51,16 @@ def test_parse_errors_carry_position():
         parse_matroid("dim 3\n")
     with pytest.raises(MatroidParseError):
         parse_matroid("dim 3\npoints 1\nextra\n")
+    # the column is the offending token's own, not that of the first
+    # place its text occurs in the line
+    for text, line, col in (
+        ("dim 4\npoints 3 13 1\n", 2, 13),
+        ("dim 3\npoints 1 2 2\n", 2, 12),
+        ("dim dim\npoints 1\n", 1, 5),
+    ):
+        with pytest.raises(MatroidParseError) as exc:
+            parse_matroid(text)
+        assert (exc.value.line, exc.value.col) == (line, col), text
 
 
 def test_gen_matches_builders():
@@ -303,10 +315,103 @@ def test_structure_violation_exits_3(monkeypatch, command):
     monkeypatch.setattr(structure, "_leaf", violating)
     code, out, _ = run_cli([command], stdin=format_matroid(c4()))
     assert code == 3
-    assert json.loads(out) == {
-        "error": "structure-theorem-violation",
-        "detail": "leaf []",
-    }
+    assert out == _dumped({"error": "structure-theorem-violation", "detail": "leaf []"})
+
+
+def _dumped(obj):
+    """The oracle for every report the CLI prints."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_reports_print_as_json_dumps(n):
+    from binmatroid import census, cli
+    from binmatroid.structure import decompose
+
+    rng = random.Random(f"report-text:{n}")
+    masks = [census.sample_uniform_mask(n, rng) for _ in range(3)]
+    masks += [census.sample_claw_free_mask(n, rng) for _ in range(3)] if n else []
+    for mask in masks:
+        M = BinaryMatroid(n, mask)
+        text = format_matroid(M)
+        for argv, tree in (
+            (["analyze"], None),
+            (["decompose"], decompose(M)),
+            (["decompose", "--stop-at-basic"], decompose(M, stop_at_basic=True)),
+        ):
+            code, out, _ = run_cli(argv, stdin=text)
+            assert code == 0 and out == _dumped(cli.report_json(M, tree)), (argv, hex(mask))
+
+
+def test_suite_and_census_records_print_as_json_dumps():
+    from binmatroid import census, verify
+    from binmatroid.cli import _json_text
+
+    for name in verify.SUITE_NAMES:
+        rep = verify.run_suite(name, n_max=3, samples=5, seed=0)
+        assert _json_text(rep) + "\n" == _dumped(rep), name
+    records = [census.exhaustive_census(n, cf) for n in range(4) for cf in (False, True)]
+    records += [census.sampled_census(n, 12, 1, cf) for n in (5, 7) for cf in (False, True)]
+    for record in records:
+        assert _json_text(record) + "\n" == _dumped(record)
+    code, out, _ = run_cli(["enumerate", "--n", "7", "--mode", "sample", "--samples", "5"])
+    assert code == 0 and out == _dumped(census.sampled_census(7, 5, 0, False))
+    # density reports key its results by int
+    rep = verify.run_suite("density", n_max=3)
+    assert any(isinstance(k, int) for k in rep["results"])
+    code, out, _ = run_cli(["verify", "density", "--n-max", "3"])
+    assert code == 0 and out == _dumped(rep)
+
+
+#: values whose json text turns on one of json's rules: empties, keys of
+#: every kind json takes, tuples and dict subclasses, escapes, nan and inf
+JSON_EDGE_CASES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[]], "d": [{}], "e": ()},
+    {10: "z", 2: "y", -1: "x"},
+    {True: 1, False: 0},
+    {None: [None]},
+    {1.5: 3, float("nan"): 1, float("inf"): [1, 2], -float("inf"): -1},
+    (1, 2, (3, [4])),
+    collections.OrderedDict([("z", 1), ("a", collections.OrderedDict(b=2))]),
+    "h\u00e9llo \u2603 \U0001f600 \x00\x1f\n\t\"\\/",
+    {"\u00e9": "\u2603", "a\nb": ""},
+    [float("nan"), float("inf"), -float("inf"), 1e300, 0.1, -0.0, 2.5e-8],
+    [True, False, None, 1, -2, 2**80],
+    [1, True],
+    [1, 2.0],
+    0,
+    -3,
+    2**70,
+    None,
+    True,
+    False,
+    1.0,
+    "",
+    {"k": {"j": [1, {"x": None, "y": (1,)}], "l": [[1, 2], [3], []]}},
+]
+
+
+@pytest.mark.parametrize("obj", JSON_EDGE_CASES, ids=range(len(JSON_EDGE_CASES)))
+def test_report_writer_matches_json_dumps(obj):
+    from binmatroid.cli import _json_text
+
+    assert _json_text(obj) + "\n" == _dumped(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [{1: 1, "a": 2}, {(1,): 2}, object(), [set()], {"a": b"x"}, {"a": [1, {2.0: {3}}]}]
+)
+def test_report_writer_refuses_what_json_refuses(obj):
+    from binmatroid.cli import _json_text
+
+    with pytest.raises(TypeError) as want:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        _json_text(obj)
+    assert str(got.value) == str(want.value)
 
 
 def test_parser_is_built_once(monkeypatch):
@@ -549,6 +654,50 @@ def test_pgsum_sampled_stream_frozen(monkeypatch):
     assert seen[:3] == [(0, 0), (5, 647892278), (5, 207388624)]
     digest = hashlib.sha256(repr(seen).encode()).hexdigest()
     assert digest == "1ec6d8af77a423f6cd55cca5f3b89c74d0356436126c298cc2ada26d2adbe38a"
+
+
+def _random_flat_by_closures(n, rng):
+    """verify's flat sampler with a `Flat` built for every draw, kept or not."""
+    from binmatroid.gf2 import closure_mask
+
+    d = rng.randint(0, n)
+    if d == 0:
+        return closure_mask(0, n)
+    while True:
+        pts = {rng.randint(1, (1 << n) - 1) for _ in range(d)}
+        F = closure_mask(sum(1 << p for p in pts), n)
+        if F.dim == d:
+            return F
+
+
+def _disjoint_flat_pair_by_closures(n, rng):
+    """verify's disjoint-pair sampler over `_random_flat_by_closures`."""
+    F1 = _random_flat_by_closures(n, rng)
+    tries = 0
+    while tries < 20:
+        F2 = _random_flat_by_closures(n, rng)
+        if F1.members & F2.members == 0:
+            return (F1.members, F2.members)
+        tries += 1
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flat_samplers_match_the_samplers_that_build_every_flat(n):
+    # the bitset samplers draw what the oracles draw, and leave the RNG
+    # where they leave it
+    from binmatroid import verify
+
+    pairs = 0
+    for seed in range(100):
+        r1, r2 = random.Random(f"flats:{n}:{seed}"), random.Random(f"flats:{n}:{seed}")
+        assert verify._random_flat(n, r1) == _random_flat_by_closures(n, r2), (n, seed)
+        assert r1.getstate() == r2.getstate(), (n, seed)
+        pair = verify._random_disjoint_flat_pair(n, r1)
+        assert pair == _disjoint_flat_pair_by_closures(n, r2), (n, seed)
+        assert r1.getstate() == r2.getstate(), (n, seed)
+        pairs += pair is not None
+    assert pairs > 50
 
 
 #: suite -> (samples, the number of ground sets verify builds at seed 3, and a

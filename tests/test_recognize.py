@@ -33,6 +33,7 @@ from binmatroid.census import even_plane_masks, random_even_plane_mask, sample_c
 from binmatroid.gf2 import (
     closure_mask,
     flats_of_dim,
+    full_flat,
     ground_mask,
     is_flat,
     iter_bits,
@@ -189,8 +190,32 @@ def _target_chain_oracle(M):
     return chain
 
 
+def _target_by_closures(M):
+    """The target walk with a `Flat` built at every step, each by
+    `closure_mask`: the oracle for the walk on span bitsets, which builds
+    `Flat`s only for the chain it returns."""
+    E, n = M.mask, M.n
+    chain = [full_flat(n)]
+    inside = []
+    while B := chain[-1].members:
+        F = closure_mask(B & ~E, n)
+        inside.append(F.members != B)
+        if not inside[-1]:
+            F = closure_mask(B & E, n)
+            if F.members == B:
+                return None
+        chain.append(F)
+    chain.reverse()
+    if inside and not inside[-1]:
+        chain.pop(0)
+    if len(chain) > 1 and not inside[0]:
+        chain.pop()
+    return chain
+
+
 def _assert_target_matches_descent(M):
     got = is_target(M)
+    assert got == _target_by_closures(M), hex(M.mask)
     want = _target_chain_oracle(M)
     assert (None if got is None else [f.members for f in got]) == want, hex(M.mask)
     if want is not None:
