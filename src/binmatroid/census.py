@@ -157,18 +157,19 @@ def _greedy_claw_free(n: int, rng: random.Random) -> int:
     through p, and `matroid._claw_pair` finds it in E \\ (E + p) from a
     translate table of E.  When a point q joins E, q + u joins E + u.
 
-    Up to n = 13 every translate fits in the table, and all of them are
-    kept exact from E = {} on, so no claw test calls `TranslateTable.get`
-    (1.6-1.8 times faster at n = 5..13 than updating only the entries
-    read so far).  Beyond, only the stored entries are updated, and the
-    table computes the others from E when they are read."""
+    Where every translate fits in the table (`TranslateTable.fill`, up to
+    n = 13), all of them are kept exact from E = {} on, so no claw test
+    calls `TranslateTable.get` (1.6-1.8 times faster at n = 5..13 than
+    updating only the entries read so far).  Beyond, only the stored
+    entries are updated, and the table computes the others from E when
+    they are read."""
     order = list(range(1, 1 << n))
     rng.shuffle(order)
     keep = rng.uniform(0.25, 1.0)
     E = 0
     table = TranslateTable(0, n)
     T = table.entries
-    every = table.room >= len(T)
+    every = table.fill()
     for p in order:
         if rng.random() > keep:
             continue

@@ -7,7 +7,8 @@ belongs to the set.  Ground sets and point sets keep bit 0 clear; span
 masks (subspaces) include bit 0.
 
 All values are immutable after construction and every function here is
-pure; a `TranslateTable` only stores translates as they are first read.
+pure; a `TranslateTable` only stores translates: as they are first read,
+or all at once where all of them fit.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def xor_translate(mask: int, a: int, n: int) -> int:
 
 #: Bytes of translates one `TranslateTable` stores, 2^n / 8 per entry; a
 #: table that is full computes further entries on each read.  Up to n = 13
-#: every entry fits.
+#: every entry fits, and `TranslateTable.fill` stores them all.
 TRANSLATE_TABLE_BYTES = 1 << 23
 
 
@@ -98,7 +99,8 @@ def translates(mask: int, n: int) -> list[int]:
 
 
 class TranslateTable:
-    """The translates mask + u of one bitset, stored as they are read.
+    """The translates mask + u of one bitset, stored as they are read or
+    all at once.
 
     `entries[u]` is `xor_translate(mask, u, n)` once stored and 0 before
     (only the empty set has an empty translate, and every 0 is then
@@ -106,7 +108,8 @@ class TranslateTable:
     ``entries[u] or table.get(u)``.  `get` stores what it computes until
     the table holds TRANSLATE_TABLE_BYTES of translates, so a search that
     reads every translate at n = 16 keeps at most that much; the list
-    itself holds 2^n references.
+    itself holds 2^n references.  Where every translate fits (n <= 13),
+    `fill` stores them all in one `translates` pass, and no read misses.
     """
 
     __slots__ = ("n", "entries", "room")
@@ -116,6 +119,17 @@ class TranslateTable:
         self.entries = [mask] + [0] * ((1 << n) - 1)
         #: entries that may still be stored
         self.room = (TRANSLATE_TABLE_BYTES << 3) >> n
+
+    def fill(self) -> bool:
+        """Store every entry at once when all of them fit, that is when
+        room >= 2^n; whether it did.  The list object is kept, so loops
+        that hold `entries` see the stored entries.  The empty set's
+        entries are all 0 from the start, so it takes no pass."""
+        if self.room < len(self.entries):
+            return False
+        if self.entries[0]:
+            self.entries[:] = translates(self.entries[0], self.n)
+        return True
 
     def get(self, u: int) -> int:
         """Entry u, computed from the nearest stored entry among u with its

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .gf2 import (
     Flat,
@@ -163,8 +163,8 @@ def find_anticlaw(M: BinaryMatroid) -> Optional[Flat]:
     return None if claw is None else closure(claw, M.n)
 
 
-#: Largest span S, in vectors, over which a node of the clique and induced
-#: independence searches reads its children's bitsets from the translate
+#: Largest span S, in vectors, over which a node of the pivot dfs and of
+#: the sigma search reads its children's bitsets from the translate
 #: table, |S| reads each; deeper nodes (S is None) translate their own
 #: bitset by p, popcount(p) half-swaps, which is cheaper there.
 _TABLE_SPAN = 4
@@ -178,7 +178,8 @@ def _colour_classes(C: int, table: TranslateTable, limit: int) -> list[int]:
     joining the pairs that sum into X has at most one point in each
     class.  After `limit` classes the points still uncoloured form one
     last entry, so the result has at most limit + 1 entries.  Each point
-    reads one translate, from the table and not copied.
+    reads one entry of the table and copies none; the leaf searches fill
+    the table first where every translate fits, so no read misses there.
     """
     trans, get = table.entries, table.get
     classes = []
@@ -199,29 +200,94 @@ def _colour_classes(C: int, table: TranslateTable, limit: int) -> list[int]:
     return classes
 
 
+def _pivot_dfs(
+    table: TranslateTable,
+    best: int,
+    top: int,
+    found: Callable[[list[int]], int],
+    budget: Optional[int],
+    nodes: int = 0,
+) -> tuple[int, int]:
+    """Depth-first walk over the flats inside the table's set X, each
+    reached once, by its reduced echelon basis in ascending order.
+
+    A node holds such a basis, V (the points whose coset over its span S
+    lies in X, the meet of X + s over s in S) and its candidates: the
+    points of V above its last basis point whose bits at the basis's
+    leading bits are clear.  While S is small, V + p is the meet of the
+    translates X + (s + p), read from the table; deeper, V is translated
+    by p.  Each child costs a node, counted on from `nodes` against
+    `budget`.  A child of dimension d with d > best hands its basis to
+    `found`, which returns the new best; the walk ends once best reaches
+    `top`, and it never goes past dimension `top`, so a child there
+    builds no bitset.  A child with no candidates, or whose capacity
+    bound d + log2(|V'| / 2^d + 1) is at most best, is dropped before
+    its candidate set, basis or span list is built or the call is
+    made.  The clique search raises best with each flat it finds; the
+    alpha-flat walk holds best at k - 1 and top at k, so it meets every
+    k-flat inside X until `found` ends it.  Returns best and the nodes.
+    """
+    n = table.n
+    halves = _half_masks(n)
+    trans, get = table.entries, table.get
+
+    def dfs(V: int, C: int, basis: list[int], S: Optional[list[int]]) -> None:
+        nonlocal best, nodes
+        dim = len(basis) + 1  # the children's
+        grow = S is not None and len(S) < _TABLE_SPAN
+        rest = C
+        while rest and best < top:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded(f"flat search budget {budget} exceeded")
+            if dim > best:
+                best = found(basis + [p])
+            if dim == top:
+                continue
+            if S is None:
+                Vc = V & xor_translate(V, p, n)
+            else:
+                Vc = V
+                for s in S:
+                    s ^= p
+                    Vc &= trans[s] or get(s)
+            if dim + ((Vc.bit_count() >> dim) + 1).bit_length() - 1 <= best:
+                continue
+            Cc = rest & Vc & halves[p.bit_length() - 1]
+            if Cc:
+                dfs(Vc, Cc, basis + [p], S + [s ^ p for s in S] if grow else None)
+
+    X = trans[0]
+    if best < top and (X.bit_count() + 1).bit_length() - 1 > best:
+        dfs(X, X, [], [0])
+    return best, nodes
+
+
 def clique_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     """Dimension of the largest flat contained in the ground set.
 
-    Depth-first search over greedy-minimal generator sequences.  Each
-    node keeps a validity bitset V (points whose whole coset over the
-    current span S lies in E, the meet of E+s over s in S) so that child
-    candidate sets are a few mask operations.  While S is small, V+p is
-    the meet of the translates E+(s+p), read from one table; deeper, V
-    is translated by p.  A capacity bound prunes branches that cannot
-    beat the best dimension found, and the search stops once it reaches
-    its root bound `top`.  Three proofs from above come first, two of
-    them by `_cover`: m functionals cover T = G \\ E exactly when E holds
-    a flat of dimension n - m.  When E holds a hyperplane (m = 1),
-    omega = n - 1 with no search.  Otherwise omega <= n - 2, and the
-    colour bound may lower that: a k-flat inside E is a (2^k - 1)-clique
-    of the graph on E joining q and r when q + r lies in E, so
-    k <= log2(c + 1) for the c classes of one greedy colouring of that
-    graph at the root; the colouring stops once c + 1 reaches 2^top,
-    past which it cannot lower the bound.  When the bound is still
-    n - 2, the cover at m = 2 either finds a flat of that dimension
-    inside E, and omega = n - 2 with no search, or proves that none
-    exists and lowers `top` to n - 3 before the search.
-    README, "Bounds in the leaf searches", has the proofs.
+    Depth-first search over the flats inside E (`_pivot_dfs`), each
+    node keeping a validity bitset V (points whose whole coset over the
+    current span S lies in E) so that child candidate sets are a few
+    mask operations.  A capacity bound drops children that cannot beat
+    the best dimension found, and the search stops once it reaches its
+    root bound `top`.  Where every translate of E fits in the table
+    (n <= 13), the table is filled in one pass before the search reads
+    it.  Three proofs from above come first, two of them by `_cover`:
+    m functionals cover T = G \\ E exactly when E holds a flat of
+    dimension n - m.  When E holds a hyperplane (m = 1), omega = n - 1
+    with no search.  Otherwise omega <= n - 2, and the colour bound may
+    lower that: a k-flat inside E is a (2^k - 1)-clique of the graph on
+    E joining q and r when q + r lies in E, so k <= log2(c + 1) for the
+    c classes of one greedy colouring of that graph at the root; the
+    colouring stops once c + 1 reaches 2^top, past which it cannot lower
+    the bound.  When the bound is still n - 2, the cover at m = 2 either
+    finds a flat of that dimension inside E, and omega = n - 2 with no
+    search, or proves that none exists and lowers `top` to n - 3 before
+    the search.  README, "Bounds in the leaf searches", has the proofs.
     """
     return _clique_search(TranslateTable(M.mask, M.n), budget)[0]
 
@@ -242,8 +308,7 @@ def _clique_search(
     if cover is not None:
         return n - 1, 0, _annihilator(cover, n)
     top = n - 2
-    halves = _half_masks(n)
-    trans, get = table.entries, table.get
+    table.fill()
     colours = len(_colour_classes(E, table, (1 << top) - 1))
     top = min(top, (colours + 1).bit_length() - 1)
     if top == n - 2 > 1:
@@ -251,51 +316,14 @@ def _clique_search(
         if cover is not None:
             return top, 0, _annihilator(cover, n)
         top -= 1
-    best = 1
     flat = [(E & -E).bit_length() - 1]
-    nodes = 0
 
-    def dfs(
-        V: int, C: int, dim: int, pivots: dict[int, int], S: Optional[list[int]]
-    ) -> None:
-        nonlocal best, flat, nodes
-        if dim > best:
-            best = dim
-            flat = list(pivots.values())
-        pop = V.bit_count()
-        if best == top or dim + ((pop >> dim) + 1).bit_length() - 1 <= best:
-            return
-        grow = S is not None and len(S) < _TABLE_SPAN
-        rest = C
-        while rest and best < top:
-            low = rest & -rest
-            rest ^= low
-            p = low.bit_length() - 1
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"clique_number budget {budget} exceeded")
-            r = p
-            while True:
-                h = r.bit_length() - 1
-                row = pivots.get(h)
-                if row is None:
-                    break
-                r ^= row
-            if S is None:
-                shifted = xor_translate(V, p, n)
-            else:
-                shifted = -1
-                for s in S:
-                    s ^= p
-                    shifted &= trans[s] or get(s)
-            Vc = V & shifted
-            Cc = rest & shifted & halves[h]
-            child_piv = dict(pivots)
-            child_piv[h] = r
-            child_S = S + [s ^ p for s in S] if grow else None
-            dfs(Vc, Cc, dim + 1, child_piv, child_S)
+    def found(basis: list[int]) -> int:
+        nonlocal flat
+        flat = basis
+        return len(basis)
 
-    dfs(E, E, 0, {}, [0])
+    best, nodes = _pivot_dfs(table, 1, top, found, budget)
     return best, nodes, flat
 
 
@@ -307,8 +335,10 @@ def _cover(T: int, m: int, n: int) -> Optional[list[int]]:
 
     m = 1 is the hull test: some w is 1 on all of T iff t0 is outside
     span{t + t0 : t in T}, grown from the lowest point of T whose sum
-    with t0 lies outside it (at most n - 1 steps of two translates
-    each); then w vanishes on the span and is 1 at t0.  For m > 1, with
+    with t0 lies outside it; the test keeps the coset t0 + span, which
+    holds 0 exactly when the span holds t0, so each of at most n - 1
+    steps is one translate.  Then w vanishes on the span and is 1 at
+    t0.  For m > 1, with
     t0 the lowest point of T, a cover has a member u with u(t0) = 1 and
     the others cover T ∩ ker u, so the recursion runs on T ∩ ker u with
     m - 1 for the 2^(n-1) functionals u with u(t0) = 1, in Gray-code
@@ -317,15 +347,15 @@ def _cover(T: int, m: int, n: int) -> Optional[list[int]]:
     """
     t0 = (T & -T).bit_length() - 1
     if m == 1:
-        span = 1
+        coset = 1 << t0  # t0 + span, the span grown from {0}
         taken = []
-        while not (span >> t0) & 1:
-            out = T & ~xor_translate(span, t0, n)
+        while not coset & 1:
+            out = T & ~coset
             if not out:
                 return [next(w for w in _annihilator(taken, n) if (w & t0).bit_count() & 1)]
             b = ((out & -out).bit_length() - 1) ^ t0
             taken.append(b)
-            span |= xor_translate(span, b, n)
+            coset |= xor_translate(coset, b, n)
         return None
     odd_parts = [T & ~h for h in _half_masks(n)]  # points of T with bit i set
     u = odd = 0  # odd is T ∩ {u = 1}
@@ -371,21 +401,25 @@ def independence_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
 def induced_independence_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
     """Largest size of an independent J ⊆ E whose closure meets E only in J.
 
-    Branch and bound over the table of T = G \\ E that the alpha search
-    filled; two bitsets are propagated per node: Z (points whose whole
+    First the alpha search on T = G \\ E.  The nonzero even sums of such
+    a J are a (|J| - 1)-flat inside T, so sigma <= min(n, alpha + 1),
+    and sigma = alpha + 1 exactly when a coset of some alpha-flat inside
+    T meets E in alpha + 1 independent points (`_coset_witness`).  The
+    cosets of the flat the alpha search found are tested first; when
+    none qualifies, `_pivot_dfs` walks every alpha-flat of T over the
+    table the alpha search filled and tests each one's cosets.  Only
+    when that refutes alpha + 1 does the branch and bound run, capped at
+    alpha.  It propagates two bitsets per node: Z (points whose whole
     coset over the span S of the chosen points lies in T) and the
-    candidate set C.  While S is small, Z+p is the meet of the translates
-    T+(s+p), read from the table; deeper, Z is translated by p.  Any two
-    points q, r of such a J have q + r in T, so the rest of J is a clique
-    of the graph on C joining those pairs: each node colours C greedily
-    in that graph and expands its points in falling colour order, pruning
-    once the chosen points plus the colour cannot beat the best size
-    found.  The search stops at min(n, alpha + 1): the nonzero even sums
-    of J are a (|J| - 1)-flat inside T.  Before it runs, the cosets of
-    the flat the alpha search found are tested for such a J of size
-    alpha + 1 (`_coset_witness`).  `budget` caps the nodes of this search
-    and of the alpha search together.  README, "Bounds in the leaf
-    searches", has the proofs.
+    candidate set C.  While S is small, Z+p is the meet of the
+    translates T+(s+p), read from the table; deeper, Z is translated by
+    p.  Any two points q, r of such a J have q + r in T, so the rest of
+    J is a clique of the graph on C joining those pairs: each node
+    colours C greedily in that graph and expands its points in falling
+    colour order, pruning once the chosen points plus the colour cannot
+    beat the best size found.  `budget` caps the nodes of the alpha
+    search, the walk and this search together.  README, "Invariants at
+    the leaves" and "Bounds in the leaf searches", has the proofs.
     """
     table = TranslateTable(ground_mask(M.n) & ~M.mask, M.n)
     alpha, nodes, flat = _clique_search(table, budget)
@@ -422,14 +456,26 @@ def _sigma_search(
 ) -> int:
     """`induced_independence_number` of E = G \\ T, T the table's set, given
     its alpha; `nodes` counts those already spent against `budget`.
-    `flat`, the basis of an alpha-flat inside T, lets a coset of it answer
-    alpha + 1 with no search; without it the search runs in full."""
+    `flat`, the basis of an alpha-flat inside T, turns on the proof of
+    alpha + 1 by cosets: of that flat, then of every alpha-flat inside T,
+    walked by `_pivot_dfs`; when none qualifies, the search runs capped
+    at alpha.  Without it the search runs in full, capped at alpha + 1."""
     n = table.n
     trans, get = table.entries, table.get
     E = ground_mask(n) & ~trans[0]
     cap = min(n, alpha + 1)
-    if flat is not None and _coset_witness(E, n, flat):
-        return cap
+    if flat is not None and cap > alpha:
+        if _coset_witness(E, n, flat):
+            return cap
+
+        def found(basis: list[int]) -> int:
+            # alpha ends the walk; alpha - 1 keeps it going
+            return alpha if basis != flat and _coset_witness(E, n, basis) else alpha - 1
+
+        hit, nodes = _pivot_dfs(table, alpha - 1, alpha, found, budget, nodes)
+        if hit == alpha:
+            return cap
+        cap = alpha
     best = 0
 
     def dfs(Z: int, C: int, size: int, S: Optional[list[int]]) -> None:

@@ -354,11 +354,14 @@ def _leaf_invariants(leaf: Leaf) -> InvariantRecord:
     - a set with triangle-free complement has alpha 0 when full, else 1;
     - a strict PG-sum of an a-flat and a b-flat has omega max(a, b) and
       alpha min(a, b);
-    - sigma is alpha + 1 when a coset of the flat the alpha search found
-      meets E in alpha + 1 independent points (`matroid._coset_witness`).
+    - sigma is alpha + 1 exactly when a coset of some alpha-flat of the
+      complement meets E in alpha + 1 independent points
+      (`matroid._coset_witness`): the flat the alpha search found is
+      tried first, then every alpha-flat, walked by `matroid._pivot_dfs`.
 
-    The sigma search stops at alpha + 1 and takes alpha, and its table of
-    the complement, from the alpha search rather than searching again.
+    The sigma search stops at alpha + 1, or at alpha once the walk
+    refutes alpha + 1, and takes alpha, and its table of the complement,
+    from the alpha search rather than searching again.
     README, "Invariants at the leaves", has the proofs; `invariants` is
     the oracle.
     """

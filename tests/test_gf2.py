@@ -216,6 +216,29 @@ def test_translate_table_matches_xor_translate():
             assert table.entries == want
 
 
+def test_fill_stores_every_translate_where_all_fit(monkeypatch):
+    # fill keeps the list object that hot loops hold, stores translates(mask, n),
+    # and refuses where room < 2^n, leaving reads to `get`
+    rng = random.Random(13)
+    for n in range(0, 9):
+        for mask in (0, rng.getrandbits((1 << n) - 1) << 1):
+            table = TranslateTable(mask, n)
+            entries = table.entries
+            assert table.fill() and table.fill()
+            assert table.entries is entries and entries == translates(mask, n)
+    n = 8
+    mask = rng.getrandbits((1 << n) - 1) << 1
+    monkeypatch.setattr(gf2, "TRANSLATE_TABLE_BYTES", (1 << n) * 32 - 1)
+    table = TranslateTable(mask, n)
+    assert table.room == (1 << n) - 1 and not table.fill()
+    assert table.entries[1:] == [0] * ((1 << n) - 1)
+    monkeypatch.setattr(gf2, "TRANSLATE_TABLE_BYTES", (1 << n) * 32)
+    assert TranslateTable(mask, n).fill()
+    # under the shipped cap every translate fits up to n = 13, and not past it
+    monkeypatch.undo()
+    assert TranslateTable(0, 13).room == 1 << 13 and not TranslateTable(0, 14).fill()
+
+
 def test_full_translate_table_stops_storing(monkeypatch):
     # room for 8 translates of 2^8 / 8 bytes; later reads are computed,
     # from the nearest stored entry with low bits cleared, and not kept

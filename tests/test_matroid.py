@@ -359,17 +359,21 @@ def _nodes_used(search, M):
 #: re-recorded when the coset witness of the alpha flat came in (it takes
 #: no nodes), and the clique and induced-independence columns again when
 #: the clique search gained its proofs from above (the hyperplane and
-#: codim-2 cover tests, which take no nodes).  The last two columns keep
-#: the counts from before those changes: `_sigma_no_witness` runs the
-#: sigma dfs in full after the alpha search with no cover test, and
+#: codim-2 cover tests, which take no nodes).  It was re-recorded once
+#: more when sigma = alpha + 1 came to be refuted over every alpha-flat:
+#: the nodes of that walk count, and the dfs that follows a refutation
+#: is capped at alpha, so 8891 and 85 became 2245 and 64; the clique
+#: columns did not move.  The last two columns keep the counts from
+#: before those changes: `_sigma_no_witness` runs the sigma dfs in full
+#: after the alpha search with no cover test, and
 #: `_clique_number_no_cover` is that clique search
 FROZEN_SEARCH_NODES = [
     (7, 0.5, 1, 3, 379, 4, 3, 7, 379),
     (7, 0.8, 2, 4, 4, 3, 2, 6, 3316),
     (7, 0.25, 3, 2, 2, 5, 13, 3486, 2),
-    (8, 0.5, 4, 4, 24, 4, 8891, 8891, 24),
+    (8, 0.5, 4, 4, 24, 4, 2245, 8891, 24),
     (8, 0.85, 5, 5, 5, 3, 74, 78, 46758),
-    (8, 0.2, 6, 2, 151, 6, 85, 23701, 151),
+    (8, 0.2, 6, 2, 151, 6, 64, 23701, 151),
     (8, 0.65, 7, 4, 9093, 4, 6, 61, 9093),
 ]
 
@@ -400,6 +404,9 @@ def test_leaf_search_nodes_frozen(
     ):
         assert _nodes_used(search, M) == nodes
         assert search(M, budget=nodes) == value
+        if nodes:
+            with pytest.raises(BudgetExceeded):
+                search(M, budget=nodes - 1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9])
@@ -426,6 +433,125 @@ def test_coset_witness_matches_sigma_search(n):
             else:
                 misses += 1
     assert hits and misses
+
+
+def _alpha_flat_walk(M):
+    """The alpha search on T = G \\ E, then the walk over every alpha-flat
+    inside T as `induced_independence_number` runs it: alpha, the table,
+    the recorded flat, whether the walk found a coset witness, and the
+    nodes of the search and of the walk."""
+    n = M.n
+    table = TranslateTable(ground_mask(n) & ~M.mask, n)
+    alpha, nodes, flat = matroid._clique_search(table, None)
+
+    def found(basis):
+        return alpha if matroid._coset_witness(M.mask, n, basis) else alpha - 1
+
+    hit, walk = matroid._pivot_dfs(table, alpha - 1, alpha, found, None)
+    return alpha, table, flat, hit == alpha, nodes, walk
+
+
+def _sigma_route(M, sigma):
+    """Which step settles sigma: "recorded" when a coset of the flat the
+    alpha search recorded qualifies, "other" when only a coset of another
+    alpha-flat does, "refuted" when none does and the dfs runs."""
+    alpha, _, flat, hit, _, _ = _alpha_flat_walk(M)
+    if matroid._coset_witness(M.mask, M.n, flat):
+        return "recorded"
+    assert hit == (sigma == alpha + 1), hex(M.mask)
+    return "other" if hit else "refuted"
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
+def test_sigma_over_every_alpha_flat_matches_the_oracles(n):
+    # sigma = alpha + 1 iff a coset of some alpha-flat inside T meets E in
+    # alpha + 1 independent points; the walk over the alpha-flats, and the
+    # dfs capped at alpha once the walk refutes, agree with the full dfs
+    # (`_sigma_no_witness`) and with `invariants` on every route
+    rng = random.Random(f"sigma-alpha-flats:{n}")
+    routes = set()
+    for density in (0.15, 0.25, 0.4, 0.55, 0.7, 0.85):
+        for _ in range(3 if n < 8 else 2 if n == 8 else 1):
+            M = BinaryMatroid(n, _seeded_mask(n, density, rng.getrandbits(32)))
+            sigma = induced_independence_number(M)
+            assert sigma == _sigma_no_witness(M) == invariants(M).sigma, hex(M.mask)
+            if M.mask:
+                routes.add(_sigma_route(M, sigma))
+    assert "recorded" in routes
+    if n in (5, 8):
+        assert routes == {"recorded", "other", "refuted"}
+
+
+def test_walk_nodes_count_against_the_budget():
+    # past the recorded flat, the nodes are the alpha search's, the walk's
+    # and, after a refutation, those of the dfs capped at alpha; one fewer
+    # raises BudgetExceeded
+    rng = random.Random("walk-budget")
+    routes = set()
+    for n in (6, 7, 8):
+        for density in (0.15, 0.25, 0.4, 0.55):
+            M = BinaryMatroid(n, _seeded_mask(n, density, rng.getrandbits(32)))
+            alpha, table, flat, hit, nodes, walk = _alpha_flat_walk(M)
+            if not M.mask or matroid._coset_witness(M.mask, n, flat):
+                continue
+            assert walk >= alpha, hex(M.mask)
+            nodes += walk
+            if not hit:
+                # the dfs alone: `_sigma_search` with no flat, capped at alpha
+                def dfs(M, budget, table=table, alpha=alpha):
+                    return matroid._sigma_search(table, alpha - 1, budget)
+
+                nodes += _nodes_used(dfs, M)
+            routes.add(hit)
+            sigma = induced_independence_number(M, budget=nodes)
+            assert sigma == invariants(M).sigma, hex(M.mask)
+            with pytest.raises(BudgetExceeded):
+                induced_independence_number(M, budget=nodes - 1)
+    assert routes == {True, False}
+
+
+def _walked_bases(X, n, k, fill):
+    """The bases `_pivot_dfs` hands to `found` in walk mode (best held at
+    k - 1, top at k) over a table of X, filled up front or read on demand."""
+    table = TranslateTable(X, n)
+    if fill:
+        assert table.fill() and all(table.entries[u] or not X for u in range(1 << n))
+    bases = []
+
+    def found(basis):
+        bases.append(tuple(basis))
+        return k - 1
+
+    assert matroid._pivot_dfs(table, k - 1, k, found, None)[0] == k - 1
+    return bases
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_flat_walk_meets_each_flat_inside_once(n):
+    # walk mode meets exactly the k-flats inside X, each once and by its
+    # reduced echelon basis, against a scan of every k-flat; a `found`
+    # that returns k ends the walk at the first flat
+    rng = random.Random(f"flat-walk:{n}")
+    flats = {k: list(flats_of_dim(n, k)) for k in range(1, n)}
+    masks = [_seeded_mask(n, d, rng.getrandbits(32)) for d in (0.3, 0.5, 0.7, 0.85, 0.95)]
+    masks += [_random_quadric(n, rng), ground_mask(n) & ~(1 << rng.randrange(1, 1 << n))]
+    met = 0
+    for X in masks:
+        for k in range(1, n):
+            want = sorted(F.basis for F in flats[k] if F.members & ~X == 0)
+            for fill in (False, True):
+                assert sorted(_walked_bases(X, n, k, fill)) == want, (hex(X), k, fill)
+            met += len(want)
+            if want:
+                first = []
+
+                def stop(basis):
+                    first.append(tuple(basis))
+                    return k
+
+                assert matroid._pivot_dfs(TranslateTable(X, n), k - 1, k, stop, None)[0] == k
+                assert len(first) == 1, (hex(X), k)
+    assert met
 
 
 #: the same rows with the node counts the searches took before their

@@ -891,7 +891,7 @@ def test_leaf_alpha_and_sigma_share_one_table(n, monkeypatch):
         T = ground_mask(n) & ~M.mask
         flat = matroid._clique_search(TranslateTable(T, n), None)[2]
         if not matroid._coset_witness(M.mask, n, flat):
-            break  # so the sigma search runs its dfs
+            break  # so the sigma search walks T's alpha-flats on the same table
     tags = classify(M)
     assert not tags.claw_free
     want = invariants(M)
