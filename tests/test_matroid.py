@@ -454,12 +454,13 @@ def _alpha_flat_walk(M):
 def _sigma_route(M, sigma):
     """Which step settles sigma: "recorded" when a coset of the flat the
     alpha search recorded qualifies, "other" when only a coset of another
-    alpha-flat does, "refuted" when none does and the dfs runs."""
+    alpha-flat does; when none does and the dfs runs, "sigma = alpha" or
+    "sigma < alpha" by what the dfs finds."""
     alpha, _, flat, hit, _, _ = _alpha_flat_walk(M)
     if matroid._coset_witness(M.mask, M.n, flat):
         return "recorded"
     assert hit == (sigma == alpha + 1), hex(M.mask)
-    return "other" if hit else "refuted"
+    return "other" if hit else "sigma = alpha" if sigma == alpha else "sigma < alpha"
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
@@ -479,7 +480,9 @@ def test_sigma_over_every_alpha_flat_matches_the_oracles(n):
                 routes.add(_sigma_route(M, sigma))
     assert "recorded" in routes
     if n in (5, 8):
-        assert routes == {"recorded", "other", "refuted"}
+        assert {"other", "sigma = alpha"} <= routes
+    if n == 5:
+        assert "sigma < alpha" in routes
 
 
 def test_walk_nodes_count_against_the_budget():
