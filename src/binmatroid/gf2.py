@@ -187,7 +187,8 @@ def span_mask(mask: int, n: int) -> int:
     of mask is ignored); it has 2^rank bits.
 
     The span grows from the lowest point outside it, so it takes at most
-    n translates (none for the first point).
+    n translates (none for the first point).  It is the one span-growth
+    loop: closures, the flatness test and ranks all go through it.
     """
     span = 1
     rest = mask & ~1
@@ -263,16 +264,31 @@ def full_flat(n: int) -> Flat:
     return Flat(n, tuple(1 << i for i in range(n)), ground_mask(n))
 
 
+def flat_of_span(span: int, n: int) -> Flat:
+    """The flat whose span bitset (bit 0 set) is `span`, its reduced echelon
+    basis read off with n block reads and no elimination.
+
+    The basis vector with leading bit i is the least member in
+    [2^i, 2^(i+1)): any other member there is it plus lower basis vectors,
+    and has a 1 at the highest of their pivots, where it has a 0.
+    """
+    basis = []
+    for i in range(n):
+        w = 1 << i
+        block = (span >> w) & ((1 << w) - 1)
+        if block:
+            basis.append(w | ((block & -block).bit_length() - 1))
+    return Flat(n, tuple(basis), span & ~1)
+
+
 def closure(points: Iterable[int], n: int) -> Flat:
     """Smallest flat containing the given points; closure of nothing is empty."""
     n = check_dim(n)
     pts = list(points)
-    limit = 1 << n
     for p in pts:
-        if not 0 < p < limit:
+        if not 0 < p < 1 << n:
             raise ValueError(f"point {p} out of range for dimension {n}")
-    basis = echelon_basis(pts)
-    return Flat(n, basis, span_from_basis(basis, n) & ~1)
+    return flat_of_span(span_mask(mask_of(pts), n), n)
 
 
 def closure_mask(mask: int, n: int) -> Flat:
@@ -280,26 +296,14 @@ def closure_mask(mask: int, n: int) -> Flat:
     n = check_dim(n)
     if mask >> (1 << n):
         raise ValueError(f"bitset out of range for dimension {n}")
-    # grow the span from the lowest point outside it: the points taken
-    # span the same space as the mask, so their reduced echelon basis is
-    # the mask's, in at most n translates (none for the first point)
-    span = 1
-    taken = []
-    rest = mask & ~1
-    while rest:
-        low = rest & -rest
-        p = low.bit_length() - 1
-        taken.append(p)
-        span |= xor_translate(span, p, n) if span != 1 else low
-        rest &= ~span
-    return Flat(n, echelon_basis(taken), span & ~1)
+    return flat_of_span(span_mask(mask, n), n)
 
 
 def is_flat(mask: int, n: int) -> bool:
     """Whether a point bitset (bit 0 clear) is a flat; the empty set is one.
 
     A flat has 2^d - 1 points, so other sizes fail at once; otherwise the
-    span of the points is grown and abandoned as soon as it leaves mask.
+    span of the points must be mask and the zero vector.
     """
     n = check_dim(n)
     if mask >> (1 << n):
@@ -307,35 +311,24 @@ def is_flat(mask: int, n: int) -> bool:
     size = mask.bit_count()
     if mask & 1 or (size + 1) & size:
         return False
-    span = 1
-    outside = ~(mask | 1)
-    for p in iter_bits(mask):
-        if not (span >> p) & 1:
-            span |= xor_translate(span, p, n)
-            if span & outside:
-                return False
-    return True
+    return span_mask(mask, n) == mask | 1
 
 
 def cosets(flat: Flat) -> list[int]:
     """Translates of the flat's span partitioning the points outside it.
 
-    Ordered by minimum element.  The flat itself is not a coset; a full
-    flat has none.
+    Ordered by minimum element: each is the translate by the lowest point
+    not yet covered.  The flat itself is not a coset; a full flat has none.
     """
     n = flat.n
     if flat.dim == n:
         raise ValueError("a full flat has no cosets")
     out = []
-    covered = flat.span
-    everything = (1 << (1 << n)) - 1
-    x = 1
-    while covered != everything:
-        if not (covered >> x) & 1:
-            block = xor_translate(flat.span, x, n)
-            out.append(block)
-            covered |= block
-        x += 1
+    rest = ground_mask(n) & ~flat.span
+    while rest:
+        block = xor_translate(flat.span, (rest & -rest).bit_length() - 1, n)
+        out.append(block)
+        rest &= ~block
     return out
 
 

@@ -17,8 +17,8 @@ from .gf2 import (
     bits_list,
     check_dim,
     closure,
-    closure_mask,
     echelon_basis,
+    flat_of_span,
     flats_of_dim,
     ground_mask,
     iter_bits,
@@ -619,8 +619,9 @@ def _orbit_representative(n: int, E: int, budget: Optional[int]) -> int:
     """
     ground = ground_mask(n)
     for S, flip in ((E, 0), (ground & ~E, ground)):
-        if rank_mask(S, n) < n:
-            F = closure_mask(S, n)
+        span = span_mask(S, n)
+        if span != ground | 1:
+            F = flat_of_span(span, n)
             local = restrict(BinaryMatroid(n, S), F).mask
             return _canonical_mask(F.dim, local, budget) ^ flip
     return E

@@ -19,14 +19,14 @@ from typing import Optional
 
 from .gf2 import (
     Flat,
-    closure_mask,
+    flat_of_span,
     ground_mask,
     is_flat,
     iter_bits,
     span_mask,
     xor_translate,
 )
-from .matroid import BinaryMatroid, find_claw, rank_mask
+from .matroid import BinaryMatroid, find_claw
 from . import tables
 from .tables import pg_sum_forbidden_mask  # the plane-table PG-sum route, re-exported
 
@@ -121,7 +121,7 @@ def is_pg_sum_direct(M: BinaryMatroid) -> Optional[tuple[Flat, Flat]]:
     if witness is None:
         return None
     f1, f2 = witness
-    return (closure_mask(f1, M.n), closure_mask(f2, M.n))
+    return (flat_of_span(f1 | 1, M.n), flat_of_span(f2 | 1, M.n))
 
 
 def is_pg_sum_forbidden(M: BinaryMatroid) -> bool:
@@ -135,13 +135,16 @@ def is_pg_sum(M: BinaryMatroid) -> bool:
     return pg_sum_witness_mask(M.mask, M.n) is not None
 
 
-def _is_strict(witness: Optional[tuple[int, int]], mask: int, n: int) -> bool:
-    """Both flats of a PG-sum witness nonempty and the ground set full-rank."""
-    return witness is not None and all(witness) and rank_mask(mask, n) == n
+def _is_strict(witness: Optional[tuple[int, int]], n: int) -> bool:
+    """Both flats of a PG-sum witness nonempty and the ground set full-rank:
+    disjoint flats of dimensions a and b span a + b dimensions."""
+    if witness is None or not all(witness):
+        return False
+    return (witness[0].bit_count() + 1) * (witness[1].bit_count() + 1) == 1 << n
 
 
 def strict_pg_sum_mask(mask: int, n: int) -> bool:
-    return _is_strict(pg_sum_witness_mask(mask, n), mask, n)
+    return _is_strict(pg_sum_witness_mask(mask, n), n)
 
 
 def is_strict_pg_sum(M: BinaryMatroid) -> bool:
@@ -170,8 +173,8 @@ def is_target(M: BinaryMatroid) -> Optional[list[Flat]]:
     avoids E, and the top one when the highest layer does.
 
     The walk reads only member bitsets (`gf2.span_mask`); a `Flat` is
-    built for each flat of the chain it returns, and none for a
-    non-target.
+    read off the span of each flat of the chain it returns
+    (`gf2.flat_of_span`), and none is built for a non-target.
     """
     E, n = M.mask, M.n
     chain = [ground_mask(n)]
@@ -189,7 +192,7 @@ def is_target(M: BinaryMatroid) -> Optional[list[Flat]]:
         chain.pop(0)
     if len(chain) > 1 and not inside[0]:
         chain.pop()
-    return [closure_mask(B, n) for B in chain]
+    return [flat_of_span(B | 1, n) for B in chain]
 
 
 def chi_bound(k: int, dim_n: int) -> int:
@@ -232,7 +235,7 @@ def _classify(
         complement_triangle_free=co_triangle_free,
         even_plane=even_plane,
         pg_sum=witness is not None,
-        strict_pg_sum=_is_strict(witness, M.mask, M.n),
+        strict_pg_sum=_is_strict(witness, M.n),
         bose_burton_order=is_bose_burton(M),
         target=is_target(M) is not None,
     )

@@ -36,6 +36,7 @@ from .gf2 import (
     complementary_flat,
     cosets,
     echelon_basis,
+    flat_of_span,
     ground_mask,
     is_flat,
     iter_bits,
@@ -91,9 +92,7 @@ def minimal_decomposer_containing(M: BinaryMatroid, a: int) -> Optional[Flat]:
     if not 1 <= a < (1 << M.n):
         raise ValueError(f"anchor {a} out of range")
     span = _fixpoint_span(TranslateTable(M.mask, M.n), a)
-    if span is None:
-        return None
-    return closure_mask(span & ~1, M.n)
+    return None if span is None else flat_of_span(span, M.n)
 
 
 def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
@@ -105,7 +104,7 @@ def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     """
     table = TranslateTable(M.mask, M.n)
     span = min(_anchor_spans(table), key=int.bit_count, default=None)
-    return None if span is None else closure_mask(span & ~1, M.n)
+    return None if span is None else flat_of_span(span, M.n)
 
 
 def _anchor_spans(table: TranslateTable) -> Iterator[int]:

@@ -5,8 +5,9 @@ verification sweeps ask it of thousands of ground sets.  The plane lists
 are materialised once per dimension up to PLANE_TABLE_MAX.  For one set,
 `claw_free_on` intersects the planes with E in numpy and looks the 3-point
 hits up in the set of lines (three points of a plane are a basis unless
-they are a line); `pg_sum_forbidden_mask` does the same for the PG-sum
-forbidden restrictions.  The whole-subset sweep at n <= 4 applies the
+they are a line); `pg_sum_forbidden_mask` looks up the PG-sum forbidden
+restrictions in the same set, walking the plane bitsets up to the first
+forbidden hit.  The whole-subset sweep at n <= 4 applies the
 claw rule one plane at a time to every ground set, only to list the
 claw-free sets; every other question about a set goes to the one-set
 kernels.  The even-plane test needs no planes: it is a degree test.
@@ -77,20 +78,20 @@ def pg_sum_forbidden_mask(mask: int, n: int) -> bool:
 
     A plane's seven points sum to zero, so four of them sum to zero
     exactly when the other three are a line: the 3-point hits and the
-    complements of the 4-point hits are looked up in the line set.
+    complements of the 4-point hits are looked up in the line set, one
+    plane bitset at a time, up to the first forbidden hit.
     """
     if n < 3:
         return True
-    planes = plane_array(n)
-    inter = planes & np.uint64(mask)
-    count = np.bitwise_count(inter)
-    if np.any((count == 5) | (count == 6)):
-        return False
+    if n > PLANE_TABLE_MAX:
+        raise ValueError(f"plane tables cover 3 <= n <= {PLANE_TABLE_MAX}")
     lines = _lines()
-    four = count == 4
-    return lines.issuperset(inter[count == 3].tolist()) and lines.isdisjoint(
-        (planes[four] ^ inter[four]).tolist()
-    )
+    for plane in flat_members(n, 3):
+        hit = plane & mask
+        size = hit.bit_count()
+        if 4 < size < 7 or (size == 3 and hit not in lines) or (size == 4 and plane ^ hit in lines):
+            return False
+    return True
 
 
 def claw_free_mask(mask: int, n: int) -> bool:

@@ -296,6 +296,15 @@ def test_closure_mask_matches_all_points_echelon():
     assert (F.basis, F.members) == _closure_oracle(mask, 16)
 
 
+def test_flat_of_span_matches_flats_of_dim():
+    """`flats_of_dim` builds each reduced echelon basis from its pivots and
+    free entries; reading it off the span must give the same flat."""
+    for n in range(7):
+        for d in range(n + 1):
+            for F in flats_of_dim(n, d):
+                assert gf2.flat_of_span(F.span, n) == F, (n, F)
+
+
 def test_empty_flat_is_first_class():
     e = empty_flat(5)
     assert e.dim == 0 and e.members == 0 and e.basis == ()

@@ -39,8 +39,8 @@ from binmatroid.gf2 import (
     iter_bits,
     xor_translate,
 )
-from binmatroid.matroid import find_anticlaw, find_claw
-from binmatroid.recognize import pg_sum_witness_mask
+from binmatroid.matroid import find_anticlaw, find_claw, rank_mask
+from binmatroid.recognize import pg_sum_witness_mask, strict_pg_sum_mask
 from linear_images import mapped, random_images
 
 
@@ -99,6 +99,35 @@ def test_strict_pg_sum_examples():
     assert is_strict_pg_sum(pg_sum(1, 2))
     assert not is_strict_pg_sum(pg_sum(0, 3))
     assert not is_strict_pg_sum(BinaryMatroid.from_points([1, 2, 3], 3))
+
+
+def _strict_by_rank(mask, n):
+    """The definition: a PG-sum witness with both parts nonempty, and E
+    of rank n."""
+    witness = pg_sum_witness_mask(mask, n)
+    return witness is not None and all(witness) and rank_mask(mask, n) == n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_strict_pg_sum_matches_rank_definition_exhaustive(n):
+    for code in range(1 << ((1 << n) - 1)):
+        assert strict_pg_sum_mask(code << 1, n) == _strict_by_rank(code << 1, n), code
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_strict_pg_sum_matches_rank_definition_seeded(n):
+    # strict and other PG-sums moved by linear maps, the same with one
+    # point flipped, and uniform sets
+    rng = random.Random(f"strict-pg-sum:{n}")
+    masks = [_flat_union(n, rng, strict=i % 2 == 0) for i in range(40)]
+    masks += [m ^ (1 << rng.randrange(1, 1 << n)) for m in masks]
+    masks += [rng.getrandbits(1 << n) & ground_mask(n) for _ in range(20)]
+    strict = 0
+    for mask in masks:
+        want = _strict_by_rank(mask, n)
+        assert strict_pg_sum_mask(mask, n) == want, hex(mask)
+        strict += want
+    assert 20 <= strict < len(masks)
 
 
 def test_bose_burton_examples():
@@ -216,6 +245,7 @@ def _target_by_closures(M):
 def _assert_target_matches_descent(M):
     got = is_target(M)
     assert got == _target_by_closures(M), hex(M.mask)
+    assert all(F == closure_mask(F.members, M.n) for F in got or ()), hex(M.mask)
     want = _target_chain_oracle(M)
     assert (None if got is None else [f.members for f in got]) == want, hex(M.mask)
     if want is not None:

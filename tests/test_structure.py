@@ -105,6 +105,7 @@ def test_fixpoint_soundness_and_minimality_exhaustive():
             F = minimal_decomposer_containing(M, a)
             if F is not None:
                 assert is_decomposer(M, F)
+                assert F == closure_mask(F.members, 3)  # read off its span
         for F in proper:
             if is_decomposer(M, F):
                 for a in F.points():
@@ -538,7 +539,9 @@ def test_pruned_decomposer_search_seeded(n):
     found = ties = 0
     for M in inputs:
         want = _unpruned_decomposer(M)
-        assert find_decomposer(M) == want, hex(M.mask)
+        F = find_decomposer(M)
+        assert F == want, hex(M.mask)
+        assert F is None or F == closure_mask(F.members, n), hex(M.mask)
         assert has_decomposer_mask(M.mask, n) == (want is not None)
         found += want is not None
         ties += _assert_anchor_walk(M)
@@ -750,7 +753,9 @@ def test_probed_decomposer_search_matches_walk_without_probes(n):
         want = _decomposer_without_probes(M)
         if i < 2:  # the two quadrics
             assert (want is None) == (n % 2 == 0), hex(M.mask)
-        assert find_decomposer(M) == want, hex(M.mask)
+        F = find_decomposer(M)
+        assert F == want, hex(M.mask)
+        assert F is None or F == closure_mask(F.members, n), hex(M.mask)
         assert has_decomposer_mask(M.mask, n) == (want is not None), hex(M.mask)
         found += want is not None
         if n <= 10:
