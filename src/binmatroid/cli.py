@@ -52,6 +52,13 @@ def _fail(line_no: int, line: str, index: int, message: str) -> MatroidParseErro
     return MatroidParseError(line_no, token.start() + 1, message)
 
 
+def _decimal(token: str) -> int:
+    """A token -?[0-9]+ as an int; ValueError for any other (`int` refuses "--1")."""
+    if not (token.isascii() and token.lstrip("-").isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_matroid(text: str) -> BinaryMatroid:
     """Parse the two-line matroid file format."""
     lines = text.splitlines()
@@ -65,7 +72,7 @@ def parse_matroid(text: str) -> BinaryMatroid:
     if len(dim_tokens) != 2 or dim_tokens[0] != "dim":
         raise _fail(dim_no, dim_line, 0, "expected 'dim <n>'")
     try:
-        n = int(dim_tokens[1])
+        n = _decimal(dim_tokens[1])
     except ValueError:
         raise _fail(dim_no, dim_line, 1, "dimension is not an integer") from None
     if not 0 <= n <= MAX_DIM:
@@ -77,7 +84,7 @@ def parse_matroid(text: str) -> BinaryMatroid:
     limit = 1 << n
     for i, tok in enumerate(pts_tokens[1:], 1):
         try:
-            v = int(tok)
+            v = _decimal(tok)
         except ValueError:
             raise _fail(pts_no, pts_line, i, f"point {tok!r} is not an integer") from None
         if v == 0:

@@ -332,22 +332,27 @@ def cosets(flat: Flat) -> list[int]:
     return out
 
 
-def complementary_flat(flat: Flat) -> Flat:
-    """A canonical flat J with dim J = n - dim F and J disjoint from F.
+def kernel_mask(rows: Iterable[int], n: int) -> int:
+    """Bitset of the v in F_2^n with r·v = 0 for every row r: the meet of the
+    complements of the xors of the sets {v : v_i = 1} over the bits i of r."""
+    meet = full = (1 << (1 << n)) - 1
+    for r in rows:
+        odd = 0
+        for i in iter_bits(r):
+            odd ^= full ^ _half_masks(n)[i]
+        meet &= ~odd
+    return meet
 
-    Greedily extends the flat's basis by the smallest standard vectors
-    and returns the closure of the added ones, so the result is
-    deterministic.
-    """
+
+def complementary_flat(flat: Flat) -> Flat:
+    """A canonical flat J with dim J = n - dim F and J disjoint from F: the
+    span of the e_i, i no leading bit of F's basis, which greedily extend
+    that basis by the smallest standard vectors, and the kernel of the e_p
+    over its leading bits p (README, "A complementary flat is read off the leading bits")."""
     n = flat.n
-    cur = flat.span
-    added = []
-    for i in range(n):
-        e = 1 << i
-        if not (cur >> e) & 1:
-            cur |= xor_translate(cur, e, n)
-            added.append(e)
-    return closure(added, n)
+    lead = [b.bit_length() - 1 for b in flat.basis]
+    span = kernel_mask([1 << p for p in lead], n)
+    return Flat(n, tuple(1 << i for i in range(n) if i not in lead), span & ~1)
 
 
 def is_independent(points: Iterable[int]) -> bool:

@@ -17,11 +17,11 @@ from .gf2 import (
     bits_list,
     check_dim,
     closure,
-    echelon_basis,
     flat_of_span,
     flats_of_dim,
     ground_mask,
     iter_bits,
+    kernel_mask,
     mask_of,
     span_from_basis,
     span_mask,
@@ -296,8 +296,8 @@ def _clique_search(
     table: TranslateTable, budget: Optional[int]
 ) -> tuple[int, int, list[int]]:
     """`clique_number` of the table's set E, the nodes its search took, and
-    a basis of the largest flat it found inside E, recorded whenever the
-    best improves or read off the functionals of a proof from above."""
+    the reduced echelon basis of the largest flat it found inside E, taken
+    whenever the best improves or read off the cover of a proof from above."""
     E, n = table.entries[0], table.n
     if E == 0:
         return 0, 0, []
@@ -337,13 +337,13 @@ def _cover(T: int, m: int, n: int) -> Optional[list[int]]:
     span{t + t0 : t in T}, grown from the lowest point of T whose sum
     with t0 lies outside it; the test keeps the coset t0 + span, which
     holds 0 exactly when the span holds t0, so each of at most n - 1
-    steps is one translate.  Then w vanishes on the span and is 1 at
-    t0.  For m > 1, with
-    t0 the lowest point of T, a cover has a member u with u(t0) = 1 and
-    the others cover T ∩ ker u, so the recursion runs on T ∩ ker u with
-    m - 1 for the 2^(n-1) functionals u with u(t0) = 1, in Gray-code
-    order so that each step updates T ∩ {u = 1} by one xor.  README,
-    "Bounds in the leaf searches", has the proofs.
+    steps is one translate.  Then w is the lowest member of the kernels'
+    meet minus ker t0 (`gf2.kernel_mask`): 0 on the span, 1 at t0.  For
+    m > 1, with t0 the lowest point of T, a cover has a member u with
+    u(t0) = 1 and the others cover T ∩ ker u, so the recursion runs on
+    T ∩ ker u with m - 1 for the 2^(n-1) functionals u with u(t0) = 1,
+    in Gray-code order so that each step updates T ∩ {u = 1} by one xor.
+    README, "Bounds in the leaf searches", has the proofs.
     """
     t0 = (T & -T).bit_length() - 1
     if m == 1:
@@ -352,7 +352,8 @@ def _cover(T: int, m: int, n: int) -> Optional[list[int]]:
         while not coset & 1:
             out = T & ~coset
             if not out:
-                return [next(w for w in _annihilator(taken, n) if (w & t0).bit_count() & 1)]
+                w = kernel_mask(taken, n) & ~kernel_mask([t0], n)
+                return [(w & -w).bit_length() - 1]
             b = ((out & -out).bit_length() - 1) ^ t0
             taken.append(b)
             coset |= xor_translate(coset, b, n)
@@ -371,21 +372,8 @@ def _cover(T: int, m: int, n: int) -> Optional[list[int]]:
 
 
 def _annihilator(rows: list[int], n: int) -> list[int]:
-    """A basis of the vectors v of F_2^n with r·v = 0 for every r in rows.
-
-    Over the reduced echelon basis of the rows, each non-pivot coordinate
-    j gives e_j plus the pivots of the rows that hold j.
-    """
-    pivots = {r.bit_length() - 1: r for r in echelon_basis(rows)}
-    out = []
-    for j in range(n):
-        if j not in pivots:
-            v = 1 << j
-            for p, r in pivots.items():
-                if (r >> j) & 1:
-                    v |= 1 << p
-            out.append(v)
-    return out
+    """The reduced echelon basis of the kernel meet of the rows."""
+    return list(flat_of_span(kernel_mask(rows, n), n).basis)
 
 
 def critical_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
@@ -456,10 +444,10 @@ def _sigma_search(
 ) -> int:
     """`induced_independence_number` of E = G \\ T, T the table's set, given
     its alpha; `nodes` counts those already spent against `budget`.
-    `flat`, the basis of an alpha-flat inside T, turns on the proof of
-    alpha + 1 by cosets: of that flat, then of every alpha-flat inside T,
-    walked by `_pivot_dfs`; when none qualifies, the search runs capped
-    at alpha.  Without it the search runs in full, capped at alpha + 1."""
+    `flat`, the reduced echelon basis of an alpha-flat inside T, turns on
+    the proof of alpha + 1 by cosets: of that flat, then of every other
+    alpha-flat inside T, walked by `_pivot_dfs`; when none qualifies, the
+    search runs capped at alpha.  Without it, it runs capped at alpha + 1."""
     n = table.n
     trans, get = table.entries, table.get
     E = ground_mask(n) & ~trans[0]

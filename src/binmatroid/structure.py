@@ -35,11 +35,11 @@ from .gf2 import (
     closure_mask,
     complementary_flat,
     cosets,
-    echelon_basis,
     flat_of_span,
     ground_mask,
     is_flat,
     iter_bits,
+    mask_of,
     xor_translate,
 )
 from .matroid import (
@@ -401,9 +401,8 @@ def _dickson_alpha(E: int, n: int) -> int:
 
     E is f^{-1}(1) for a quadratic form f, whose polar form
     B(x, y) = f(x + y) + f(x) + f(y) is read on the basis vectors; with
-    2k its rank, alpha = n - k - [|E| >= 2^(n-1)].  README, "Invariants
-    at the leaves".
-    """
+    2k its rank, the `rank_mask` of its rows, alpha = n - k - [|E| >=
+    2^(n-1)].  README, "Invariants at the leaves"."""
     rows = [0] * n
     for i in range(n):
         fi = (E >> (1 << i)) & 1
@@ -411,7 +410,7 @@ def _dickson_alpha(E: int, n: int) -> int:
             if ((E >> ((1 << i) | (1 << j))) ^ (E >> (1 << j)) ^ fi) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    k = len(echelon_basis(rows)) // 2
+    k = rank_mask(mask_of(rows), n) // 2
     return n - k - (2 * E.bit_count() >= 1 << n)
 
 

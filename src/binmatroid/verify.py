@@ -140,6 +140,7 @@ def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> d
     `samples` seeded claw-free sets at each n = 5, 6, the parts merged.
     The parts share one ledger, so the merged report stops at the
     violation that takes their combined list past the cap."""
+    fields = _n_max_fields(n_max, 6)
     top = min(n_max, tables.SWEEP_MAX)
     cases = ((n, mask) for n in range(top + 1) for mask in tables.claw_free_masks_list(n))
     report = {"suite": "structure", "mode": "exhaustive", "n_max": top}
@@ -147,7 +148,7 @@ def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> d
     parts = [_tally_structure(report, cases, False, ledger)]
     if n_max < 5:
         return parts[0]
-    for n in range(5, min(n_max, 6) + 1):
+    for n in range(5, fields["n_max"] + 1):
         if ledger.stopped_at is not None:
             break
         parts.append(_structure_sampled(n, samples, seed, ledger))
@@ -155,7 +156,7 @@ def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> d
     merged = _Ledger(ledger.violations, None if ledger.stopped_at is None else checked)
     return {
         "suite": "structure",
-        **_n_max_fields(n_max, 6),
+        **fields,
         "checked": checked,
         **merged.fields(),
         "parts": parts,

@@ -11,7 +11,7 @@ from dataclasses import asdict
 import pytest
 
 from binmatroid.cli import MatroidParseError, format_matroid, main, parse_matroid
-from binmatroid import BinaryMatroid, c4, pg_sum
+from binmatroid import BinaryMatroid, c4, pg_sum, verify
 from binmatroid.construct import lift_join
 
 
@@ -57,10 +57,28 @@ def test_parse_errors_carry_position():
         ("dim 4\npoints 3 13 1\n", 2, 13),
         ("dim 3\npoints 1 2 2\n", 2, 12),
         ("dim dim\npoints 1\n", 1, 5),
+        # only -?[0-9]+ reads as an integer: no underscores, no plus
+        # sign, no digits outside ASCII
+        ("dim 3\npoints 1 1_0\n", 2, 10),
+        ("dim 3\npoints +3\n", 2, 8),
+        ("dim 3\npoints 1 \u0661\u0661\n", 2, 10),
+        ("dim \u0663\npoints 1\n", 1, 5),
+        ("dim +3\npoints 1\n", 1, 5),
+        ("dim 3_0\npoints 1\n", 1, 5),
     ):
         with pytest.raises(MatroidParseError) as exc:
             parse_matroid(text)
         assert (exc.value.line, exc.value.col) == (line, col), text
+    for text, message in (
+        ("dim 3\npoints 1_0\n", "point '1_0' is not an integer"),
+        ("dim \u0663\npoints 1\n", "dimension is not an integer"),
+        # a minus sign reads, so negatives keep their range messages
+        ("dim -1\npoints 1\n", "dimension must be in [0, 16]"),
+        ("dim 3\npoints -3\n", "point -3 out of range [1, 7]"),
+    ):
+        with pytest.raises(MatroidParseError) as exc:
+            parse_matroid(text)
+        assert str(exc.value).endswith(message), text
 
 
 def test_gen_matches_builders():
@@ -579,6 +597,14 @@ def test_suite_keywords_match_the_registry():
     # a suite given only the options it takes still runs
     code, out, _ = run_cli(["verify", "ljparams", "--samples", "3", "--seed", "2"])
     assert code == 0 and json.loads(out)["samples"] == 3
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in verify.SUITE_NAMES if "n_max" in verify.suite_keywords(name)]
+)
+def test_run_suite_rejects_a_negative_n_max(name):
+    with pytest.raises(ValueError, match="n_max"):
+        verify.run_suite(name, n_max=-1)
 
 
 def test_run_suite_honours_zero_samples():

@@ -103,13 +103,28 @@ def test_complementary_flat_examples():
     assert complementary_flat(empty_flat(4)).members == ground_mask(4)
 
 
+def _greedy_complement(F):
+    """The closure of the smallest standard vectors that greedily extend
+    the flat's basis, one at a time."""
+    n = F.n
+    span, added = F.span, []
+    for i in range(n):
+        e = 1 << i
+        if not (span >> e) & 1:
+            span |= xor_translate(span, e, n)
+            added.append(e)
+    return closure(added, n)
+
+
 def test_complementary_flat_disjoint_dims_sum():
-    for n in (2, 3, 4):
+    # the leading-bit identity against the greedy extension it replaces
+    for n in range(7):
         for d in range(n + 1):
             for F in flats_of_dim(n, d):
                 J = complementary_flat(F)
                 assert J.dim == n - d
                 assert J.members & F.members == 0
+                assert J == _greedy_complement(F), F
 
 
 def test_flats_of_dim_counts():

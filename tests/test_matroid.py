@@ -424,6 +424,9 @@ def test_coset_witness_matches_sigma_search(n):
                 table = TranslateTable(S, n)
                 dim, _, flat = matroid._clique_search(table, None)
                 assert len(flat) == dim == closure(flat, n).dim, hex(S)
+                # reduced echelon, so the alpha-flat walk's guard skips it
+                want = gf2.flat_of_span(gf2.span_from_basis(flat, n), n).basis
+                assert flat == list(want), hex(S)
                 assert gf2.span_from_basis(flat, n) & ~S == 1, hex(S)
             want = matroid._sigma_search(table, dim)
             assert matroid._sigma_search(table, dim, flat=flat) == want, hex(E)
@@ -1162,6 +1165,23 @@ def _assert_flat_inside(basis, E, n, dim):
     assert gf2.span_from_basis(basis, n) & ~E == 1, hex(E)
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_annihilator_matches_scan(n):
+    # the kernel meet against a scan of every v with r·v even for all
+    # rows; the seeded row sets hold zero rows and dependent rows
+    rng = random.Random(f"annihilator:{n}")
+    for _ in range(30):
+        rows = [rng.randrange(1 << n) for _ in range(rng.randint(1, n + 1))]
+        rows += [0, rows[0] ^ rows[-1], rows[0]]
+        rng.shuffle(rows)
+        scan = sum(
+            1 << v for v in range(1 << n) if not any((r & v).bit_count() & 1 for r in rows)
+        )
+        basis = matroid._annihilator(rows, n)
+        assert gf2.span_from_basis(basis, n) == scan, rows
+        assert tuple(basis) == gf2.echelon_basis(basis), rows
+
+
 def _flat_members(n, d):
     return [F.members for F in flats_of_dim(n, d)]
 
@@ -1174,6 +1194,9 @@ def _assert_cover_matches_scan(E, n, hyperplanes, codim2):
     w = matroid._cover(T, 1, n)
     assert (w is not None) == any(H & ~E == 0 for H in hyperplanes), hex(E)
     if w is not None:
+        # the hull test picks the lowest functional that is 1 on all of T
+        odd = (u for u in range(1 << n) if all((u & t).bit_count() & 1 for t in iter_bits(T)))
+        assert w == [next(odd)], hex(E)
         _assert_flat_inside(matroid._annihilator(w, n), E, n, n - 1)
         return False
     cover = matroid._cover(T, 2, n)
