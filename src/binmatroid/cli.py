@@ -316,8 +316,16 @@ def _partial(file_a: str, file_b: str, f1, f2) -> BinaryMatroid:
     return construct.partial_lift_join(a, closure(f1 or [], a.n), b, closure(f2 or [], b.n))
 
 
-_INT = {"type": int}
-_INTS = {"type": int, "nargs": "*"}
+def _integer(text: str) -> int:
+    """An option or argument read as `_decimal` reads the file's integers."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+_INT = {"type": _integer}
+_INTS = {"type": _integer, "nargs": "*"}
 
 #: `gen` builders: name, builder, and its arguments as (flag, add_argument
 #: options); the builder receives the parsed arguments in that order.
@@ -383,7 +391,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _count(text: str) -> int:
     """A nonnegative integer: a sample count or a dimension bound."""
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
@@ -403,17 +411,17 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("enumerate", help="census of ground sets up to isomorphism")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), required=True)
     p.add_argument("--samples", type=_count, default=None, help="default 1000")
-    p.add_argument("--seed", type=int, default=None, help="default 0")
+    p.add_argument("--seed", type=_integer, default=None, help="default 0")
     p.add_argument("--filter", choices=("claw_free", "all"), default="all")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a theorem-verification suite")
     p.add_argument("suite", choices=verify.SUITE_NAMES)
     p.add_argument("--n-max", type=_count, default=None, dest="n_max")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_integer, default=None)
     p.add_argument("--samples", type=_count, default=None)
     p.set_defaults(fn=cmd_verify)
 

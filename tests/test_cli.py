@@ -519,6 +519,36 @@ def test_negative_counts_are_usage_errors(argv):
     assert "must be nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "density", "--n-max", "\u0663"],
+        ["verify", "density", "--n-max", "+2"],
+        ["verify", "coset", "--samples", "1_0"],
+        ["verify", "structure", "--seed", "\u0663"],
+        ["verify", "structure", "--seed", "-\u0663"],
+        ["enumerate", "--n", "\u0663", "--mode", "exhaustive"],
+        ["enumerate", "--n", " 3", "--mode", "exhaustive"],
+        ["enumerate", "--n", "3", "--mode", "sample", "--samples", "2", "--seed", "+1"],
+        ["gen", "empty", "1_0"],
+        ["gen", "i", "\u0662"],
+        ["gen", "pg-sum", "2", "+3"],
+        ["gen", "target", "5", "2", "\u0662"],
+    ],
+)
+def test_integer_options_read_only_plain_decimals(argv):
+    # the options follow the file parser's -?[0-9]+ rule, which `int` is wider than
+    code, out, err = run_cli(argv)
+    assert code == 1 and out == ""
+    assert "usage error" in err and "not an integer" in err
+
+
+def test_a_negative_seed_stays_legal():
+    argv = ["enumerate", "--n", "3", "--mode", "sample", "--samples", "4", "--seed"]
+    code, out, _ = run_cli(argv + ["-7"])
+    assert code == 0 and json.loads(out)["seed"] == -7
+
+
 @pytest.mark.parametrize("suite", ["structure", "ljparams", "pgsum", "target", "rlj", "coset"])
 def test_zero_samples_are_usage_errors_for_sampling_suites(suite):
     # a suite that samples nothing would report passed: true on 0 cases

@@ -2,7 +2,8 @@
 anchor scan: even-plane is degree <= 2, anticlaw-free is claw-free
 complement, the lowest PG-sum anchor decides, and the flatness gate; the
 claw-plane kernel against the pair scan `find_claw` and the per-hit
-loop; and the line-set PG-sum kernel against the per-plane loop."""
+loop, and its block scan against the one-pass scan; and the line-set
+PG-sum kernel against the per-plane loop."""
 
 import functools
 import operator
@@ -22,6 +23,7 @@ from binmatroid.gf2 import (
     is_flat,
     is_independent,
     iter_bits,
+    mask_of,
     xor_translate,
 )
 from binmatroid.recognize import pg_sum_forbidden_mask, pg_sum_witness_mask
@@ -204,6 +206,38 @@ def test_claw_plane_loop_matches_find_claw(n):
             assert _per_hit_claw_free_on(per_point[p], cand) == want
             through[want] += 1
     assert min(seen.values()) >= 20 and min(through.values()) >= 20, (seen, through)
+
+
+def _density_mask(n, rng, density):
+    return sum(1 << p for p in range(1, 1 << n) if rng.random() < density)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_block_scan_matches_one_pass_scan(n):
+    """`claw_free_mask` scans the planes in blocks and stops at the first
+    block with a claw; it must agree with the one-pass `claw_free_on` over
+    every plane and with `find_claw`."""
+    planes = tables.plane_array(n)
+    first = len(tables.plane_array(5))
+    rng = random.Random(f"claw-blocks:{n}")
+    cases = [_density_mask(n, rng, d / 100) for d in range(5, 100, 5) for _ in range(4)]
+    for _ in range(30):
+        mask = sample_claw_free_mask(n, rng)
+        cases += [mask, _flip(mask, n, rng)]
+    # the basis of a plane past the first block: its one claw plane is the
+    # plane it spans, so a scan that stops after the first block misses it
+    past = list(flats_of_dim(n, 3))[first:]
+    bases = [mask_of(F.basis) for F in rng.sample(past, min(8, len(past)))]
+    for mask in bases:
+        assert tables.claw_free_on(planes[:first], mask)
+    cases += bases
+    seen = {True: 0, False: 0}
+    for mask in cases:
+        want = find_claw(BinaryMatroid(n, mask)) is None
+        assert tables.claw_free_on(planes, mask) == want, (n, mask)
+        assert tables.claw_free_mask(mask, n) == want, (n, mask)
+        seen[want] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # -- anticlaw-free: claw-free complement ------------------------------------
