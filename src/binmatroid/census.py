@@ -201,6 +201,18 @@ def _greedy_triangle_free(n: int, rng: random.Random) -> int:
     return T
 
 
+def _doubled(E: int, n: int) -> int:
+    """The nonzero v with pi(v) in E or pi(v) = 0, at dimension n + 1,
+    where pi drops the top coordinate; claw-free whenever E is.
+
+    A claw x, y, z of it projects to three distinct points of E, since two
+    equal projections, or a zero one, would put a pair sum in the set.  As
+    pi is linear, no pair or triple of those points sums into E or to 0,
+    so they are a claw of E.
+    """
+    return E | (E | 1) << (1 << n)
+
+
 def sample_claw_free_mask(n: int, rng: random.Random) -> int:
     """One seeded claw-free ground set from a mixture of strategies:
     greedy insertion, lift-joins of smaller claw-free sets, even-plane
@@ -229,8 +241,8 @@ def sample_claw_free_mask(n: int, rng: random.Random) -> int:
         for _ in range(24):
             choice = rng.random()
             if choice < 0.3:
-                layer = base | 1  # doubling layer (always claw-free)
-            elif choice < 0.6:
+                return _doubled(base, n - 1)
+            if choice < 0.6:
                 layer = base ^ rng.getrandbits(1 << (n - 1))
             else:
                 layer = rng.getrandbits(1 << (n - 1))

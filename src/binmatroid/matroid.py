@@ -566,14 +566,17 @@ _canonical_cache: OrderedDict[tuple[int, int], int] = OrderedDict()
 
 
 def _canonical_mask(n: int, E: int, budget: Optional[int] = None) -> int:
-    """Canonical mask of (n, E), cached on (n, E) alone.
+    """Canonical mask of (n, E), cached on (n, E) and on its search's leaves.
 
     When E or its complement spans a proper flat, the search runs on the
     fixed representative of E's orbit that `_orbit_representative`
     builds, and its result is cached under both sets, so every member of
-    that orbit shares one search.  A cache hit is returned whatever the
-    budget; `budget` caps each search run, and a search that raises
-    `BudgetExceeded` caches nothing for E or for its representative.
+    that orbit shares one search.  The search reads the cache too: it
+    stops at the first improved leaf whose image is a key, and caches
+    every improved-leaf image under the form it returns (README,
+    "Canonical forms").  A cache hit is returned whatever the budget;
+    `budget` caps each search run, and a search that raises
+    `BudgetExceeded` caches nothing, leaf images included.
     """
     key = (n, E)
     img = _canonical_cache.get(key)
@@ -585,7 +588,7 @@ def _canonical_mask(n: int, E: int, budget: Optional[int] = None) -> int:
     rep = _orbit_representative(n, E, budget)
     img = _canonical_cache.get((n, rep)) if rep != E else None
     if img is None:
-        img = _canonical_search(n, rep, budget)[0]
+        img = _canonical_search(n, rep, budget, _canonical_cache)[0]
     _canonical_cache[n, rep] = img
     _canonical_cache.move_to_end((n, rep))
     _canonical_cache[key] = img
@@ -642,8 +645,34 @@ def _least_segment(
     return key, cands
 
 
-def _canonical_search(n: int, E: int, budget: Optional[int]) -> tuple[int, int]:
-    """Canonical mask of (n, E), and the nodes its search took."""
+def _keys_image(keys: list[Optional[int]]) -> int:
+    """The mask whose membership sequence is the level keys, level 1 first.
+
+    The keys, one after another, spell the sequence over point values
+    1, 2, ..., 2^n - 1, most significant bit first.  A leading 1 keeps
+    the sequence's leading zeros in `bin`, and reversing its digits puts
+    the membership of value v at bit v - 1.
+    """
+    seq = 1
+    for k, key in enumerate(keys):
+        assert key is not None
+        seq = (seq << (1 << k)) | key
+    return int(bin(seq)[:2:-1], 2) << 1
+
+
+def _canonical_search(
+    n: int,
+    E: int,
+    budget: Optional[int],
+    cache: Optional[OrderedDict[tuple[int, int], int]] = None,
+) -> tuple[int, int]:
+    """Canonical mask of (n, E), and the nodes its search took.
+
+    With `cache` (keys (n, mask), values canonical masks), the search ends
+    at the first improved leaf whose image is a key, with that key's
+    form; once it ends it caches every improved-leaf image under the form
+    it returns.  A search that raises `BudgetExceeded` caches nothing.
+    """
     ground = ground_mask(n)
     if n == 0 or E == 0 or E == ground:
         return E, 0
@@ -652,6 +681,8 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> tuple[int, int]:
     best: list[Optional[int]] = [None] * n
     best_pre: list[Optional[list[int]]] = [None]
     auts: list[list[int]] = []  # point tables of discovered automorphisms
+    images: list[int] = []  # masks read at the improved leaves, in order
+    hit: list[int] = []  # the cached form of an improved leaf's image
     nodes = 0
 
     def rec(
@@ -682,7 +713,16 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> tuple[int, int]:
             full_pre = pre + [w ^ u for u in pre]
             if k == n:
                 if improved:
+                    # best holds this leaf's keys, so its image is E read
+                    # through the path's basis: g(E) for an invertible g
                     best_pre[0] = full_pre
+                    img = _keys_image(best)
+                    images.append(img)
+                    if cache is not None:
+                        form = cache.get((n, img))
+                        if form is not None:
+                            hit.append(form)
+                            return 0
                 else:
                     # a tie exhibits an automorphism g of the ground set,
                     # sending the best leaf's path to this one; if the paths
@@ -729,15 +769,14 @@ def _canonical_search(n: int, E: int, budget: Optional[int]) -> tuple[int, int]:
 
     rec(1, 1, [0], [], [])
 
-    img = 0
-    for k in range(1, n + 1):
-        L = 1 << (k - 1)
-        key = best[k - 1]
-        assert key is not None
-        for j in range(L):
-            if (key >> (L - 1 - j)) & 1:
-                img |= 1 << (L + j)
-    return img, nodes
+    # every later improved leaf beats the earlier ones, so the last image
+    # is the least: the canonical form, unless a leaf image was cached
+    form = hit[0] if hit else images[-1]
+    if cache is not None:
+        for img in images:
+            cache[n, img] = form
+            cache.move_to_end((n, img))
+    return form, nodes
 
 
 def canonical_form(M: BinaryMatroid, budget: Optional[int] = None) -> BinaryMatroid:

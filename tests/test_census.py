@@ -9,6 +9,7 @@ import pytest
 from binmatroid import BinaryMatroid, canonical_form, find_claw
 from binmatroid import gf2, tables
 from binmatroid.census import (
+    _doubled,
     _greedy_claw_free,
     _greedy_triangle_free,
     canon_table,
@@ -150,6 +151,23 @@ def test_sampler_streams_frozen(n):
     assert [random_even_plane_mask(n, rng) for _ in range(4)] == FROZEN_EVEN_PLANE[n]
     rng = random.Random(f"freeze:{n}")
     assert [sample_claw_free_mask(n, rng) for _ in range(6)] == FROZEN_CLAW_FREE[n]
+
+
+def test_doubled_sets_keep_claw_freeness():
+    # the sampler's doubling layer returns without a claw test; E is the
+    # doubled set's trace on the hyperplane below the top coordinate, so
+    # a claw of E stays a claw
+    rng = random.Random("doubling")
+    bases = [(n, mask) for n in range(1, 5) for mask in claw_free_masks_list(n)]
+    bases += [(5, sample_claw_free_mask(5, rng)) for _ in range(60)]
+    for n, mask in bases:
+        assert tables.claw_free_mask(_doubled(mask, n), n + 1), (n, hex(mask))
+    # one-point flips of the n = 5 samples, with and without a claw
+    flips = [mask ^ 1 << rng.randrange(1, 32) for n, mask in bases if n == 5]
+    verdicts = [tables.claw_free_mask(mask, 5) for mask in flips]
+    assert any(verdicts) and not all(verdicts)
+    for mask, want in zip(flips, verdicts):
+        assert tables.claw_free_mask(_doubled(mask, 5), 6) == want, hex(mask)
 
 
 def test_random_even_plane_member():

@@ -716,10 +716,11 @@ def test_canonical_form_frozen(n, mask, form, monkeypatch):
     assert canonical_form(BinaryMatroid(n, mask)).mask == form
 
 
-def _canonical_search_without_backjump(n, E, budget=None):
+def _canonical_search_without_backjump(n, E, budget=None, cache=None):
     """The canonical search before it left the subtree under a leaf tie:
     every frame finishes its children, and a frame adds the automorphisms
-    found under a child only after skipping that child's orbit."""
+    found under a child only after skipping that child's orbit.  It
+    neither reads nor writes `cache`, so it searches every mask in full."""
     ground = ground_mask(n)
     if n == 0 or E == 0 or E == ground:
         return E, 0
@@ -928,16 +929,103 @@ def test_canonical_budget_does_not_poison_cache(monkeypatch):
 def test_canonical_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(matroid, "CANONICAL_CACHE_SIZE", 3)
     monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
-    # each of these sets and its complement span G, so each takes one key
+    # each of these sets and its complement span G, so each is searched
+    # itself; each search's one improved leaf is its form, cached under
+    # itself before the set's own key
     masks = [0b10110, 0b11110, 0b1001110]
-    for mask in masks:
-        canonical_form(BinaryMatroid(3, mask))
-    assert list(matroid._canonical_cache) == [(3, m) for m in masks]
-    # {5, 6} spans a line: its local set {2, 3} at n = 2 and its
-    # representative {2, 3} at n = 3 take keys beside its own, and the
-    # three evict every older key
+    canonical_form(BinaryMatroid(3, masks[0]))
+    assert list(matroid._canonical_cache) == [(3, 0b11100000), (3, masks[0])]
+    canonical_form(BinaryMatroid(3, masks[1]))
+    assert list(matroid._canonical_cache) == [(3, masks[0]), (3, 0b11101000), (3, masks[1])]
+    # the third set shares the second's orbit: its search ends on the
+    # cached form, which moves to the end, and the oldest key goes
+    canonical_form(BinaryMatroid(3, masks[2]))
+    assert list(matroid._canonical_cache) == [(3, masks[1]), (3, 0b11101000), (3, masks[2])]
+    # {5, 6} spans a line: its local set {2, 3} at n = 2, the form {6, 7}
+    # of its representative {2, 3} at n = 3, and that representative take
+    # keys beside its own, and the last three evict every older key
     canonical_form(BinaryMatroid(3, 0b1100000))
-    assert list(matroid._canonical_cache) == [(2, 0b1100), (3, 0b1100), (3, 0b1100000)]
+    assert list(matroid._canonical_cache) == [
+        (3, 0b11000000),
+        (3, 0b1100),
+        (3, 0b1100000),
+    ]
+
+
+def _leaf_cache_inputs(n, rng):
+    """Seeded claw-free and uniform ground sets at dimension n."""
+    claw_free = [census.sample_claw_free_mask(n, rng) for _ in range(4)]
+    return claw_free + [census.sample_uniform_mask(n, rng) for _ in range(4)]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_warm_cache_forms_match_cold_searches(n, monkeypatch):
+    # every set and three of its linear images go through one warm cache,
+    # which then holds the leaf images of earlier searches of the orbit
+    monkeypatch.setattr(matroid, "_canonical_cache", OrderedDict())
+    rng = random.Random(f"leaf-cache:{n}")
+    for E in _leaf_cache_inputs(n, rng):
+        M = BinaryMatroid(n, E)
+        for N in [M] + [mapped(M, random_images(n, rng)) for _ in range(3)]:
+            want = matroid._canonical_search(n, N.mask, None)[0]
+            assert canonical_form(N).mask == want, hex(N.mask)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_a_later_image_ends_on_a_cached_leaf(n):
+    # the last improved leaf of any search of the orbit reads the form,
+    # which the first search cached, so a later search ends there at the
+    # latest, before a cold search of the same mask ends
+    rng = random.Random(f"later-image:{n}")
+    for E in _leaf_cache_inputs(n, rng):
+        cache = OrderedDict()
+        form = matroid._canonical_search(n, E, None, cache)[0]
+        assert cache[n, form] == form
+        for _ in range(3):
+            image = mapped(BinaryMatroid(n, E), random_images(n, rng)).mask
+            cold = matroid._canonical_search(n, image, None)[1]
+            got, warm = matroid._canonical_search(n, image, None, cache)
+            assert got == form
+            assert warm < cold, (hex(E), hex(image))
+
+
+def test_a_budget_stop_leaves_the_cache_as_it_was():
+    rng = random.Random("leaf-cache-budget")
+    E = census.sample_uniform_mask(6, rng)
+    image = mapped(BinaryMatroid(6, E), random_images(6, rng)).mask
+    other = census.sample_uniform_mask(6, rng)
+    cache = OrderedDict()
+    form = matroid._canonical_search(6, E, None, cache)[0]
+    matroid._canonical_search(6, _quadric_mask(6), None, cache)  # a second orbit
+    assert matroid._canonical_search(6, other, None)[0] != form
+    before = list(cache.items())
+    # a set of another orbit stopped one node short has passed its
+    # improved leaves, and an image of a cached orbit stopped one node
+    # short of its hit refreshes nothing
+    for mask in (other, image):
+        nodes = matroid._canonical_search(6, mask, None, OrderedDict(cache))[1]
+        with pytest.raises(BudgetExceeded):
+            matroid._canonical_search(6, mask, nodes - 1, cache)
+        assert list(cache.items()) == before
+
+
+def test_canonical_cache_stays_bounded_with_leaf_images(monkeypatch):
+    size = 16
+    monkeypatch.setattr(matroid, "CANONICAL_CACHE_SIZE", size)
+    cache = OrderedDict()
+    monkeypatch.setattr(matroid, "_canonical_cache", cache)
+    rng = random.Random("leaf-cache-bound")
+    masks = set()
+    leaf_keys = 0
+    while len(masks) < 60:
+        mask = census.sample_uniform_mask(5, rng)
+        if matroid._orbit_representative(5, mask, None) != mask:
+            continue  # every key then comes from a set or a search leaf
+        masks.add(mask)
+        canonical_form(BinaryMatroid(5, mask))
+        assert len(cache) <= size
+        leaf_keys += sum(m not in masks and m != form for (_, m), form in cache.items())
+    assert leaf_keys
 
 
 def test_canonical_mask_matches_search_on_every_set_to_n4(monkeypatch):
@@ -981,7 +1069,7 @@ def test_canonical_search_runs_once_per_orbit(monkeypatch):
     searched = []
     search = matroid._canonical_search
 
-    def counting(n, E, budget):
+    def counting(n, E, budget, cache=None):
         searched.append(n)
         return search(n, E, budget)
 
