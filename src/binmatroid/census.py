@@ -217,8 +217,9 @@ def sample_claw_free_mask(n: int, rng: random.Random) -> int:
     """One seeded claw-free ground set from a mixture of strategies:
     greedy insertion, lift-joins of smaller claw-free sets, even-plane
     members, complements of triangle-free sets, dimension extension, and
-    plain rejection.  Below n = 5 it draws from the list of all claw-free
-    sets; from n = 5 on, one mixture serves every dimension."""
+    plain rejection.  Below n = 5 it draws from the sweep's list of all
+    claw-free sets; from n = 5 on, one mixture serves every dimension,
+    its candidates tested by the bit-sliced plane evaluator to n = 6."""
     if n <= tables.SWEEP_MAX:
         pool = tables.claw_free_masks_list(n)
         return pool[rng.randrange(len(pool))]

@@ -7,9 +7,10 @@ maximal flat from the lowest point and tests the rest for flatness.  Both
 that witness and the target chain rest on one fact: a flat over F_2 is
 never the union of two proper subflats, so the PG-sum growth needs one
 anchor and the target descent is forced.  The forbidden-restriction
-scan over planes (`tables.pg_sum_forbidden_mask`, n <= 6) is kept as an
-independent PG-sum route; `verify.verify_pgsum` runs both on every ground
-set at n <= 4 and on samples at n = 5.
+rule (`tables.pg_sum_forbidden_mask`, n <= 6), read off the plane hit
+counts of the claw test, is an independent PG-sum route;
+`verify.verify_pgsum` runs both on every ground set at n <= 4 and on
+samples at n = 5.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .gf2 import (
 )
 from .matroid import BinaryMatroid, find_claw
 from . import tables
-from .tables import pg_sum_forbidden_mask  # the plane-table PG-sum route, re-exported
+from .tables import pg_sum_forbidden_mask  # the plane-evaluator PG-sum route, re-exported
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ def is_complement_triangle_free(M: BinaryMatroid) -> bool:
 
 
 def claw_free_any(mask: int, n: int) -> bool:
-    """Claw-freeness at any dimension: plane tables for n <= 6, the
-    A-walk of `find_claw` beyond."""
+    """Claw-freeness at any dimension: the bit-sliced plane evaluator for
+    n <= 6, the A-walk of `find_claw` beyond."""
     if n <= tables.PLANE_TABLE_MAX:
         return tables.claw_free_mask(mask, n)
     return find_claw(BinaryMatroid(n, mask)) is None

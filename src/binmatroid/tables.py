@@ -1,26 +1,22 @@
-"""Cached flat tables and plane kernels (internal).
+"""Cached flat tables and the bit-sliced plane evaluator (internal).
 
 Claw-freeness asks whether some plane meets E in a basis, and the
-verification sweeps ask it of thousands of ground sets.  The plane lists
-are materialised once per dimension up to PLANE_TABLE_MAX.  For one set,
-`claw_free_on` intersects the planes with E in numpy and looks the 3-point
-hits up in the set of lines (three points of a plane are a basis unless
-they are a line).  `claw_free_mask` runs it on at most two blocks of the
-plane table, the first 155 planes and then the rest, and stops at the
-first block with a claw, so at n = 6 a set with a claw among the first
-planes skips the other 1 240.  `pg_sum_forbidden_mask` looks up the
-PG-sum forbidden restrictions in the same set, walking the plane bitsets
-up to the first forbidden hit.  The whole-subset sweep at n <= 4 applies
-the claw rule one plane at a time to every ground set, only to list the
-claw-free sets; every other question about a set goes to the one-set
-kernels.  The even-plane test needs no planes: it is a degree test.
+verification sweeps ask it of thousands of ground sets.  One identity,
+the counting order, serves every plane rule: sort the seven points of a
+plane, and position j = 1..7 holds the point with coefficient vector j
+over the plane's reduced echelon basis.  So hits sum to zero iff their
+positions xor to zero, and a bit-sliced hit count (four full adders)
+with that xor decides a claw (three hits off a line) and the PG-sum
+forbidden restrictions.  The lane tables of `_lanes(n)` spread one set
+over the positions of every plane at n <= PLANE_TABLE_MAX; the sweep at
+n <= 4 spreads every ground set over one plane's positions, only to
+list the claw-free sets.  The even-plane test needs no planes: it is a degree test.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
-
-import numpy as np
 
 from .gf2 import _half_masks, flats_of_dim, ground_mask, iter_bits
 
@@ -37,101 +33,95 @@ def flat_members(n: int, d: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def plane_array(n: int) -> np.ndarray:
-    """All plane membership masks as a uint64 vector (3 <= n <= 6)."""
+def _lanes(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """For each byte k of E, the ints that spread its points 8k + i over
+    seven lanes of one bit per plane, lane j - 1 holding the planes whose
+    point at position j is in E; and the lane width.  The kernels read
+    this, not `plane_array`, so a traced run records no span per call."""
     if not 3 <= n <= PLANE_TABLE_MAX:
         raise ValueError(f"plane tables cover 3 <= n <= {PLANE_TABLE_MAX}")
-    return np.array(flat_members(n, 3), dtype=np.uint64)
+    planes = flat_members(n, 3)
+    width = len(planes)
+    spread = [bytearray((7 * width + 7) // 8) for _ in range(1 << n)]
+    for i, plane in enumerate(planes):
+        for j, p in enumerate(iter_bits(plane)):
+            bit = j * width + i
+            spread[p][bit >> 3] |= 1 << (bit & 7)
+    byte_tables = []
+    for low in range(0, 1 << n, 8):
+        table = [0]
+        for p in range(low, low + 8):
+            point = int.from_bytes(spread[p], "little")
+            table += [t | point for t in table]
+        byte_tables.append(tuple(table))
+    return tuple(byte_tables), width
+
+
+def plane_array(n: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The lane tables of every plane (3 <= n <= 6), built at set-up."""
+    return _lanes(n)
 
 
 @lru_cache(maxsize=None)
-def planes_through_point(n: int) -> tuple[np.ndarray, ...]:
-    """For each point value, the masks of the planes containing it: the
-    plane oracle for `matroid._claw_pair`, the claws through a point."""
+def planes_through_point(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each point value, the masks of the planes containing it (no
+    library caller: kept only because the benchmark's set-up names it)."""
     per_point: list[list[int]] = [[] for _ in range(1 << n)]
     for pm in flat_members(n, 3):
         for p in iter_bits(pm):
             per_point[p].append(pm)
-    return tuple(np.array(lst, dtype=np.uint64) for lst in per_point)
+    return tuple(map(tuple, per_point))
 
 
-@lru_cache(maxsize=None)
-def _lines() -> frozenset[int]:
-    """Membership masks of the lines of PG(PLANE_TABLE_MAX - 1, 2).
+def _spread(mask: int, n: int) -> tuple[int, ...]:
+    """The seven position lanes of E over every plane."""
+    byte_tables, width = _lanes(n)
+    x = 0
+    for table, byte in zip(byte_tables, mask.to_bytes(len(byte_tables), "little")):
+        x |= table[byte]
+    full = (1 << width) - 1
+    return (x & full, x >> width & full, x >> 2 * width & full, x >> 3 * width & full,
+            x >> 4 * width & full, x >> 5 * width & full, x >> 6 * width)
 
-    The lines of PG(n-1,2) for smaller n are lines here too, with the same
-    point values, so one set serves every plane table.
-    """
-    return frozenset(flat_members(PLANE_TABLE_MAX, 2))
 
-
-def claw_free_on(planes: np.ndarray, mask: int) -> bool:
-    """No plane of `planes` meets E in a basis.
-
-    Three points of a plane are a basis unless they are a line, so every
-    3-point hit must be a line.
-    """
-    inter = planes & np.uint64(mask)
-    return _lines().issuperset(inter[np.bitwise_count(inter) == 3].tolist())
+def _tally(x1: int, x2: int, x3: int, x4: int, x5: int, x6: int, x7: int) -> tuple[int, ...]:
+    """Bit-sliced over seven position lanes: the planes with a claw, the
+    hit count as (ones, twos, fours) from four full adders, and the lanes
+    where the hits' coefficient vectors (the positions j) xor to nonzero.
+    A claw is three hits whose vectors xor to nonzero."""
+    a, b = x1 ^ x2, x4 ^ x5
+    s1, c1 = a ^ x3, x1 & x2 | a & x3  # each full adder: a sum and a carry
+    s2, c2 = b ^ x6, x4 & x5 | b & x6
+    d = s1 ^ s2
+    ones, c3 = d ^ x7, s1 & s2 | d & x7
+    e = c1 ^ c2
+    twos, fours = e ^ c3, c1 & c2 | e & c3
+    nonzero = (x1 ^ x3 ^ x5 ^ x7) | (x2 ^ x3 ^ x6 ^ x7) | (x4 ^ x5 ^ x6 ^ x7)
+    return ones & twos & nonzero & ~fours, ones, twos, fours, nonzero
 
 
 def pg_sum_forbidden_mask(mask: int, n: int) -> bool:
     """No plane meets E in five or six points, in a claw, or in four
-    points that sum to zero (n <= PLANE_TABLE_MAX; vacuous for n < 3).
-
-    A plane's seven points sum to zero, so four of them sum to zero
-    exactly when the other three are a line: the 3-point hits and the
-    complements of the 4-point hits are looked up in the line set, one
-    plane bitset at a time, up to the first forbidden hit.
-    """
+    points that sum to zero (n <= PLANE_TABLE_MAX; vacuous for n < 3)."""
     if n < 3:
         return True
-    if n > PLANE_TABLE_MAX:
-        raise ValueError(f"plane tables cover 3 <= n <= {PLANE_TABLE_MAX}")
-    lines = _lines()
-    for plane in flat_members(n, 3):
-        hit = plane & mask
-        size = hit.bit_count()
-        if 4 < size < 7 or (size == 3 and hit not in lines) or (size == 4 and plane ^ hit in lines):
-            return False
-    return True
-
-
-#: planes in the first block of a scan: the size of the n = 5 plane table
-_FIRST_BLOCK = 155
-
-
-@lru_cache(maxsize=None)
-def _plane_blocks(n: int) -> tuple[np.ndarray, ...]:
-    """`plane_array(n)` as views: the first _FIRST_BLOCK planes, then the rest."""
-    planes = plane_array(n)
-    if len(planes) <= _FIRST_BLOCK:
-        return (planes,)
-    return planes[:_FIRST_BLOCK], planes[_FIRST_BLOCK:]
+    claws, ones, twos, fours, nonzero = _tally(*_spread(mask, n))
+    return not claws | fours & ((ones ^ twos) | ~(ones | twos | nonzero))
 
 
 def claw_free_mask(mask: int, n: int) -> bool:
-    """Claw-freeness: no plane meets E in three points off a line.
-
-    The planes are scanned in at most two blocks by `claw_free_on`, and a
-    claw in the first block stops the scan.  The first block is as long as
-    the n = 5 table, so below n = 6 there is one block; at n = 6 most sets
-    with a claw show one in the first 155 of the 1 395 planes, while a
-    claw-free set pays a second numpy pass.
-    """
+    """Claw-freeness: no plane meets E in three points off a line."""
     if n < 3:
         return True
-    for block in _plane_blocks(n):
-        if not claw_free_on(block, mask):
-            return False
-    return True
+    return not _tally(*_spread(mask, n))[0]
 
 
 def anticlaw_free_mask(mask: int, n: int) -> bool:
     """No plane meets E in four points whose three absentees are independent.
 
     Those three absentees are exactly a claw of the complement, so this is
-    claw-freeness of G \\ E.
+    claw-freeness of G \\ E (no library caller: kept only because the
+    benchmark's tracer names it).
     """
     return claw_free_mask(ground_mask(n) & ~mask, n)
 
@@ -160,31 +150,36 @@ def even_plane_mask(mask: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def sweep_tables(n: int) -> np.ndarray:
-    """The claw-free column over every ground set at n <= 4, which
-    `claw_free_masks_list` reads.
+def sweep_tables(n: int) -> int:
+    """The claw-free column over every ground set at n <= 4: bit k is set
+    when the ground set with mask k << 1 is claw-free.
 
-    Index by code k where mask = k << 1.  Each plane meets every ground set
-    at once and its 3-point hits are judged as in `claw_free_on`, against
-    the plane's own seven lines.  Below n = 3 there are no planes and the
-    column is all True.
+    Point v lies in ground set k iff bit v - 1 of k is set, so its column
+    over the codes is periodic: 2^(v-1) zeros, then 2^(v-1) ones.  Each
+    plane's seven columns, in counting order, are the lanes of the claw
+    rule.  Below n = 3 there are no planes and the column is all ones.
     """
     if n > SWEEP_MAX:
         raise ValueError(f"whole-subset sweeps are supported only for n <= {SWEEP_MAX}")
-    masks = np.arange(ground_codes(n), dtype=np.uint64) << np.uint64(1)
-    claw_free = np.ones(len(masks), dtype=bool)
-    all_lines = np.array(list(_lines()), dtype=np.uint64)
-    for plane in plane_array(n) if n >= 3 else ():
-        lines = all_lines[all_lines & ~plane == 0]
-        inter = masks & plane
-        claw_free &= (np.bitwise_count(inter) != 3) | np.isin(inter, lines)
-    return claw_free
+    codes = ground_codes(n)
+    columns = [0] * (1 << n)
+    for v in range(1, 1 << n):
+        half = 1 << (v - 1)
+        column, period = ((1 << half) - 1) << half, 2 * half
+        while period < codes:
+            column |= column << period
+            period *= 2
+        columns[v] = column
+    claws = 0
+    for plane in flat_members(n, 3) if n >= 3 else ():
+        claws |= _tally(*(columns[p] for p in iter_bits(plane)))[0]
+    return (1 << codes) - 1 & ~claws
 
 
 @lru_cache(maxsize=None)
 def claw_free_masks_list(n: int) -> tuple[int, ...]:
     """All claw-free ground-set masks at dimension n <= 4, ascending."""
-    return tuple(int(k) << 1 for k in np.flatnonzero(sweep_tables(n)))
+    return tuple(m.start() << 1 for m in re.finditer("1", bin(sweep_tables(n))[:1:-1]))
 
 
 def ground_codes(n: int) -> int:
@@ -198,7 +193,6 @@ __all__ = [
     "flat_members",
     "plane_array",
     "planes_through_point",
-    "claw_free_on",
     "pg_sum_forbidden_mask",
     "claw_free_mask",
     "anticlaw_free_mask",

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 
+import plane_oracles
 import pytest
 
 from binmatroid import BinaryMatroid, canonical_form, find_claw
@@ -210,7 +211,7 @@ def test_claw_through_matches_planes_through_point(n):
             if not side:
                 continue
             p = rng.choice(side)
-            want = not tables.claw_free_on(per_point[p], mask | (1 << p))
+            want = not plane_oracles.claw_free_on(per_point[p], mask | (1 << p))
             assert _claw_through(mask, p, n) == want, (n, mask, p)
             seen[inside, want] += 1
     assert min(seen.values()) >= 60, seen

@@ -4,7 +4,10 @@ stale export behind."""
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import binmatroid
@@ -28,8 +31,9 @@ def test_package_namespace_resolves():
     assert [name for name in names if not hasattr(binmatroid, name)] == []
 
 
-def test_only_tables_imports_numpy():
-    """The plane tables are the package's one numpy module."""
+def test_no_library_module_imports_numpy():
+    """The library runs on the standard library alone; numpy is a test
+    dependency, for the plane-kernel oracles."""
     package = Path(binmatroid.__file__).parent
     importers = []
     for path in sorted(package.glob("*.py")):
@@ -42,7 +46,32 @@ def test_only_tables_imports_numpy():
                 continue
             if any(m == "numpy" or m.startswith("numpy.") for m in modules):
                 importers.append(path.stem)
-    assert sorted(set(importers)) == ["tables"]
+    assert importers == []
+
+
+def test_cli_and_every_table_load_no_numpy():
+    """Importing the CLI and building every cached table (the plane lane
+    tables, the sweep column and the claw-free lists) leaves numpy
+    unloaded, in a fresh interpreter."""
+    src = Path(binmatroid.__file__).parents[1]
+    script = (
+        "import sys\n"
+        "import binmatroid.cli\n"
+        "from binmatroid import census, tables\n"
+        "for n in range(3, tables.PLANE_TABLE_MAX + 1):\n"
+        "    tables.plane_array(n)\n"
+        "    tables.planes_through_point(n)\n"
+        "    census.even_plane_basis(n)\n"
+        "    tables.claw_free_mask(0, n)\n"
+        "    tables.pg_sum_forbidden_mask(0, n)\n"
+        "for n in range(tables.SWEEP_MAX + 1):\n"
+        "    tables.sweep_tables(n)\n"
+        "    tables.claw_free_masks_list(n)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False", out
 
 
 def test_every_verify_suite_is_registered():

@@ -1,15 +1,16 @@
 """The identities behind the fast predicates, each against a slow plane or
 anchor scan: even-plane is degree <= 2, anticlaw-free is claw-free
 complement, the lowest PG-sum anchor decides, and the flatness gate; the
-claw-plane kernel against the pair scan `find_claw` and the per-hit
-loop, and its block scan against the one-pass scan; and the line-set
-PG-sum kernel against the per-plane loop."""
+counting order of a plane's points; and the bit-sliced plane evaluator
+against the numpy kernels of `plane_oracles`, the pair scan `find_claw`,
+the per-hit loop and the per-plane PG-sum loop."""
 
 import functools
 import operator
 import random
 
 import numpy as np
+import plane_oracles
 import pytest
 
 from binmatroid import BinaryMatroid, find_anticlaw, find_claw, is_anticlaw_free, is_even_plane
@@ -108,7 +109,7 @@ def test_even_plane_degree_test_exhaustive(n):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_even_plane_degree_test_sampled(n):
-    planes = tables.plane_array(n)
+    planes = plane_oracles.plane_array(n)
     rng = random.Random(f"even:{n}")
     seen = {True: 0, False: 0}
     for i in range(2000):
@@ -167,18 +168,59 @@ def _per_hit_claw_free_on(planes, mask):
     return True
 
 
-def test_line_set_is_every_table_dimensions_lines():
-    lines = tables._lines()
-    assert len(lines) == 651
-    for n in range(3, tables.PLANE_TABLE_MAX + 1):
-        assert lines >= set(tables.flat_members(n, 2))
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_counting_order_identity(n):
+    """The sorted points of a plane are the combinations of its reduced
+    echelon basis b1 < b2 < b3 in binary counting order, so position j
+    holds the point with coefficient vector j."""
+    for F in flats_of_dim(n, 3):
+        b1, b2, b3 = sorted(F.basis)
+        combos = [(b1 if j & 1 else 0) ^ (b2 if j & 2 else 0) ^ (b3 if j & 4 else 0) for j in range(1, 8)]
+        assert list(iter_bits(F.members)) == combos, (n, F.basis)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_evaluator_matches_numpy_kernels_exhaustive(n):
+    planes = plane_oracles.plane_array(n) if n >= 3 else np.zeros(0, dtype=np.uint64)
+    for code in range(tables.ground_codes(n)):
+        mask = code << 1
+        assert tables.claw_free_mask(mask, n) == plane_oracles.claw_free_on(planes, mask), (n, mask)
+        if n >= 3:
+            assert pg_sum_forbidden_mask(mask, n) == plane_oracles.pg_sum_forbidden_loop(mask, n), (n, mask)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_evaluator_matches_numpy_kernels_sampled(n):
+    """Claw-free samples, uniform sets and one-point flips, plus the bases
+    of planes past the first 155: the one claw plane of such a basis is
+    the plane it spans, so a scan that stopped after the n = 5 table's
+    worth of planes would miss it."""
+    planes = plane_oracles.plane_array(n)
+    rng = random.Random(f"evaluator:{n}")
+    cases = []
+    for i in range(900):
+        mask = sample_uniform_mask(n, rng) if i % 3 == 0 else sample_claw_free_mask(n, rng)
+        cases.append(_flip(mask, n, rng) if i % 3 == 2 else mask)
+    past = list(flats_of_dim(n, 3))[len(plane_oracles.plane_array(5)):]
+    cases += [mask_of(F.basis) for F in rng.sample(past, min(8, len(past)))]
+    seen = {(claw, pg): 0 for claw in (False, True) for pg in (False, True)}
+    for mask in cases:
+        claw_free = plane_oracles.claw_free_on(planes, mask)
+        forbidden = plane_oracles.pg_sum_forbidden_loop(mask, n)
+        assert tables.claw_free_mask(mask, n) == claw_free, (n, mask)
+        assert pg_sum_forbidden_mask(mask, n) == forbidden, (n, mask)
+        seen[claw_free, forbidden] += 1
+    # a PG-sum is claw-free, so (False, True) cannot occur
+    assert seen[False, True] == 0
+    assert min(seen[False, False], seen[True, False], seen[True, True]) >= 20, seen
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_claw_plane_loop_matches_find_claw(n):
-    """The line-set kernel against `find_claw` and the per-hit loop, on all
-    planes and on the planes through one added point."""
-    planes = tables.plane_array(n)
+    """The evaluator and the numpy line-set kernel against `find_claw` and
+    the per-hit loop, on all planes and on the planes through one added
+    point."""
+    planes = plane_oracles.plane_array(n)
     per_point = tables.planes_through_point(n)
     rng = random.Random(f"claw-loop:{n}")
     seen = {True: 0, False: 0}
@@ -191,7 +233,7 @@ def test_claw_plane_loop_matches_find_claw(n):
             if i % 3 == 2:
                 mask = _flip(mask, n, rng)
         want = find_claw(BinaryMatroid(n, mask)) is None
-        assert tables.claw_free_on(planes, mask) == want, (n, mask)
+        assert plane_oracles.claw_free_on(planes, mask) == want, (n, mask)
         assert _per_hit_claw_free_on(planes, mask) == want
         assert tables.claw_free_mask(mask, n) == want
         seen[want] += 1
@@ -202,8 +244,10 @@ def test_claw_plane_loop_matches_find_claw(n):
             p = rng.choice(outside)
             cand = base | (1 << p)
             want = find_claw(BinaryMatroid(n, cand)) is None
-            assert tables.claw_free_on(per_point[p], cand) == want, (n, base, p)
-            assert _per_hit_claw_free_on(per_point[p], cand) == want
+            through_p = np.array(per_point[p], dtype=np.uint64)
+            assert plane_oracles.claw_free_on(through_p, cand) == want, (n, base, p)
+            assert _per_hit_claw_free_on(through_p, cand) == want
+            assert tables.claw_free_mask(cand, n) == want
             through[want] += 1
     assert min(seen.values()) >= 20 and min(through.values()) >= 20, (seen, through)
 
@@ -214,27 +258,28 @@ def _density_mask(n, rng, density):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_block_scan_matches_one_pass_scan(n):
-    """`claw_free_mask` scans the planes in blocks and stops at the first
-    block with a claw; it must agree with the one-pass `claw_free_on` over
-    every plane and with `find_claw`."""
-    planes = tables.plane_array(n)
-    first = len(tables.plane_array(5))
+    """The evaluator reads every plane in one pass; it must agree with the
+    one-pass numpy scan and with `find_claw` on sets of every density, and
+    on the bases of planes past the first 155, which a scan that stopped
+    after the n = 5 table's worth of planes would miss."""
+    planes = plane_oracles.plane_array(n)
+    first = len(plane_oracles.plane_array(5))
     rng = random.Random(f"claw-blocks:{n}")
     cases = [_density_mask(n, rng, d / 100) for d in range(5, 100, 5) for _ in range(4)]
     for _ in range(30):
         mask = sample_claw_free_mask(n, rng)
         cases += [mask, _flip(mask, n, rng)]
-    # the basis of a plane past the first block: its one claw plane is the
-    # plane it spans, so a scan that stops after the first block misses it
+    # the basis of a plane past the first 155: its one claw plane is the
+    # plane it spans, so a scan of the first 155 planes misses it
     past = list(flats_of_dim(n, 3))[first:]
     bases = [mask_of(F.basis) for F in rng.sample(past, min(8, len(past)))]
     for mask in bases:
-        assert tables.claw_free_on(planes[:first], mask)
+        assert plane_oracles.claw_free_on(planes[:first], mask)
     cases += bases
     seen = {True: 0, False: 0}
     for mask in cases:
         want = find_claw(BinaryMatroid(n, mask)) is None
-        assert tables.claw_free_on(planes, mask) == want, (n, mask)
+        assert plane_oracles.claw_free_on(planes, mask) == want, (n, mask)
         assert tables.claw_free_mask(mask, n) == want, (n, mask)
         seen[want] += 1
     assert min(seen.values()) >= 20, seen
@@ -258,9 +303,11 @@ def test_anticlaw_identity_exhaustive(n):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_sweep_column_is_the_claw_kernel(n):
     col = tables.sweep_tables(n)
-    assert col.dtype == bool and len(col) == tables.ground_codes(n)
+    assert col.bit_length() <= tables.ground_codes(n)
+    want = plane_oracles.sweep_column(n)
     for code in range(tables.ground_codes(n)):
-        assert bool(col[code]) == tables.claw_free_mask(code << 1, n), (n, code)
+        assert (col >> code) & 1 == tables.claw_free_mask(code << 1, n) == want[code], (n, code)
+    assert tables.claw_free_masks_list(n) == tuple(int(k) << 1 for k in np.flatnonzero(want))
 
 
 def _anticlaw_candidates(n, rng, count):
