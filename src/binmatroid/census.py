@@ -20,12 +20,12 @@ from .gf2 import (
     check_dim,
     echelon_basis,
     ground_mask,
+    iter_bits,
     xor_translate,
 )
 from .matroid import (
     MAX_CANONICAL_DIM,
     BinaryMatroid,
-    _claw_pair,
     canonical_form,
     is_full_rank,
     linear_map_table,
@@ -151,29 +151,53 @@ def even_plane_classes(n: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _free_points(table: TranslateTable) -> int:
+    """The points q outside E, the table's set, with E ∪ {q} claw-free,
+    for E claw-free.
+
+    Every claw of E ∪ {q} then runs through q: it is {q, y, z} with y < z
+    in E and y + z, q + y, q + z, q + y + z outside E.  The last follows
+    from the others, or {y, z, q + y + z} would be a claw of E.  So q is
+    free iff it lies in E + y or E + z for every pair y < z of E with
+    z outside E + y (README, "Identities instead of plane searches")."""
+    T, get = table.entries, table.get
+    E = T[0]
+    free = ground_mask(table.n) & ~E
+    while E & (E - 1):  # a pair of points of E is left
+        low = E & -E
+        E ^= low
+        y = low.bit_length() - 1
+        Ty = T[y] or get(y)
+        for z in iter_bits(E & ~Ty):
+            free &= Ty | (T[z] or get(z))
+    return free
+
+
 def _greedy_claw_free(n: int, rng: random.Random) -> int:
     """Random insertion order, random keep rate; a drawn point p is kept
-    unless it completes a claw.  E stays claw-free, so such a claw runs
-    through p, and `matroid._claw_pair` finds it in E \\ (E + p) from a
-    translate table of E.  When a point q joins E, q + u joins E + u.
+    unless it completes a claw.  E stays claw-free, and the points that
+    would not complete one are kept as a bitset, so each test reads one
+    bit; `_free_points` recomputes it from a translate table of E when a
+    point q joins E, q + u joining E + u.
 
     Where every translate fits in the table (`TranslateTable.fill`, up to
-    n = 13), all of them are kept exact from E = {} on, so no claw test
-    calls `TranslateTable.get` (1.6-1.8 times faster at n = 5..13 than
-    updating only the entries read so far).  Beyond, only the stored
-    entries are updated, and the table computes the others from E when
-    they are read."""
+    n = 13), all of them are kept exact from E = {} on, so no recompute
+    calls `TranslateTable.get`.  Beyond, only the stored entries are
+    updated, and the table computes the others from E when they are
+    read.  Reading a bit draws no random number, so the RNG stream is
+    the one that a claw test of each drawn point gives."""
     order = list(range(1, 1 << n))
     rng.shuffle(order)
     keep = rng.uniform(0.25, 1.0)
     E = 0
+    free = ground_mask(n)
     table = TranslateTable(0, n)
     T = table.entries
     every = table.fill()
     for p in order:
         if rng.random() > keep:
             continue
-        if _claw_pair(E & ~(T[p] or table.get(p)), p, table) is None:
+        if free >> p & 1:
             E |= 1 << p
             if every:
                 T[:] = [t | 1 << (p ^ u) for u, t in enumerate(T)]
@@ -181,6 +205,7 @@ def _greedy_claw_free(n: int, rng: random.Random) -> int:
                 # an entry left 0 is not stored
                 T[:] = [t and t | 1 << (p ^ u) for u, t in enumerate(T)]
                 T[0] = E
+            free = _free_points(table)
     return E
 
 
@@ -219,7 +244,8 @@ def sample_claw_free_mask(n: int, rng: random.Random) -> int:
     members, complements of triangle-free sets, dimension extension, and
     plain rejection.  Below n = 5 it draws from the sweep's list of all
     claw-free sets; from n = 5 on, one mixture serves every dimension,
-    its candidates tested by the bit-sliced plane evaluator to n = 6."""
+    its candidates tested by the 4-flat screen and the bit-sliced plane
+    evaluator to n = 6."""
     if n <= tables.SWEEP_MAX:
         pool = tables.claw_free_masks_list(n)
         return pool[rng.randrange(len(pool))]

@@ -120,8 +120,8 @@ def _claw_pair(A: int, p: int, table: TranslateTable) -> Optional[tuple[int, int
     For A inside E \\ (E + p) such pairs y < z are exactly the claws
     {p, y, z} of E ∪ {p} through p, whether p is in E or not (README,
     "Identities instead of plane searches").  Each y reads two table
-    entries.  The sampler only tests the result for None, so the lowest
-    z is left to `find_claw`.
+    entries.  `find_claw`, the one caller, takes the lowest z of the
+    bitset.
     """
     T, get = table.entries, table.get
     while A & (A - 1):  # a pair of points of A is left

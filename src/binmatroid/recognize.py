@@ -64,8 +64,9 @@ def is_complement_triangle_free(M: BinaryMatroid) -> bool:
 
 
 def claw_free_any(mask: int, n: int) -> bool:
-    """Claw-freeness at any dimension: the bit-sliced plane evaluator for
-    n <= 6, the A-walk of `find_claw` beyond."""
+    """Claw-freeness at any dimension: the 4-flat screen and the
+    bit-sliced plane evaluator of `tables.claw_free_mask` for n <= 6, the
+    A-walk of `find_claw` beyond."""
     if n <= tables.PLANE_TABLE_MAX:
         return tables.claw_free_mask(mask, n)
     return find_claw(BinaryMatroid(n, mask)) is None

@@ -9,8 +9,11 @@ positions xor to zero, and a bit-sliced hit count (four full adders)
 with that xor decides a claw (three hits off a line) and the PG-sum
 forbidden restrictions.  The lane tables of `_lanes(n)` spread one set
 over the positions of every plane at n <= PLANE_TABLE_MAX; the sweep at
-n <= 4 spreads every ground set over one plane's positions, only to
-list the claw-free sets.  The even-plane test needs no planes: it is a degree test.
+n <= 4 spreads every ground set over one plane's positions, to list the
+claw-free sets and to screen claw tests: a claw of E inside a flat is a
+claw of E, so `claw_free_mask` first looks up the restrictions of E to
+the 4-flats through span(e1, e2, e3) in the n = 4 sweep, which decides
+n <= 4 outright.  The even-plane test needs no planes: it is a degree test.
 """
 
 from __future__ import annotations
@@ -110,10 +113,23 @@ def pg_sum_forbidden_mask(mask: int, n: int) -> bool:
 
 
 def claw_free_mask(mask: int, n: int) -> bool:
-    """Claw-freeness: no plane meets E in three points off a line."""
+    """Claw-freeness: no plane meets E in three points off a line.
+
+    Byte 0 of E holds the points 1..7 of V = span(e1, e2, e3), and for
+    k >= 1 the 4-flat V ∪ (8k + V) holds bytes 0 and k.  Its local point
+    w is (w & 7) ^ (8k if w & 8), a linear map, so the restriction of E
+    to it is the n = 4 ground set of code (byte 0 >> 1) | byte k << 7.
+    A claw there is a claw of E, so those codes are looked up first in
+    the sweep column (`_screen_rows`).  At n <= 4 the one lookup is the
+    whole test (E is padded to two bytes, so n = 3 reads byte 1 = 0);
+    beyond, the evaluator judges the sets the screen passes.
+    """
     if n < 3:
         return True
-    return not _tally(*_spread(mask, n))[0]
+    data = mask.to_bytes(max(2, 1 << (n - 3)), "little")
+    if 0 in data[1:].translate(_screen_rows()[data[0] >> 1]):
+        return False
+    return n <= SWEEP_MAX or not _tally(*_spread(mask, n))[0]
 
 
 def anticlaw_free_mask(mask: int, n: int) -> bool:
@@ -174,6 +190,16 @@ def sweep_tables(n: int) -> int:
     for plane in flat_members(n, 3) if n >= 3 else ():
         claws |= _tally(*(columns[p] for p in iter_bits(plane)))[0]
     return (1 << codes) - 1 & ~claws
+
+
+@lru_cache(maxsize=None)
+def _screen_rows() -> tuple[bytes, ...]:
+    """Row r holds, for each byte c, 1 if the n = 4 ground set of code
+    r | c << 7 is claw-free and 0 if not: the stride-128 slices of the
+    sweep column as one flag byte per code, tables for `bytes.translate`."""
+    flags = bin(sweep_tables(SWEEP_MAX))[:1:-1].ljust(ground_codes(SWEEP_MAX), "0")
+    flags = flags.encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    return tuple(flags[r::128] for r in range(128))
 
 
 @lru_cache(maxsize=None)

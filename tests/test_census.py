@@ -11,6 +11,7 @@ from binmatroid import BinaryMatroid, canonical_form, find_claw
 from binmatroid import gf2, tables
 from binmatroid.census import (
     _doubled,
+    _free_points,
     _greedy_claw_free,
     _greedy_triangle_free,
     canon_table,
@@ -232,6 +233,31 @@ def test_claw_through_matches_find_claw(n, count):
     assert min(seen.values()) >= 10, seen
 
 
+@pytest.mark.parametrize("n,count", [(3, 300), (4, 300), (5, 200), (6, 150), (7, 40), (8, 20)])
+@pytest.mark.parametrize("fill,table_bytes", [(True, None), (False, None), (False, 64)])
+def test_free_points_match_claw_through(n, count, fill, table_bytes, monkeypatch):
+    # for E claw-free, q is free iff E ∪ {q} has no claw, and every such
+    # claw runs through q; the table is filled, stores what is read, or
+    # stores only some of it, as at n >= 14
+    if table_bytes is not None:
+        monkeypatch.setattr(gf2, "TRANSLATE_TABLE_BYTES", table_bytes)
+    rng = random.Random(f"free:{n}")
+    seen = {True: 0, False: 0}
+    for i in range(count):
+        mask = sample_claw_free_mask(n, rng) if i % 4 else _greedy_claw_free(n, rng)
+        table = TranslateTable(mask, n)
+        if fill:
+            assert table.fill()
+        free = _free_points(table)
+        for p in range(1, 1 << n):
+            if not (mask >> p) & 1:
+                want = not _claw_through(mask, p, n)
+                assert (free >> p) & 1 == want, (n, mask, p)
+                seen[want] += 1
+        assert free & (mask | 1) == 0, (n, mask)
+    assert min(seen.values()) >= 20, seen
+
+
 def _claw_through_translating(mask, p, n):
     """`_claw_through` as a walk with no table: one translate of
     B = G \\ (E ∪ (E + p)) per point of A = E \\ (E + p)."""
@@ -261,12 +287,13 @@ def _greedy_claw_free_translating(n, rng):
     return E
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("table_bytes", [None, 64])
 def test_greedy_claw_free_matches_translating_greedy(n, table_bytes, monkeypatch):
-    # the table keeps every translate of E it stores up to date, so each
-    # claw test answers as the translating walk does and the RNG stream is
-    # the same; a 64-byte table stores only some translates, as at n >= 14
+    # the table keeps every translate of E it stores up to date, so the
+    # free points it yields answer each draw as the translating walk does
+    # and the RNG stream is the same; a 64-byte table stores only some
+    # translates, as at n >= 14
     if table_bytes is not None:
         monkeypatch.setattr(gf2, "TRANSLATE_TABLE_BYTES", table_bytes)
     sizes = set()

@@ -1,9 +1,10 @@
 """The identities behind the fast predicates, each against a slow plane or
 anchor scan: even-plane is degree <= 2, anticlaw-free is claw-free
 complement, the lowest PG-sum anchor decides, and the flatness gate; the
-counting order of a plane's points; and the bit-sliced plane evaluator
-against the numpy kernels of `plane_oracles`, the pair scan `find_claw`,
-the per-hit loop and the per-plane PG-sum loop."""
+counting order of a plane's points; the 4-flat claw screen; and the
+bit-sliced plane evaluator against the numpy kernels of `plane_oracles`,
+the pair scan `find_claw`, the per-hit loop and the per-plane PG-sum
+loop."""
 
 import functools
 import operator
@@ -181,6 +182,8 @@ def test_counting_order_identity(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_evaluator_matches_numpy_kernels_exhaustive(n):
+    # at n = 3, 4 `claw_free_mask` is the 4-flat screen's one lookup in
+    # the sweep column, so this checks the screen on every ground set
     planes = plane_oracles.plane_array(n) if n >= 3 else np.zeros(0, dtype=np.uint64)
     for code in range(tables.ground_codes(n)):
         mask = code << 1
@@ -283,6 +286,73 @@ def test_block_scan_matches_one_pass_scan(n):
         assert tables.claw_free_mask(mask, n) == want, (n, mask)
         seen[want] += 1
     assert min(seen.values()) >= 20, seen
+
+
+# -- the 4-flat screen ---------------------------------------------------------
+
+
+def _four_flat_claw(mask, n):
+    """Whether E meets some 4-flat V ∪ (8k + V), V = span(e1, e2, e3), in a
+    set with a claw, by the numpy kernel on each restriction."""
+    planes = plane_oracles.plane_array(n)
+    return any(
+        not plane_oracles.claw_free_on(planes, mask & (0xFE | 0xFF << 8 * k))
+        for k in range(1, max(2, 1 << n >> 3))
+    )
+
+
+def _screen_passes(mask, n):
+    """The screen of `tables.claw_free_mask` on its own: no byte-pair code
+    of E is a ground set with a claw in the n = 4 sweep column."""
+    data = mask.to_bytes(max(2, 1 << n >> 3), "little")
+    return 0 not in data[1:].translate(tables._screen_rows()[data[0] >> 1])
+
+
+def _screen_candidates(n, rng):
+    """The sampler's candidate kinds: rejection draws at densities
+    0.05-0.95, extension candidates base | layer << 2^(n-1), claw-free
+    samples and their one-point flips."""
+    half = 1 << (n - 1)
+    for d in range(5, 100, 5):
+        for _ in range(12):
+            yield _density_mask(n, rng, d / 100)
+    for _ in range(150):
+        base = sample_claw_free_mask(n - 1, rng)
+        layer = rng.getrandbits(half) ^ (base if rng.random() < 0.5 else 0)
+        yield base | (layer & ((1 << half) - 1)) << half
+        mask = sample_claw_free_mask(n, rng)
+        yield mask
+        yield _flip(mask, n, rng)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_four_flat_screen_on_sampler_candidates(n):
+    """The screen passes exactly the sets with no claw in a 4-flat through
+    V, and `claw_free_mask` agrees with the numpy kernel whichever way the
+    screen goes."""
+    planes = plane_oracles.plane_array(n)
+    rng = random.Random(f"screen:{n}")
+    seen = {(passes, want): 0 for passes in (False, True) for want in (False, True)}
+    for mask in _screen_candidates(n, rng):
+        passes = _screen_passes(mask, n)
+        assert passes == (not _four_flat_claw(mask, n)), (n, mask)
+        want = plane_oracles.claw_free_on(planes, mask)
+        assert tables.claw_free_mask(mask, n) == want, (n, mask)
+        seen[passes, want] += 1
+    # a claw in a 4-flat is a claw of E
+    assert seen[False, True] == 0
+    assert min(seen[False, False], seen[True, False], seen[True, True]) >= 20, seen
+
+
+@pytest.mark.parametrize("n,points", [(5, (1, 8, 16)), (6, (8, 16, 32)), (6, (1, 8, 16, 32))])
+def test_claws_past_the_screen_reach_the_evaluator(n, points):
+    # each 4-flat V ∪ (8k + V) holds at most two of these points, so the
+    # screen passes the set and only the evaluator sees its claw
+    mask = mask_of(points)
+    assert _screen_passes(mask, n) and not _four_flat_claw(mask, n)
+    assert not plane_oracles.claw_free_on(plane_oracles.plane_array(n), mask)
+    assert find_claw(BinaryMatroid(n, mask)) is not None
+    assert not tables.claw_free_mask(mask, n)
 
 
 # -- anticlaw-free: claw-free complement ------------------------------------
