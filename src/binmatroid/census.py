@@ -177,35 +177,21 @@ def _greedy_claw_free(n: int, rng: random.Random) -> int:
     """Random insertion order, random keep rate; a drawn point p is kept
     unless it completes a claw.  E stays claw-free, and the points that
     would not complete one are kept as a bitset, so each test reads one
-    bit; `_free_points` recomputes it from a translate table of E when a
-    point q joins E, q + u joining E + u.
-
-    Where every translate fits in the table (`TranslateTable.fill`, up to
-    n = 13), all of them are kept exact from E = {} on, so no recompute
-    calls `TranslateTable.get`.  Beyond, only the stored entries are
-    updated, and the table computes the others from E when they are
-    read.  Reading a bit draws no random number, so the RNG stream is
-    the one that a claw test of each drawn point gives."""
+    bit; when a point joins E, `_free_points` recomputes it from a fresh
+    table of E, which computes only the translates E + y, y in E, that
+    it reads.  Reading a bit draws no random number, so the RNG stream
+    is the one that a claw test of each drawn point gives."""
     order = list(range(1, 1 << n))
     rng.shuffle(order)
     keep = rng.uniform(0.25, 1.0)
     E = 0
     free = ground_mask(n)
-    table = TranslateTable(0, n)
-    T = table.entries
-    every = table.fill()
     for p in order:
         if rng.random() > keep:
             continue
         if free >> p & 1:
             E |= 1 << p
-            if every:
-                T[:] = [t | 1 << (p ^ u) for u, t in enumerate(T)]
-            else:
-                # an entry left 0 is not stored
-                T[:] = [t and t | 1 << (p ^ u) for u, t in enumerate(T)]
-                T[0] = E
-            free = _free_points(table)
+            free = _free_points(TranslateTable(E, n))
     return E
 
 
@@ -269,11 +255,10 @@ def sample_claw_free_mask(n: int, rng: random.Random) -> int:
             choice = rng.random()
             if choice < 0.3:
                 return _doubled(base, n - 1)
+            layer = rng.getrandbits(half)
             if choice < 0.6:
-                layer = base ^ rng.getrandbits(1 << (n - 1))
-            else:
-                layer = rng.getrandbits(1 << (n - 1))
-            cand = base | ((layer & ((1 << half) - 1)) << half)
+                layer ^= base
+            cand = base | layer << half
             if claw_free_any(cand, n):
                 return cand
         return _greedy_claw_free(n, rng)

@@ -123,12 +123,10 @@ class TranslateTable:
     def fill(self) -> bool:
         """Store every entry at once when all of them fit, that is when
         room >= 2^n; whether it did.  The list object is kept, so loops
-        that hold `entries` see the stored entries.  The empty set's
-        entries are all 0 from the start, so it takes no pass."""
+        that hold `entries` see the stored entries."""
         if self.room < len(self.entries):
             return False
-        if self.entries[0]:
-            self.entries[:] = translates(self.entries[0], self.n)
+        self.entries[:] = translates(self.entries[0], self.n)
         return True
 
     def get(self, u: int) -> int:
