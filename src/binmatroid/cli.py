@@ -452,6 +452,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MatroidParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        data, at = exc.object, exc.start  # the column counts bytes
+        line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        err = MatroidParseError(line, col, f"byte 0x{data[at]:02x} is not UTF-8")
+        print(f"parse error: {err}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

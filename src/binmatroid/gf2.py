@@ -8,13 +8,13 @@ masks (subspaces) include bit 0.
 
 All values are immutable after construction and every function here is
 pure; a `TranslateTable` only stores translates: as they are first read,
-or all at once where all of them fit.
+or all at once where all of them fit; a `Flat` reads its basis on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator
 
@@ -171,22 +171,13 @@ def echelon_basis(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(pivots[p] for p in sorted(pivots))
 
 
-def span_from_basis(basis: Iterable[int], n: int) -> int:
-    """Bitset of the subspace generated by `basis`, zero vector included."""
-    m = 1
-    for b in basis:
-        if not (m >> b) & 1:
-            m |= xor_translate(m, b, n)
-    return m
-
-
 def span_mask(mask: int, n: int) -> int:
     """Bitset of the span of a point bitset, zero vector included (bit 0
     of mask is ignored); it has 2^rank bits.
 
     The span grows from the lowest point outside it, so it takes at most
     n translates (none for the first point).  It is the one span-growth
-    loop: closures, the flatness test and ranks all go through it.
+    loop: closures, flatness, ranks and `flats_of_dim` all go through it.
     """
     span = 1
     rest = mask & ~1
@@ -199,21 +190,32 @@ def span_mask(mask: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class Flat:
-    """A linear subspace of F_2^n with canonical basis and membership bitset.
+    """A linear subspace of F_2^n, stored as its membership bitset.
 
-    `basis` is the reduced-echelon basis (sorted by leading bit);
-    `members` excludes the zero vector, so `members | 1` is closed
-    under XOR.  Flats of dimension 2, 3 and n-1 are called triangles,
-    planes and hyperplanes.
+    `members` excludes the zero vector, so `members | 1` is closed under
+    XOR.  Flats of dimension 2, 3 and n-1 are called triangles, planes
+    and hyperplanes.
     """
 
     n: int
-    basis: tuple[int, ...]
     members: int
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.members.bit_count().bit_length()
+
+    @cached_property
+    def basis(self) -> tuple[int, ...]:
+        """The reduced echelon basis, sorted by leading bit: the vector with
+        leading bit i is the least member in [2^i, 2^(i+1)) (README, "A
+        flat's echelon basis is read off its span", has the proof)."""
+        basis = []
+        for i in range(self.n):
+            w = 1 << i
+            block = (self.members >> w) & ((1 << w) - 1)
+            if block:
+                basis.append(w | ((block & -block).bit_length() - 1))
+        return tuple(basis)
 
     @property
     def span(self) -> int:
@@ -253,30 +255,13 @@ class Flat:
 
 def empty_flat(n: int) -> Flat:
     """The dimension-0 flat (a first-class value)."""
-    return Flat(check_dim(n), (), 0)
+    return Flat(check_dim(n), 0)
 
 
 def full_flat(n: int) -> Flat:
     """The whole geometry as a flat."""
     n = check_dim(n)
-    return Flat(n, tuple(1 << i for i in range(n)), ground_mask(n))
-
-
-def flat_of_span(span: int, n: int) -> Flat:
-    """The flat whose span bitset (bit 0 set) is `span`, its reduced echelon
-    basis read off with n block reads and no elimination.
-
-    The basis vector with leading bit i is the least member in
-    [2^i, 2^(i+1)): any other member there is it plus lower basis vectors,
-    and has a 1 at the highest of their pivots, where it has a 0.
-    """
-    basis = []
-    for i in range(n):
-        w = 1 << i
-        block = (span >> w) & ((1 << w) - 1)
-        if block:
-            basis.append(w | ((block & -block).bit_length() - 1))
-    return Flat(n, tuple(basis), span & ~1)
+    return Flat(n, ground_mask(n))
 
 
 def closure(points: Iterable[int], n: int) -> Flat:
@@ -286,7 +271,7 @@ def closure(points: Iterable[int], n: int) -> Flat:
     for p in pts:
         if not 0 < p < 1 << n:
             raise ValueError(f"point {p} out of range for dimension {n}")
-    return flat_of_span(span_mask(mask_of(pts), n), n)
+    return Flat(n, span_mask(mask_of(pts), n) & ~1)
 
 
 def closure_mask(mask: int, n: int) -> Flat:
@@ -294,7 +279,7 @@ def closure_mask(mask: int, n: int) -> Flat:
     n = check_dim(n)
     if mask >> (1 << n):
         raise ValueError(f"bitset out of range for dimension {n}")
-    return flat_of_span(span_mask(mask, n), n)
+    return Flat(n, span_mask(mask, n) & ~1)
 
 
 def is_flat(mask: int, n: int) -> bool:
@@ -349,8 +334,7 @@ def complementary_flat(flat: Flat) -> Flat:
     over its leading bits p (README, "A complementary flat is read off the leading bits")."""
     n = flat.n
     lead = [b.bit_length() - 1 for b in flat.basis]
-    span = kernel_mask([1 << p for p in lead], n)
-    return Flat(n, tuple(1 << i for i in range(n) if i not in lead), span & ~1)
+    return Flat(n, kernel_mask([1 << p for p in lead], n) & ~1)
 
 
 def is_independent(points: Iterable[int]) -> bool:
@@ -385,7 +369,7 @@ def flats_of_dim(n: int, d: int) -> Iterator[Flat]:
                     if (row_bits >> j) & 1:
                         v |= 1 << b
                 basis.append(v)
-            yield Flat(n, tuple(basis), span_from_basis(basis, n) & ~1)
+            yield Flat(n, span_mask(mask_of(basis), n) & ~1)
 
 
 def gaussian_binomial(n: int, d: int) -> int:

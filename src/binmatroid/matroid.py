@@ -17,13 +17,11 @@ from .gf2 import (
     bits_list,
     check_dim,
     closure,
-    flat_of_span,
     flats_of_dim,
     ground_mask,
     iter_bits,
     kernel_mask,
     mask_of,
-    span_from_basis,
     span_mask,
     translates,
     xor_translate,
@@ -373,7 +371,7 @@ def _cover(T: int, m: int, n: int) -> Optional[list[int]]:
 
 def _annihilator(rows: list[int], n: int) -> list[int]:
     """The reduced echelon basis of the kernel meet of the rows."""
-    return list(flat_of_span(kernel_mask(rows, n), n).basis)
+    return list(Flat(n, kernel_mask(rows, n) & ~1).basis)
 
 
 def critical_number(M: BinaryMatroid, budget: Optional[int] = None) -> int:
@@ -424,7 +422,7 @@ def _coset_witness(E: int, n: int, flat: list[int]) -> bool:
     translates of W.  README, "Invariants at the leaves".
     """
     size = len(flat) + 1
-    W = span_from_basis(flat, n)
+    W = span_mask(mask_of(flat), n)
     rest = E
     while rest:
         coset = xor_translate(W, (rest & -rest).bit_length() - 1, n)
@@ -612,7 +610,7 @@ def _orbit_representative(n: int, E: int, budget: Optional[int]) -> int:
     for S, flip in ((E, 0), (ground & ~E, ground)):
         span = span_mask(S, n)
         if span != ground | 1:
-            F = flat_of_span(span, n)
+            F = Flat(n, span & ~1)
             local = restrict(BinaryMatroid(n, S), F).mask
             return _canonical_mask(F.dim, local, budget) ^ flip
     return E

@@ -20,7 +20,6 @@ from typing import Optional
 
 from .gf2 import (
     Flat,
-    flat_of_span,
     ground_mask,
     is_flat,
     iter_bits,
@@ -123,7 +122,7 @@ def is_pg_sum_direct(M: BinaryMatroid) -> Optional[tuple[Flat, Flat]]:
     if witness is None:
         return None
     f1, f2 = witness
-    return (flat_of_span(f1 | 1, M.n), flat_of_span(f2 | 1, M.n))
+    return (Flat(M.n, f1), Flat(M.n, f2))
 
 
 def is_pg_sum_forbidden(M: BinaryMatroid) -> bool:
@@ -175,8 +174,8 @@ def is_target(M: BinaryMatroid) -> Optional[list[Flat]]:
     avoids E, and the top one when the highest layer does.
 
     The walk reads only member bitsets (`gf2.span_mask`); a `Flat` is
-    read off the span of each flat of the chain it returns
-    (`gf2.flat_of_span`), and none is built for a non-target.
+    built from the members of each flat of the chain it returns, and
+    none is built for a non-target.
     """
     E, n = M.mask, M.n
     chain = [ground_mask(n)]
@@ -194,7 +193,7 @@ def is_target(M: BinaryMatroid) -> Optional[list[Flat]]:
         chain.pop(0)
     if len(chain) > 1 and not inside[0]:
         chain.pop()
-    return [flat_of_span(B | 1, n) for B in chain]
+    return [Flat(n, B) for B in chain]
 
 
 def chi_bound(k: int, dim_n: int) -> int:

@@ -35,7 +35,6 @@ from .gf2 import (
     closure_mask,
     complementary_flat,
     cosets,
-    flat_of_span,
     ground_mask,
     is_flat,
     iter_bits,
@@ -92,7 +91,7 @@ def minimal_decomposer_containing(M: BinaryMatroid, a: int) -> Optional[Flat]:
     if not 1 <= a < (1 << M.n):
         raise ValueError(f"anchor {a} out of range")
     span = _fixpoint_span(TranslateTable(M.mask, M.n), a)
-    return None if span is None else flat_of_span(span, M.n)
+    return None if span is None else Flat(M.n, span & ~1)
 
 
 def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
@@ -104,7 +103,7 @@ def find_decomposer(M: BinaryMatroid) -> Optional[Flat]:
     """
     table = TranslateTable(M.mask, M.n)
     span = min(_anchor_spans(table), key=int.bit_count, default=None)
-    return None if span is None else flat_of_span(span, M.n)
+    return None if span is None else Flat(M.n, span & ~1)
 
 
 def _anchor_spans(table: TranslateTable) -> Iterator[int]:

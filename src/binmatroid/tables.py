@@ -124,6 +124,8 @@ def claw_free_mask(mask: int, n: int) -> bool:
     whole test (E is padded to two bytes, so n = 3 reads byte 1 = 0);
     beyond, the evaluator judges the sets the screen passes.
     """
+    if n > PLANE_TABLE_MAX:
+        raise ValueError(f"plane tables cover 3 <= n <= {PLANE_TABLE_MAX}")
     if n < 3:
         return True
     data = mask.to_bytes(max(2, 1 << (n - 3)), "little")

@@ -29,7 +29,6 @@ from .gf2 import (
     closure_mask,
     complementary_flat,
     cosets,
-    flat_of_span,
     flats_of_dim,
     ground_mask,
     iter_bits,
@@ -276,7 +275,7 @@ def _random_flat_members(n: int, d: int, rng: random.Random) -> int:
 
 
 def _random_flat_of_dim(n: int, d: int, rng: random.Random) -> Flat:
-    return flat_of_span(_random_flat_members(n, d, rng) | 1, n)
+    return Flat(n, _random_flat_members(n, d, rng))
 
 
 def _random_flat(n: int, rng: random.Random) -> Flat:

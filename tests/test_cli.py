@@ -499,6 +499,28 @@ def test_unreadable_input_is_a_usage_error(tmp_path, command, target):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, monkeypatch, source):
+    # the column of the 0xff byte, which a stdin decoded with
+    # surrogateescape reports as the column of the token it is in
+    data = b"dim 3\npoints 1 \xff 4\n"
+    argv = ["analyze"]
+    if source == "file":
+        path = tmp_path / "latin1.matroid"
+        path.write_bytes(data)
+        argv.append(str(path))
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    out, err = io.StringIO(), io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    code = main(argv)
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == "parse error: line 2, col 10: byte 0xff is not UTF-8\n"
+    code, out, err = run_cli(["analyze"], stdin=data.decode("utf-8", "surrogateescape"))
+    assert code == 2 and out == "" and "parse error: line 2, col 10:" in err
+
+
 def test_verify_unknown_suite_is_usage_error():
     code, _, _ = run_cli(["verify", "bogus"])
     assert code == 1

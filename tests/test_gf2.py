@@ -1,5 +1,6 @@
 """Vector-space layer: spans, flats, cosets, coordinate maps."""
 
+import dataclasses
 import itertools
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binmatroid import gf2
+from binmatroid import construct, gf2, recognize, structure
 from binmatroid.gf2 import (
     TranslateTable,
     bits_list,
@@ -27,6 +28,8 @@ from binmatroid.gf2 import (
     translates,
     xor_translate,
 )
+from binmatroid.matroid import BinaryMatroid
+from linear_images import mapped, random_images
 
 
 def test_closure_examples():
@@ -290,10 +293,19 @@ def test_closure_monotone(a, b):
     assert closure_mask(a << 1, 3).members & ~F.members == 0
 
 
+def _xor_span(vectors):
+    """Bitset of the XOR closure of the vectors, zero vector included: each
+    vector adds its sum with every element so far."""
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return mask_of(span)
+
+
 def _closure_oracle(mask, n):
     """Echelon basis of every point of the mask, and its span."""
     basis = gf2.echelon_basis(bits_list(mask & ~1))
-    return basis, gf2.span_from_basis(basis, n) & ~1
+    return basis, _xor_span(basis) & ~1
 
 
 def test_closure_mask_matches_all_points_echelon():
@@ -311,13 +323,63 @@ def test_closure_mask_matches_all_points_echelon():
     assert (F.basis, F.members) == _closure_oracle(mask, 16)
 
 
-def test_flat_of_span_matches_flats_of_dim():
-    """`flats_of_dim` builds each reduced echelon basis from its pivots and
-    free entries; reading it off the span must give the same flat."""
+def _assert_echelon(F):
+    """A flat's basis is the elimination basis of its members, its span is
+    the XOR closure of that basis, and its dimension is the basis size."""
+    want = gf2.echelon_basis(bits_list(F.members))
+    assert F.basis == want, (F.n, hex(F.members))
+    assert F.dim == len(want), (F.n, hex(F.members))
+    assert _xor_span(want) == F.span, (F.n, hex(F.members))
+
+
+def test_flat_is_its_members():
+    assert [f.name for f in dataclasses.fields(gf2.Flat)] == ["n", "members"]
+    F = closure([3, 5], 3)
+    assert F == gf2.Flat(3, F.members) and hash(F) == hash(gf2.Flat(3, F.members))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        F.basis = ()
+
+
+def test_every_flat_basis_matches_elimination():
+    """Every Flat the library builds reads its reduced echelon basis off
+    its members; elimination over all the members must give the same."""
     for n in range(7):
+        _assert_echelon(empty_flat(n))
+        _assert_echelon(full_flat(n))
         for d in range(n + 1):
             for F in flats_of_dim(n, d):
-                assert gf2.flat_of_span(F.span, n) == F, (n, F)
+                _assert_echelon(F)
+                _assert_echelon(complementary_flat(F))
+    rng = random.Random("flat-basis")
+    for n in range(11):
+        for i in range(30):
+            if i % 3 == 0:
+                mask = rng.getrandbits(1 << n) & ~1
+            else:
+                mask = mask_of(rng.randrange(1, 1 << n) for _ in range(rng.randint(0, n))) if n else 0
+            F = closure_mask(mask, n)
+            _assert_echelon(F)
+            if F.dim < n:
+                _assert_echelon(complementary_flat(F))
+    matroids = [BinaryMatroid(n, code << 1) for n in range(4) for code in range(1 << ((1 << n) - 1))]
+    for n in range(4, 9):
+        for _ in range(8):
+            matroids.append(BinaryMatroid(n, rng.getrandbits(1 << n) & ~1))
+            dims = sorted(rng.randint(0, n) for _ in range(rng.randint(1, 5)))
+            matroids.append(mapped(construct.target(n, dims), random_images(n, rng)))
+            matroids.append(mapped(construct.pg_sum(n // 2, n - n // 2), random_images(n, rng)))
+    chains = decomposers = 0
+    for M in matroids:
+        F = structure.find_decomposer(M)
+        if F is not None:
+            decomposers += 1
+            _assert_echelon(F)
+        for F in recognize.is_target(M) or []:
+            chains += 1
+            _assert_echelon(F)
+        for F in recognize.is_pg_sum_direct(M) or ():
+            _assert_echelon(F)
+    assert decomposers > 100 and chains > 100, (decomposers, chains)
 
 
 def test_empty_flat_is_first_class():

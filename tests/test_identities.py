@@ -16,7 +16,7 @@ import pytest
 
 from binmatroid import BinaryMatroid, find_anticlaw, find_claw, is_anticlaw_free, is_even_plane
 from binmatroid.census import random_even_plane_mask, sample_claw_free_mask, sample_uniform_mask
-from binmatroid.construct import lift_join
+from binmatroid.construct import independent_matroid, lift_join, pg_sum
 from binmatroid.gf2 import (
     closure,
     closure_mask,
@@ -533,6 +533,16 @@ def test_pg_sum_witness_matches_forbidden_oracle_past_the_tables():
 
 def test_pg_sum_forbidden_kernel_is_the_table_kernel():
     assert pg_sum_forbidden_mask is tables.pg_sum_forbidden_mask
+
+
+def test_claw_free_kernel_raises_past_the_tables():
+    """Past PLANE_TABLE_MAX the claw kernel raises whatever the set: the
+    4-flat screen would find the claw of three unit vectors, and the plane
+    evaluator has no tables for a PG-sum the screen passes."""
+    n = tables.PLANE_TABLE_MAX + 1
+    for M in (independent_matroid(3), pg_sum(3, 4)):
+        with pytest.raises(ValueError):
+            tables.claw_free_mask(M.mask, n)
 
 
 # -- the flatness gate --------------------------------------------------------

@@ -50,6 +50,36 @@ def test_triangle_free_examples():
     assert is_triangle_free(c4())
 
 
+def _triangle_free_oracle(mask):
+    """No pair of points whose sum is a point: a scan of every pair."""
+    points = list(iter_bits(mask))
+    return not any((mask >> (p ^ q)) & 1 for i, p in enumerate(points) for q in points[:i])
+
+
+def test_triangle_free_matches_pair_scan_exhaustive():
+    for n in range(5):
+        for code in range(1 << ((1 << n) - 1)):
+            mask = code << 1
+            assert recognize.triangle_free_mask(mask, n) == _triangle_free_oracle(mask), (n, mask)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_triangle_free_matches_pair_scan_seeded(n):
+    # uniform sets, the greedy triangle-free sets (which must be
+    # triangle-free) and each of those with one point flipped
+    rng = random.Random(f"triangle-free:{n}")
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        greedy = census._greedy_triangle_free(n, rng)
+        assert _triangle_free_oracle(greedy), (n, hex(greedy))
+        for mask in (greedy, census.sample_uniform_mask(n, rng)):
+            for m in (mask, mask ^ (1 << rng.randrange(1, 1 << n))):
+                want = _triangle_free_oracle(m)
+                assert recognize.triangle_free_mask(m, n) == want, (n, hex(m))
+                seen[want] += 1
+    assert min(seen.values()) >= 40, seen
+
+
 def test_even_plane_examples():
     assert is_even_plane(c4())
     assert not is_even_plane(p5())
