@@ -109,7 +109,10 @@ def format_matroid(M: BinaryMatroid) -> str:
 
 def _read_input(path: Optional[str]) -> str:
     if path is None or path == "-":
-        return sys.stdin.read()
+        # stdin's bytes are decoded as UTF-8, as a file's are, whatever the
+        # locale; a text stream without bytes beneath it is read as text
+        stdin = getattr(sys.stdin, "buffer", None)
+        return sys.stdin.read() if stdin is None else stdin.read().decode("utf-8")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()

@@ -617,7 +617,11 @@ def _orbit_representative(n: int, E: int, budget: Optional[int]) -> int:
 
 
 def _least_segment(
-    cands: int, pre: list[int], trans: list[int], bound: Optional[int]
+    cands: int,
+    pre: list[int],
+    trans: list[int],
+    bound: Optional[int],
+    key: int = 0,
 ) -> tuple[int, int]:
     """Least segment key over a candidate bitset, and the candidates with it.
 
@@ -626,9 +630,10 @@ def _least_segment(
     w ^ u.  Key bits are read one at a time: a bit is 0 when some remaining
     candidate has it 0, and only those candidates stay.  Once the key is
     known to exceed `bound` (None for no bound), reading stops and no
-    candidate is returned, with a key above `bound`.
+    candidate is returned, with a key above `bound`.  `key` resumes a read:
+    it holds bits read before pre[0], which every candidate shares and
+    which are not above the leading bits of `bound`; `bound` spans them too.
     """
-    key = 0
     shift = len(pre)
     for u in pre:
         shift -= 1
@@ -677,23 +682,33 @@ def _canonical_search(
     npoints = 1 << n
     trans = translates(E, n)
     best: list[Optional[int]] = [None] * n
-    best_pre: list[Optional[list[int]]] = [None]
+    best_pre: list[list[int]] = [[]]  # the last improved leaf's point order
+    best_inv: list[list[int]] = [[]]  # and its inverse, point -> local value
     auts: list[list[int]] = []  # point tables of discovered automorphisms
     images: list[int] = []  # masks read at the improved leaves, in order
     hit: list[int] = []  # the cached form of an improved leaf's image
     nodes = 0
 
     def rec(
-        k: int, span: int, pre: list[int], prefix: list[int], stab: list[list[int]]
+        k: int,
+        span: int,
+        pre: list[int],
+        prefix: list[int],
+        stab: list[list[int]],
+        key: int,
+        least: int,
     ) -> int:
-        # stab: the automorphisms found so far that fix every point of
-        # prefix; a child inherits those that also fix its own point, and
-        # after each child only the automorphisms found since are tested.
-        # Returns the level of the frame that resumes: k - 1, or a lower
-        # one after a tie at a leaf.
+        # key, least: this frame's least segment key and the candidates
+        # with it, read by the parent.  stab: the automorphisms found so
+        # far that fix every point of prefix; a child inherits those that
+        # also fix its own point, and after each child only the
+        # automorphisms found since are tested.  Returns the level of the
+        # frame that resumes: k - 1, or a lower one after a tie at a leaf.
         nonlocal nodes
+        half = len(pre)
+        fresh: Optional[tuple[int, int, int]] = None  # (coset, first half, candidates)
         # rest: least-key candidates not yet visited nor in the orbit of one
-        key, rest = _least_segment(ground & ~span, pre, trans, best[k - 1])
+        rest = least
         seen = len(auts)
         while rest:
             low = rest & -rest
@@ -708,12 +723,15 @@ def _canonical_search(
                 best[k - 1] = key
                 for t in range(k, n):
                     best[t] = None
-            full_pre = pre + [w ^ u for u in pre]
             if k == n:
+                full_pre = pre + [w ^ u for u in pre]
                 if improved:
                     # best holds this leaf's keys, so its image is E read
                     # through the path's basis: g(E) for an invertible g
                     best_pre[0] = full_pre
+                    inv = best_inv[0] = [0] * npoints
+                    for j, v in enumerate(full_pre):
+                        inv[v] = j
                     img = _keys_image(best)
                     images.append(img)
                     if cache is not None:
@@ -728,25 +746,48 @@ def _canonical_search(
                     # maps the finished best child of level j onto this
                     # path's child there, so that child's subtree is covered
                     ref = best_pre[0]
-                    inv = [0] * npoints
-                    for j, v in enumerate(ref):
-                        inv[v] = j
-                    auts.append([full_pre[inv[v]] for v in range(npoints)])
+                    auts.append(list(map(full_pre.__getitem__, best_inv[0])))
                     j = 1
                     while full_pre[1 << (j - 1)] == ref[1 << (j - 1)]:
                         j += 1
                     if j < k:
                         return j
             else:
-                jump = rec(
-                    k + 1,
-                    span | xor_translate(span, w, n),
-                    full_pre,
-                    prefix + [w],
-                    [t for t in stab if t[w] == w],
-                )
-                if jump < k:
-                    return jump
+                # The child's keys run over the points x off span and off
+                # its coset w + span, and the first half of each, the
+                # membership of x + pre[j], is x's key in this frame.  So
+                # the child's least first half is key, on least minus the
+                # coset; only when least lies in the coset, as it then does
+                # for every child, is it a fresh read, made once.  Every
+                # child shares that first half, and one above the bound's
+                # cuts the child before any of its frame is built.
+                bound = best[k]
+                if fresh is not None:
+                    coset, first, cands = fresh
+                elif bound is None or key <= bound >> half:
+                    coset = xor_translate(span, w, n)
+                    first, cands = key, least & ~coset
+                    if not cands:
+                        off = ground & ~(span | coset)
+                        fresh = coset, *_least_segment(off, pre, trans, None)
+                        coset, first, cands = fresh
+                else:
+                    first = key
+                if bound is None or first <= bound >> half:
+                    tail = [w ^ u for u in pre]
+                    child_key, child_least = _least_segment(cands, tail, trans, bound, first)
+                    if child_least:
+                        jump = rec(
+                            k + 1,
+                            span | coset,
+                            pre + tail,
+                            prefix + [w],
+                            [t for t in stab if t[w] == w],
+                            child_key,
+                            child_least,
+                        )
+                        if jump < k:
+                            return jump
             if not rest:
                 break  # orbits and new automorphisms only prune later siblings
             if len(auts) > seen:  # ties may have grown the group
@@ -765,7 +806,7 @@ def _canonical_search(
                 rest &= ~orbit
         return k - 1
 
-    rec(1, 1, [0], [], [])
+    rec(1, 1, [0], [], [], *_least_segment(ground, [0], trans, None))
 
     # every later improved leaf beats the earlier ones, so the last image
     # is the least: the canonical form, unless a leaf image was cached

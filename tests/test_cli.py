@@ -521,6 +521,27 @@ def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, monkeypatch, source):
     assert code == 2 and out == "" and "parse error: line 2, col 10:" in err
 
 
+def test_stdin_and_path_give_one_message_for_bytes_that_are_not_utf8(tmp_path, monkeypatch):
+    # a C-locale stdin decodes 0xff as the surrogate U+DCFF, which the
+    # parser would report as a point that is not an integer
+    data = b"dim 3\npoints 1 \xff2\n"
+    path = tmp_path / "latin1.matroid"
+    path.write_bytes(data)
+    messages = []
+    for argv, stdin in (
+        (["analyze", str(path)], io.StringIO("")),
+        (["analyze"], io.TextIOWrapper(io.BytesIO(data), "ascii", "surrogateescape")),
+        (["analyze", "-"], io.TextIOWrapper(io.BytesIO(data), "ascii", "surrogateescape")),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        monkeypatch.setattr(sys, "stdin", stdin)
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        assert main(argv) == 2 and out.getvalue() == ""
+        messages.append(err.getvalue())
+    assert messages == ["parse error: line 2, col 10: byte 0xff is not UTF-8\n"] * 3
+
+
 def test_verify_unknown_suite_is_usage_error():
     code, _, _ = run_cli(["verify", "bogus"])
     assert code == 1

@@ -712,8 +712,10 @@ FROZEN_FORMS = [
     (6, pg_sum(3, 3).mask, 0x4241128806a0c000),
     (6, _quadric_mask(6, elliptic=True), 0x9556566a3ffcfcc0),
     (6, _BASIS6_AND_SUM, 0xe880800080000000),
-    # the slowest set of the benchmark's census pool
+    # a 2-point set, 2 885 nodes when it was searched on its own mask
     (6, 0x1004000000, 0xc000000000000000),
+    # the slowest cold search of the benchmark's census pool
+    (6, 0x6beb69696beb6968, 0xfff9699669969668),
 ]
 
 
@@ -816,8 +818,13 @@ FROZEN_NODES = [
     (6, pg_sum(3, 3).mask, 33),
     (6, _quadric_mask(6, elliptic=True), 40),
     (6, _BASIS6_AND_SUM, 1152),
-    # the slowest set of the benchmark's census pool
+    # a 2-point set; the census pool no longer searches its own mask, but
+    # the orbit representative at n = 2 (README, "Sets in a proper flat
+    # are searched once per orbit")
     (6, 0x1004000000, 2885),
+    # the slowest cold search of the benchmark's census pool: nearly every
+    # child at level 5 is cut within the first half of its key
+    (6, 0x6beb69696beb6968, 3929),
 ]
 
 
@@ -831,7 +838,7 @@ def test_canonical_nodes_frozen(n, mask, nodes):
 
 #: the rows of `FROZEN_NODES` with the node counts the search took before
 #: it left the subtree under a leaf tie, which
-#: `_canonical_search_without_backjump` still takes; all but the last
+#: `_canonical_search_without_backjump` still takes; all but the last two
 #: were recorded with the frozen forms by bisecting `budget`
 WITHOUT_BACKJUMP_NODES = [
     (5, 0x10116, 1812),
@@ -847,6 +854,7 @@ WITHOUT_BACKJUMP_NODES = [
     (6, _quadric_mask(6, elliptic=True), 103),
     (6, _BASIS6_AND_SUM, 10553),
     (6, 0x1004000000, 3285),
+    (6, 0x6beb69696beb6968, 5169),
 ]
 
 
@@ -880,6 +888,134 @@ def test_sampled_census_matches_search_without_backjump(n, samples, monkeypatch)
             patch.setattr(matroid, "_canonical_search", _canonical_search_without_backjump)
             want = census.sampled_census(n, samples, seed, filter_claw_free=True)
         assert got == want
+
+
+def _canonical_search_with_child_frames(n, E, budget=None, cache=None):
+    """The canonical search before a child read the first half of its key
+    from its parent's frame: every child enters a frame that reads its
+    whole key, and each leaf tie inverts the best leaf's point order
+    afresh.  It reads and writes `cache` as `matroid._canonical_search`
+    does."""
+    ground = ground_mask(n)
+    if n == 0 or E == 0 or E == ground:
+        return E, 0
+    npoints = 1 << n
+    trans = translates(E, n)
+    best = [None] * n
+    best_pre = [None]
+    auts = []
+    images = []
+    hit = []
+    nodes = 0
+
+    def rec(k, span, pre, prefix, stab):
+        nonlocal nodes
+        key, rest = matroid._least_segment(ground & ~span, pre, trans, best[k - 1])
+        seen = len(auts)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceeded("canonical search with child frames")
+            slot = best[k - 1]
+            improved = slot is None or key < slot
+            if improved:
+                best[k - 1] = key
+                for t in range(k, n):
+                    best[t] = None
+            full_pre = pre + [w ^ u for u in pre]
+            if k == n:
+                if improved:
+                    best_pre[0] = full_pre
+                    img = matroid._keys_image(best)
+                    images.append(img)
+                    if cache is not None:
+                        form = cache.get((n, img))
+                        if form is not None:
+                            hit.append(form)
+                            return 0
+                else:
+                    ref = best_pre[0]
+                    inv = [0] * npoints
+                    for j, v in enumerate(ref):
+                        inv[v] = j
+                    auts.append([full_pre[inv[v]] for v in range(npoints)])
+                    j = 1
+                    while full_pre[1 << (j - 1)] == ref[1 << (j - 1)]:
+                        j += 1
+                    if j < k:
+                        return j
+            else:
+                jump = rec(
+                    k + 1,
+                    span | xor_translate(span, w, n),
+                    full_pre,
+                    prefix + [w],
+                    [t for t in stab if t[w] == w],
+                )
+                if jump < k:
+                    return jump
+            if not rest:
+                break
+            if len(auts) > seen:
+                stab.extend(t for t in auts[seen:] if all(t[u] == u for u in prefix))
+                seen = len(auts)
+            if stab:
+                orbit = low
+                frontier = [w]
+                while frontier and rest & ~orbit:
+                    u = frontier.pop()
+                    for t in stab:
+                        v = t[u]
+                        if not (orbit >> v) & 1:
+                            orbit |= 1 << v
+                            frontier.append(v)
+                rest &= ~orbit
+        return k - 1
+
+    rec(1, 1, [0], [], [])
+    form = hit[0] if hit else images[-1]
+    if cache is not None:
+        for img in images:
+            cache[n, img] = form
+            cache.move_to_end((n, img))
+    return form, nodes
+
+
+def _child_frame_inputs(n, rng):
+    """Seeded sets from sparse to dense at dimension n, each with linear
+    images: two below n = 6, one at n = 6, where the sparse sets take
+    about 100 000 nodes each."""
+    densities = (0.03, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97)
+    out = []
+    for density in densities:
+        M = BinaryMatroid(n, _seeded_mask(n, density, rng.getrandbits(32)))
+        out += [M.mask] + [mapped(M, random_images(n, rng)).mask for _ in range(1 + (n < 6))]
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_canonical_search_matches_search_with_child_frames(n):
+    rng = random.Random(f"child-frames:{n}")
+    masks = _child_frame_inputs(n, rng)
+    search = matroid._canonical_search
+    for mask in masks:
+        want = _canonical_search_with_child_frames(n, mask)
+        assert search(n, mask, None) == want, hex(mask)
+        if 0 < want[1] <= 20000:
+            # both stop at the same node; the budget is checked below
+            # 20 000 nodes, which bounds the time of the reruns
+            for run in (search, _canonical_search_with_child_frames):
+                with pytest.raises(BudgetExceeded):
+                    run(n, mask, want[1] - 1)
+    # one shared sequence, in which later images end on cached leaves
+    got_cache, want_cache = OrderedDict(), OrderedDict()
+    for mask in masks:
+        got = search(n, mask, None, got_cache)
+        assert got == _canonical_search_with_child_frames(n, mask, None, want_cache)
+    assert list(got_cache.items()) == list(want_cache.items())
 
 
 def _random_prefix(n, k, rng):
@@ -919,6 +1055,16 @@ def test_least_segment_matches_per_candidate_keys():
             if least:
                 key, rest = matroid._least_segment(cands, pre, trans, least - 1)
                 assert rest == 0 and key > least - 1
+            # a read resumed after the first h bits ends where a whole read
+            # does, under a bound whose leading h bits are not below them
+            h = rng.randint(0, L)
+            head, head_cands = matroid._least_segment(cands, pre[:h], trans, None)
+            assert head == least >> (L - h)
+            for bound in (None, least, least - 1):
+                if bound is not None and (bound < 0 or head > bound >> (L - h)):
+                    continue
+                got = matroid._least_segment(head_cands, pre[h:], trans, bound, head)
+                assert got == matroid._least_segment(cands, pre, trans, bound)
 
 
 def test_canonical_budget_does_not_poison_cache(monkeypatch):
