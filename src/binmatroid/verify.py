@@ -1,17 +1,15 @@
 """Theorem-verification suites with machine-readable reports.
 
-Each suite returns a dict with at least: suite, a count of the cases
-checked, and the fields of its `_Ledger`: truncated, a violations list
-holding counterexamples (empty on success) and passed.  Suites are
-deterministic for a fixed seed; loops run sequentially in a fixed order.
+Each suite returns a dict with its name and options and the fields of
+its `_Ledger`: the case counts, truncated, the violations (empty on
+success) and passed.  A suite is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import inspect
 import random
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import census, tables
 from .construct import (
@@ -61,6 +59,7 @@ from .structure import (
     check_coset_confinement,
     decompose,
     has_decomposer_mask,
+    has_singleton_decomposer,
     is_decomposer,
     reconstruct,
     tree_point_map,
@@ -97,26 +96,30 @@ def _n_max_fields(requested: int, cap: int, low: int = 0) -> dict:
 MAX_VIOLATIONS = 20
 
 
-@dataclass
 class _Ledger:
-    """A suite's violation list, capped at MAX_VIOLATIONS.
+    """A suite's case counts, one per report key, and its violation list.
 
-    `add` records a violation found among the first `checked` cases; at
-    the one that takes the list past the cap it ends the `with` block the
-    suite runs in, later phases included.  `fields` gives the report's
-    `truncated`, `stopped_at` (the cases checked at the stop, present only
-    when truncated), `violations` and `passed`."""
-
-    violations: list = field(default_factory=list)
-    stopped_at: Optional[int] = None
+    `count(key)` records one case.  The violation `add` takes past
+    MAX_VIOLATIONS ends the `with` block the suite runs in, later phases
+    included, and sets `stopped_at` to the sum of the case counts.
+    `fields` gives the counts, `truncated`, `stopped_at` (when truncated),
+    `violations` and `passed`; given a `mark`, those since the mark."""
 
     class _Full(Exception):
         pass
 
-    def add(self, violation, checked: int) -> None:
+    def __init__(self, *keys: str) -> None:
+        self.counts = dict.fromkeys(keys or ("checked",), 0)
+        self.violations: list = []
+        self.stopped_at: Optional[int] = None
+
+    def count(self, key: str = "checked") -> None:
+        self.counts[key] += 1
+
+    def add(self, violation) -> None:
         self.violations.append(violation)
         if len(self.violations) > MAX_VIOLATIONS:
-            self.stopped_at = checked
+            self.stopped_at = sum(self.counts.values())
             raise self._Full
 
     def __enter__(self) -> "_Ledger":
@@ -125,12 +128,25 @@ class _Ledger:
     def __exit__(self, kind, value, traceback) -> bool:
         return kind is self._Full
 
-    def fields(self) -> dict:
+    def mark(self) -> tuple[dict, int]:
+        return dict(self.counts), len(self.violations)
+
+    def fields(self, since: Optional[tuple[dict, int]] = None) -> dict:
+        before, start = since or (dict.fromkeys(self.counts, 0), 0)
+        counts = {key: total - before[key] for key, total in self.counts.items()}
         if self.stopped_at is None:
             cap = {"truncated": False}
         else:
-            cap = {"truncated": True, "stopped_at": self.stopped_at}
-        return {**cap, "violations": self.violations, "passed": not self.violations}
+            cap = {"truncated": True, "stopped_at": self.stopped_at - sum(before.values())}
+        violations = self.violations[start:]
+        return {**counts, **cap, "violations": violations, "passed": not violations}
+
+
+def _ground_sets(low: int, high: int) -> Iterator[tuple[int, int]]:
+    """Every (n, ground set) at low <= n <= high, in code order."""
+    for n in range(low, high + 1):
+        for code in range(tables.ground_codes(n)):
+            yield n, code << 1
 
 
 def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
@@ -151,15 +167,7 @@ def verify_structure(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> d
         if ledger.stopped_at is not None:
             break
         parts.append(_structure_sampled(n, samples, seed, ledger))
-    checked = sum(r["checked"] for r in parts)
-    merged = _Ledger(ledger.violations, None if ledger.stopped_at is None else checked)
-    return {
-        "suite": "structure",
-        **fields,
-        "checked": checked,
-        **merged.fields(),
-        "parts": parts,
-    }
+    return {"suite": "structure", **fields, **ledger.fields(), "parts": parts}
 
 
 def verify_structure_sampled(n: int, samples: int, seed: int) -> dict:
@@ -177,26 +185,24 @@ def _structure_sampled(n: int, samples: int, seed: int, ledger: _Ledger) -> dict
 def _tally_structure(report: dict, cases, sampled: bool, ledger: _Ledger) -> dict:
     """`report` completed by the first structure outcome of each (n, mask)
     case; a case with none is a violation, added to the running `ledger`,
-    and the report lists the violations of these cases only.  A sampled
-    case is re-checked for claws first (the sampler's contract) and
-    counts only once it passes."""
-    checked = 0
-    start = len(ledger.violations)
+    and the report gives the counts and violations of these cases only.
+    A sampled case is re-checked for claws first (the sampler's contract)
+    and counts only once it passes."""
+    since = ledger.mark()
     outcomes = {"even_plane": 0, "complement_triangle_free": 0, "strict_pg_sum": 0, "decomposer": 0}
     with ledger:
         for n, mask in cases:
             if sampled and not claw_free_any(mask, n):
                 violation = {"n": n, "points": list(iter_bits(mask)), "reason": "sampler produced a claw"}
-                ledger.add(violation, checked)
+                ledger.add(violation)
                 continue
-            checked += 1
+            ledger.count()
             out = _structure_outcome(mask, n)
             if out is None:
-                ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
+                ledger.add({"n": n, "points": list(iter_bits(mask))})
             else:
                 outcomes[out] += 1
-    part = _Ledger(ledger.violations[start:], ledger.stopped_at)
-    return {**report, "checked": checked, "outcomes": outcomes, **part.fields()}
+    return {**report, "outcomes": outcomes, **ledger.fields(since)}
 
 
 def density_floor(r: int) -> int:
@@ -211,7 +217,6 @@ def verify_density(n_max: int = 4) -> dict:
     fields = _n_max_fields(n_max, tables.SWEEP_MAX, low=1)
     n_max = fields["n_max"]
     results = {}
-    checked = 0
     with _Ledger() as ledger:
         for r in range(1, n_max + 1):
             floor = density_floor(r)
@@ -219,14 +224,14 @@ def verify_density(n_max: int = 4) -> dict:
             witnesses: set[int] = set()
             table = census.canon_table(r)
             for mask in tables.claw_free_masks_list(r):
-                checked += 1
+                ledger.count()
                 size = mask.bit_count()
                 if best is not None and size > best and size >= floor:
                     continue
                 if rank_mask(mask, r) != r:
                     continue
                 if size < floor:
-                    ledger.add({"r": r, "points": list(iter_bits(mask)), "expected": floor}, checked)
+                    ledger.add({"r": r, "points": list(iter_bits(mask)), "expected": floor})
                 if best is None or size < best:
                     best = size
                     witnesses = {table[mask]}
@@ -238,7 +243,7 @@ def verify_density(n_max: int = 4) -> dict:
                 "witness_classes": sorted(sorted(iter_bits(w)) for w in witnesses),
             }
             if best != floor:
-                ledger.add({"r": r, "min_size": best, "expected": floor}, checked)
+                ledger.add({"r": r, "min_size": best, "expected": floor})
         if n_max >= 3:
             want3 = {
                 census.canon_table(3)[c4().mask],
@@ -246,13 +251,13 @@ def verify_density(n_max: int = 4) -> dict:
             }
             got3 = {sum(1 << p for p in w) for w in results[3]["witness_classes"]}
             if got3 != want3:
-                ledger.add({"r": 3, "witness_mismatch": results[3]["witness_classes"]}, checked)
+                ledger.add({"r": 3, "witness_mismatch": results[3]["witness_classes"]})
         if n_max >= 4:
             want4 = {census.canon_table(4)[pg_sum(2, 2).mask]}
             got4 = {sum(1 << p for p in w) for w in results[4]["witness_classes"]}
             if got4 != want4:
-                ledger.add({"r": 4, "witness_mismatch": results[4]["witness_classes"]}, checked)
-    return {"suite": "density", **fields, "results": results, "checked": checked, **ledger.fields()}
+                ledger.add({"r": 4, "witness_mismatch": results[4]["witness_classes"]})
+    return {"suite": "density", **fields, "results": results, **ledger.fields()}
 
 
 # ---------------------------------------------------------------------------
@@ -295,46 +300,45 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
     its factors, restriction compatibility, claw-free closure; plus
     partial lift-join bounds on sigma and omega."""
     rng = random.Random(seed)
-    checked = 0
     with _Ledger() as ledger:
         for i in range(samples):
-            checked += 1
+            ledger.count()
             # associativity, bitwise
             da, db, dc = (rng.choice(_TRIPLE_DIMS) for _ in range(3))
             A, B, C = (BinaryMatroid(d, census.sample_uniform_mask(d, rng)) for d in (da, db, dc))
             left = lift_join(lift_join(A, B), C)
             right = lift_join(A, lift_join(B, C))
             if left != right:
-                ledger.add({"check": "associativity", "i": i}, checked)
+                ledger.add({"check": "associativity", "i": i})
             # complement homomorphism, bitwise
             d1, d2 = rng.choice(_PAIR_DIMS), rng.choice(_PAIR_DIMS)
             M1, M2 = (BinaryMatroid(d, census.sample_uniform_mask(d, rng)) for d in (d1, d2))
             M = lift_join(M1, M2)
             if complement(M) != lift_join(complement(M1), complement(M2)):
-                ledger.add({"check": "complement", "i": i}, checked)
+                ledger.add({"check": "complement", "i": i})
             # parameter additivity
             w1, w2 = clique_number(M1), clique_number(M2)
             if clique_number(M) != w1 + w2:
-                ledger.add({"check": "omega_additive", "i": i}, checked)
+                ledger.add({"check": "omega_additive", "i": i})
             if critical_number(M) != critical_number(M1) + critical_number(M2):
-                ledger.add({"check": "chi_additive", "i": i}, checked)
+                ledger.add({"check": "chi_additive", "i": i})
             # sigma and full rank through the join, as `structure.fold_invariants`
             # reads them
             sigma = max(induced_independence_number(M1), induced_independence_number(M2))
             if M1.mask != ground_mask(d1) and M2.mask:
                 sigma = max(sigma, 2)
             if induced_independence_number(M) != sigma:
-                ledger.add({"check": "sigma_lift_join", "i": i}, checked)
+                ledger.add({"check": "sigma_lift_join", "i": i})
             # a 0-dimensional M2 leaves M = M1, outside the rank rule
             if d2 and (rank_mask(M.mask, M.n) == M.n) != (rank_mask(M2.mask, d2) == d2):
-                ledger.add({"check": "full_rank_lift_join", "i": i}, checked)
+                ledger.add({"check": "full_rank_lift_join", "i": i})
             # restriction compatibility, bitwise
             F1, F2 = _random_flat(d1, rng), _random_flat(d2, rng)
             combined = closure_mask(
                 F1.members | sum(1 << (v << d1) for v in iter_bits(F2.members)), M.n
             )
             if restrict(M, combined) != lift_join(restrict(M1, F1), restrict(M2, F2)):
-                ledger.add({"check": "restriction", "i": i}, checked)
+                ledger.add({"check": "restriction", "i": i})
             # claw-free closure
             d = rng.choice(_PAIR_DIMS)
             c1 = BinaryMatroid(d, census.sample_claw_free_mask(d, rng))
@@ -342,32 +346,26 @@ def verify_ljparams(samples: int = 10_000, seed: int = 0) -> dict:
             c2 = BinaryMatroid(d, census.sample_claw_free_mask(d, rng))
             cj = lift_join(c1, c2)
             if not claw_free_any(cj.mask, cj.n):
-                ledger.add({"check": "claw_free_closure", "i": i}, checked)
+                ledger.add({"check": "claw_free_closure", "i": i})
             # partial lift-join bounds on sigma and omega
             P1, P2 = (BinaryMatroid(d, census.sample_uniform_mask(d, rng)) for d in (d1, d2))
             G1, G2 = _random_flat(d1, rng), _random_flat(d2, rng)
             PM = partial_lift_join(P1, G1, P2, G2)
             s1, s2 = induced_independence_number(P1), induced_independence_number(P2)
             if induced_independence_number(PM) > max(3, 2 * (s1 + s2)):
-                ledger.add({"check": "partial_sigma", "i": i}, checked)
+                ledger.add({"check": "partial_sigma", "i": i})
             if clique_number(PM) > clique_number(P1) + clique_number(P2):
-                ledger.add({"check": "partial_omega", "i": i}, checked)
+                ledger.add({"check": "partial_omega", "i": i})
 
         for i in range(samples // 10):
-            checked += 1
+            ledger.count()
             f1 = _random_i4_free(rng.choice(_PAIR_DIMS), rng)
             f2 = _random_i4_free(rng.choice(_PAIR_DIMS), rng)
             fj = lift_join(f1, f2)
             if induced_independence_number(fj) > 3:
-                ledger.add({"check": "i4_free_closure", "i": i}, checked)
+                ledger.add({"check": "i4_free_closure", "i": i})
 
-    return {
-        "suite": "ljparams",
-        "samples": samples,
-        "seed": seed,
-        "checked": checked,
-        **ledger.fields(),
-    }
+    return {"suite": "ljparams", "samples": samples, "seed": seed, **ledger.fields()}
 
 
 # ---------------------------------------------------------------------------
@@ -389,36 +387,44 @@ def _pg_sum_routes_agree(mask: int, n: int) -> bool:
     return (pg_sum_witness_mask(mask, n) is not None) == pg_sum_forbidden_mask(mask, n)
 
 
+def _sweep_then_sample(ledger: _Ledger, agrees, n_max: int, samples: int, draw, seed: int) -> None:
+    """`agrees(mask, n)` on every ground set at n <= n_max, counted as
+    `checked`, then on `samples` sets `draw(5, rng)` draws from a
+    Random(seed), counted as `sampled`; a set where it fails is a
+    violation."""
+    rng = random.Random(seed)
+    drawn = ((5, draw(5, rng)) for _ in range(samples))
+    for key, cases in (("checked", _ground_sets(0, n_max)), ("sampled", drawn)):
+        for n, mask in cases:
+            ledger.count(key)
+            if not agrees(mask, n):
+                ledger.add({"n": n, "points": list(iter_bits(mask))})
+
+
+def _pgsum_draw(n: int, rng: random.Random) -> int:
+    """A uniform set, a PG-sum of two disjoint flats, or such a sum with
+    one or two points flipped."""
+    roll = rng.random()
+    if roll < 0.6:
+        return census.sample_uniform_mask(n, rng)
+    pair = _random_disjoint_flat_pair(n, rng)
+    mask = (pair[0] | pair[1]) if pair else census.sample_uniform_mask(n, rng)
+    if roll >= 0.8:
+        for _ in range(rng.randint(1, 2)):
+            mask ^= 1 << rng.randint(1, (1 << n) - 1)
+    return mask
+
+
 def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     """The direct recognizer `pg_sum_witness_mask` agrees with the
     forbidden-restriction route `pg_sum_forbidden_mask` on every ground set
     at n <= n_max and on samples at n = 5; PG-sums have equal clique and
     critical numbers."""
     fields = _n_max_fields(n_max, tables.SWEEP_MAX)
-    rng = random.Random(seed)
-    checked = sampled = chi_checked = 0
-    with _Ledger() as ledger:
-        for n in range(fields["n_max"] + 1):
-            for code in range(tables.ground_codes(n)):
-                checked += 1
-                mask = code << 1
-                if not _pg_sum_routes_agree(mask, n):
-                    ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
-
-        n = 5
-        for i in range(samples):
-            roll = rng.random()
-            if roll < 0.6:
-                mask = census.sample_uniform_mask(n, rng)
-            else:
-                pair = _random_disjoint_flat_pair(n, rng)
-                mask = (pair[0] | pair[1]) if pair else census.sample_uniform_mask(n, rng)
-                if roll >= 0.8:  # a PG-sum with one or two points flipped
-                    for _ in range(rng.randint(1, 2)):
-                        mask ^= 1 << rng.randint(1, (1 << n) - 1)
-            sampled += 1
-            if not _pg_sum_routes_agree(mask, n):
-                ledger.add({"n": n, "points": list(iter_bits(mask))}, checked + sampled)
+    with _Ledger("checked", "sampled", "chi_checked") as ledger:
+        _sweep_then_sample(
+            ledger, _pg_sum_routes_agree, fields["n_max"], samples, _pgsum_draw, seed
+        )
 
         # perfection: chi equals omega on PG-sums
         for n in range(fields["n_max"] + 1):
@@ -428,32 +434,17 @@ def verify_pgsum(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
                     if fm1 & fm2:
                         continue
                     M = BinaryMatroid(n, fm1 | fm2)
-                    chi_checked += 1
+                    ledger.count("chi_checked")
                     if critical_number(M) != clique_number(M):
-                        ledger.add(
-                            {"n": n, "chi_neq_omega": M.points()},
-                            checked + sampled + chi_checked,
-                        )
+                        ledger.add({"n": n, "chi_neq_omega": M.points()})
         for d1 in range(6):
             for d2 in range(6 - d1):
                 M = pg_sum(d1, d2)
-                chi_checked += 1
+                ledger.count("chi_checked")
                 if critical_number(M) != clique_number(M):
-                    ledger.add(
-                        {"pg_sum": (d1, d2), "chi_neq_omega": True},
-                        checked + sampled + chi_checked,
-                    )
+                    ledger.add({"pg_sum": (d1, d2), "chi_neq_omega": True})
 
-    return {
-        "suite": "pgsum",
-        **fields,
-        "samples": samples,
-        "seed": seed,
-        "checked": checked,
-        "sampled": sampled,
-        "chi_checked": chi_checked,
-        **ledger.fields(),
-    }
+    return {"suite": "pgsum", **fields, "samples": samples, "seed": seed, **ledger.fields()}
 
 
 # ---------------------------------------------------------------------------
@@ -482,47 +473,30 @@ def _target_agrees(mask: int, n: int) -> bool:
     return lhs == (claw_free_any(mask, n) and claw_free_any(ground_mask(n) & ~mask, n))
 
 
+def _target_draw(n: int, rng: random.Random) -> int:
+    """A uniform set, a target, a target with one to three points
+    flipped, or a claw-free set."""
+    roll = rng.random()
+    if roll < 0.4:
+        return census.sample_uniform_mask(n, rng)
+    if roll < 0.7:
+        return _random_target_mask(n, rng)
+    if roll < 0.85:
+        mask = _random_target_mask(n, rng)
+        for _ in range(rng.randint(1, 3)):
+            mask ^= 1 << rng.randint(1, (1 << n) - 1)
+        return mask
+    return census.sample_claw_free_mask(n, rng)
+
+
 def verify_target(n_max: int = 4, samples: int = 100_000, seed: int = 0) -> dict:
     """The target recognizer agrees with claw-free + anticlaw-free, both
     decided by `claw_free_any`, on every ground set at n <= n_max and on
     samples at n = 5."""
     fields = _n_max_fields(n_max, tables.SWEEP_MAX)
-    rng = random.Random(seed)
-    checked = sampled = 0
-    with _Ledger() as ledger:
-        for n in range(fields["n_max"] + 1):
-            for code in range(tables.ground_codes(n)):
-                checked += 1
-                mask = code << 1
-                if not _target_agrees(mask, n):
-                    ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
-
-        n = 5
-        for i in range(samples):
-            roll = rng.random()
-            if roll < 0.4:
-                mask = census.sample_uniform_mask(n, rng)
-            elif roll < 0.7:
-                mask = _random_target_mask(n, rng)
-            elif roll < 0.85:
-                mask = _random_target_mask(n, rng)
-                for _ in range(rng.randint(1, 3)):
-                    mask ^= 1 << rng.randint(1, (1 << n) - 1)
-            else:
-                mask = census.sample_claw_free_mask(n, rng)
-            sampled += 1
-            if not _target_agrees(mask, n):
-                ledger.add({"n": n, "points": list(iter_bits(mask))}, checked + sampled)
-
-    return {
-        "suite": "target",
-        **fields,
-        "samples": samples,
-        "seed": seed,
-        "checked": checked,
-        "sampled": sampled,
-        **ledger.fields(),
-    }
+    with _Ledger("checked", "sampled") as ledger:
+        _sweep_then_sample(ledger, _target_agrees, fields["n_max"], samples, _target_draw, seed)
+    return {"suite": "target", **fields, "samples": samples, "seed": seed, **ledger.fields()}
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +519,14 @@ def verify_rlj(samples: int = 2_000, seed: int = 0) -> dict:
     is stated with the in-place ground set, exactly as the lemma reads.
     """
     rng = random.Random(seed)
-    ledger = _Ledger()
-    checked = recon_checked = recon_exact = 0
+    ledger = _Ledger("checked", "recon_checked")
+    recon_exact = 0
+
+    def proper_flats(n: int) -> list[Flat]:
+        return [F for d in range(1, n) for F in flats_of_dim(n, d)]
 
     def check_one(M: BinaryMatroid, F: Flat) -> None:
-        nonlocal checked
-        checked += 1
+        ledger.count()
         J = complementary_flat(F)
         in_place = M.mask & F.members
         span = F.span
@@ -558,7 +534,7 @@ def verify_rlj(samples: int = 2_000, seed: int = 0) -> dict:
             in_place |= xor_translate(span, e, M.n)
         lhs = is_decomposer(M, F)
         if lhs != (in_place == M.mask):
-            ledger.add({"n": M.n, "points": M.points(), "flat": F.points()}, checked)
+            ledger.add({"n": M.n, "points": M.points(), "flat": F.points()})
             return
         if lhs:
             # the re-embedded join equals M through the basis change
@@ -569,46 +545,36 @@ def verify_rlj(samples: int = 2_000, seed: int = 0) -> dict:
                 inverse[v] = y
             if transform_mask(M.mask, inverse) != joined.mask:
                 ledger.add(
-                    {"n": M.n, "points": M.points(), "flat": F.points(), "reason": "join image"},
-                    checked,
+                    {"n": M.n, "points": M.points(), "flat": F.points(), "reason": "join image"}
                 )
 
     with ledger:
-        for n in (2, 3):
-            proper_flats = [F for d in range(1, n) for F in flats_of_dim(n, d)]
-            for code in range(tables.ground_codes(n)):
-                M = BinaryMatroid(n, code << 1)
-                for F in proper_flats:
-                    check_one(M, F)
+        flats = {n: proper_flats(n) for n in (2, 3)}
+        for n, mask in _ground_sets(2, 3):
+            M = BinaryMatroid(n, mask)
+            for F in flats[n]:
+                check_one(M, F)
 
         for n in (4, 5):
-            proper_flats = [F for d in range(1, n) for F in flats_of_dim(n, d)]
+            flats = proper_flats(n)
             for _ in range(samples):
                 M = BinaryMatroid(n, census.sample_uniform_mask(n, rng))
-                check_one(M, proper_flats[rng.randrange(len(proper_flats))])
+                check_one(M, flats[rng.randrange(len(flats))])
 
         for _ in range(5 * samples):
             n = rng.randint(1, 6)
             M = BinaryMatroid(n, census.sample_uniform_mask(n, rng))
             tree = decompose(M)
             rebuilt = reconstruct(tree)
-            recon_checked += 1
+            ledger.count("recon_checked")
             image = transform_mask(M.mask, tree_point_map(tree))
             if image != rebuilt.mask or rebuilt.n != M.n:
-                violation = {"check": "reconstruct", "n": n, "points": M.points()}
-                ledger.add(violation, checked + recon_checked)
+                ledger.add({"check": "reconstruct", "n": n, "points": M.points()})
             else:
                 recon_exact += 1
 
-    return {
-        "suite": "rlj",
-        "samples": samples,
-        "seed": seed,
-        "checked": checked,
-        "recon_checked": recon_checked,
-        "recon_exact": recon_exact,
-        **ledger.fields(),
-    }
+    report = {"suite": "rlj", "samples": samples, "seed": seed, "recon_exact": recon_exact}
+    return {**report, **ledger.fields()}
 
 
 # ---------------------------------------------------------------------------
@@ -672,12 +638,10 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
     if not 2 <= n_max <= MAX_DIM:
         raise ValueError(f"coset n_max must be in [2, {MAX_DIM}], got {n_max}")
     rng = random.Random(seed)
-    met = 0
-    generated = 0
-    refinement_met = 0
-    with _Ledger() as ledger:
+    met = refinement_met = 0
+    with _Ledger("generated") as ledger:
         while met < samples:
-            generated += 1
+            ledger.count("generated")
             n = rng.randint(2, n_max)
             inst = (
                 _structured_partition(n, rng)
@@ -686,10 +650,8 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
             )
             report = check_coset_confinement(inst)
             if not report.ok:
-                ledger.add(
-                    {"n": n, "P": list(iter_bits(inst.p_mask)), "R": list(iter_bits(inst.r_mask))},
-                    generated,
-                )
+                P, R = list(iter_bits(inst.p_mask)), list(iter_bits(inst.r_mask))
+                ledger.add({"n": n, "P": P, "R": R})
             if report.hypothesis_met:
                 met += 1
                 if report.refinement_hypothesis_met:
@@ -699,7 +661,6 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
         "samples": samples,
         "n_max": n_max,
         "seed": seed,
-        "generated": generated,
         "hypothesis_met": met,
         "refinement_met": refinement_met,
         **ledger.fields(),
@@ -714,16 +675,15 @@ def verify_coset(samples: int = 10_000, n_max: int = 5, seed: int = 0) -> dict:
 def verify_tiny() -> dict:
     """Every 3-dimensional odd-sized claw-free matroid has a one-element
     decomposer; exhaustive over all 128 ground sets."""
-    checked = 0
     with _Ledger() as ledger:
-        for code in range(1 << 7):
-            M = BinaryMatroid(3, code << 1)
-            if M.size % 2 == 0 or not claw_free_any(M.mask, 3):
+        for n, mask in _ground_sets(3, 3):
+            M = BinaryMatroid(n, mask)
+            if M.size % 2 == 0 or not claw_free_any(mask, n):
                 continue
-            checked += 1
-            if not any(is_decomposer(M, closure_mask(1 << a, 3)) for a in range(1, 8)):
-                ledger.add(M.points(), checked)
-    return {"suite": "tiny", "checked": checked, **ledger.fields()}
+            ledger.count()
+            if has_singleton_decomposer(M) is None:
+                ledger.add(M.points())
+    return {"suite": "tiny", **ledger.fields()}
 
 
 def verify_semidouble(n_max: int = 4) -> dict:
@@ -732,60 +692,48 @@ def verify_semidouble(n_max: int = 4) -> dict:
     ground sets at n <= n_max."""
     fields = _n_max_fields(n_max, tables.SWEEP_MAX)
     n_max = fields["n_max"]
-    checked = 0
     with _Ledger() as ledger:
         for n in range(n_max + 1):
             hyperplanes = list(flats_of_dim(n, n - 1)) if n >= 1 else []
             g = ground_mask(n)
             for mask in census.even_plane_masks(n):
                 M = BinaryMatroid(n, mask)
-                checked += 1
+                ledger.count()
                 if not tables.even_plane_mask(doubling(M).mask, n + 1):
-                    ledger.add({"op": "doubling", "n": n, "points": M.points()}, checked)
+                    ledger.add({"op": "doubling", "n": n, "points": M.points()})
                 for H in hyperplanes:
                     if not tables.even_plane_mask(semidoubling(M, H).mask, n + 1):
                         ledger.add(
-                            {"op": "semidoubling", "n": n, "points": M.points(), "h": H.points()},
-                            checked,
+                            {"op": "semidoubling", "n": n, "points": M.points(), "h": H.points()}
                         )
                     sym = mask ^ (g & ~H.members)
                     if not tables.even_plane_mask(sym, n):
                         ledger.add(
-                            {"op": "sym_diff", "n": n, "points": M.points(), "h": H.points()},
-                            checked,
+                            {"op": "sym_diff", "n": n, "points": M.points(), "h": H.points()}
                         )
-    return {
-        "suite": "semidouble",
-        **fields,
-        "checked": checked,
-        **ledger.fields(),
-    }
+    return {"suite": "semidouble", **fields, **ledger.fields()}
 
 
 def verify_bbt(n_max: int = 4) -> dict:
     """Flat-avoidance density bound: |E| <= 2^n - 2^(n-w) with w the clique
     number, equality only for Bose-Burton geometries; plus w <= chi."""
     fields = _n_max_fields(n_max, tables.SWEEP_MAX)
-    n_max = fields["n_max"]
-    checked = 0
     with _Ledger() as ledger:
-        for n in range(n_max + 1):
-            for code in range(tables.ground_codes(n)):
-                mask = code << 1
-                M = BinaryMatroid(n, mask)
-                checked += 1
-                w = clique_number(M)
-                chi = critical_number(M)
-                if w > chi:
-                    ledger.add({"n": n, "points": M.points(), "reason": "omega>chi"}, checked)
-                    continue
-                bound = (1 << n) - (1 << (n - w))
-                size = M.size
-                if size > bound:
-                    ledger.add({"n": n, "points": M.points(), "reason": "bbt bound"}, checked)
-                elif size == bound and is_bose_burton(M) != w:
-                    ledger.add({"n": n, "points": M.points(), "reason": "bbt equality"}, checked)
-    return {"suite": "bbt", **fields, "checked": checked, **ledger.fields()}
+        for n, mask in _ground_sets(0, fields["n_max"]):
+            M = BinaryMatroid(n, mask)
+            ledger.count()
+            w = clique_number(M)
+            chi = critical_number(M)
+            if w > chi:
+                ledger.add({"n": n, "points": M.points(), "reason": "omega>chi"})
+                continue
+            bound = (1 << n) - (1 << (n - w))
+            size = M.size
+            if size > bound:
+                ledger.add({"n": n, "points": M.points(), "reason": "bbt bound"})
+            elif size == bound and is_bose_burton(M) != w:
+                ledger.add({"n": n, "points": M.points(), "reason": "bbt equality"})
+    return {"suite": "bbt", **fields, **ledger.fields()}
 
 
 def verify_cftf(n_max: int = 4) -> dict:
@@ -794,22 +742,18 @@ def verify_cftf(n_max: int = 4) -> dict:
     claw-freeness decided by `claw_free_any`.  The range starts at n = 1,
     so an n_max below 1 would check nothing."""
     fields = _n_max_fields(n_max, tables.SWEEP_MAX, low=1)
-    n_max = fields["n_max"]
-    checked = 0
     # dimension 0 is degenerate: the empty matroid is full-rank, claw-free
     # and triangle-free, but no flat can have dimension -1
     with _Ledger() as ledger:
-        for n in range(1, n_max + 1):
-            for code in range(tables.ground_codes(n)):
-                mask = code << 1
-                if rank_mask(mask, n) != n:
-                    continue
-                checked += 1
-                lhs = triangle_free_mask(mask, n) and claw_free_any(mask, n)
-                rhs = is_bose_burton(BinaryMatroid(n, mask)) == 1
-                if lhs != rhs:
-                    ledger.add({"n": n, "points": list(iter_bits(mask))}, checked)
-    return {"suite": "cftf", **fields, "checked": checked, **ledger.fields()}
+        for n, mask in _ground_sets(1, fields["n_max"]):
+            if rank_mask(mask, n) != n:
+                continue
+            ledger.count()
+            lhs = triangle_free_mask(mask, n) and claw_free_any(mask, n)
+            rhs = is_bose_burton(BinaryMatroid(n, mask)) == 1
+            if lhs != rhs:
+                ledger.add({"n": n, "points": list(iter_bits(mask))})
+    return {"suite": "cftf", **fields, **ledger.fields()}
 
 
 def verify_chibound(n_max: int = 5) -> dict:
@@ -821,17 +765,16 @@ def verify_chibound(n_max: int = 5) -> dict:
     for n in range(n_max + 1):
         reps += [BinaryMatroid(n, m) for m in census.even_plane_classes(n)]
     chi = {M: critical_number(M) for M in reps}
-    pairs = 0
-    with _Ledger() as ledger:
+    with _Ledger("pairs") as ledger:
         for M in reps:
             for N in reps:
-                pairs += 1
+                ledger.count("pairs")
                 if N.n <= M.n and has_induced_restriction(M, N):
                     continue
                 if chi[M] > N.n + 4:
                     violation = {"M": M.points(), "nM": M.n, "N": N.points(), "nN": N.n, "chi": chi[M]}
-                    ledger.add(violation, pairs)
-    return {"suite": "chibound", **fields, "pairs": pairs, **ledger.fields()}
+                    ledger.add(violation)
+    return {"suite": "chibound", **fields, **ledger.fields()}
 
 
 # ---------------------------------------------------------------------------

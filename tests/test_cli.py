@@ -875,6 +875,41 @@ def test_structure_sampled_reports_frozen(monkeypatch, n, samples, seed):
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
 
+#: (suite, seed) -> sha256 of the printed report of
+#: `run_suite(suite, n_max=4, samples=50, seed=seed)`, recorded while each
+#: suite kept its own case counters; a suite that takes no seed is run once
+FROZEN_SUITE_REPORTS = {
+    ("structure", 0): "390937284fcf043e9776b45c119d6c0c5eb470e91616e5be9a083f4fdfabec68",
+    ("structure", 1): "390937284fcf043e9776b45c119d6c0c5eb470e91616e5be9a083f4fdfabec68",
+    ("density", 0): "b00d4cce86dbffe14b9b474d0a533b7b2b93da8dad11e791964534482f815ddf",
+    ("ljparams", 0): "758c9055586ca7fb5ab7942fce6cb831f958341128eceaaeb5240819f4eea4ff",
+    ("ljparams", 1): "905a142d43e662c9aa333b9a3761ad25893401e49dbb87db49255b1392c8d5cb",
+    ("pgsum", 0): "9f74167f7f59af44ac0b6517a0560b46a4bed598aed1f19c1ac24c9f5ac56838",
+    ("pgsum", 1): "f21ff5f67123b06e565e72d53a5a6c6cd205a08701788872a5fde72daec13ef5",
+    ("target", 0): "61bcb1a596284053f7b76fec78a7539808caea8a9e3540eed0cf9fdd4a634bc3",
+    ("target", 1): "aeb502833169cc4e945986735e7141d99fcd4520ce81e26f4425118395dcaf6f",
+    ("rlj", 0): "52266ef025c45dfdbff286d3a08c871f22412bb1749c7bc127dffa473155b6c4",
+    ("rlj", 1): "40893e4ac2d1129b9f6caf38939c21f88c3e5455f7ea71c2c0204cde66f61993",
+    ("coset", 0): "ccb2b302971c00fd7b43142537805544f2623178985847de2e38680fc41a8d06",
+    ("coset", 1): "32797b244bc43fa6ff9479c83e06fbb563df2357f2b5547555e0138a3be59274",
+    ("tiny", 0): "f19e2862ac7ee596586242b6030647f422292007559801468a1541b760fc4c30",
+    ("semidouble", 0): "83c764101ea58d7fdb1d5b41b14946993a6da00bab2e4d588ddb7ba4313ee535",
+    ("bbt", 0): "7b3338410424effcb56a30eb7db8a6185997f784f1cb1fbac59c9902edef069e",
+    ("cftf", 0): "b2b7b3433f7fe3b6185d020acc9fe05a21757bd42618b99ae305d11fb9e47130",
+    ("chibound", 0): "46bf0363a2ab567bacbdb836fd4f171134ff653f4f8fc604a0738259504a5b7b",
+}
+
+
+@pytest.mark.parametrize("suite,seed", sorted(FROZEN_SUITE_REPORTS))
+def test_suite_reports_frozen(suite, seed):
+    import hashlib
+
+    from binmatroid.cli import _json_text
+
+    text = _json_text(verify.run_suite(suite, n_max=4, samples=50, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_SUITE_REPORTS[suite, seed]
+
+
 def test_reports_state_the_range_checked():
     from binmatroid import verify
     from binmatroid.verify import run_suite
@@ -1078,7 +1113,7 @@ INJECTED_FAULTS = {
     "cftf": ("triangle_free_mask", lambda mask, n: True, "checked"),
     # every critical number reads as dim + 8
     "chibound": ("critical_number", lambda M: M.n + 8, "pairs"),
-    "tiny": ("is_decomposer", lambda M, F: False, "checked"),
+    "tiny": ("has_singleton_decomposer", lambda M: None, "checked"),
 }
 
 
